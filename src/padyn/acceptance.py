@@ -49,10 +49,15 @@ from padyn.sl2 import (
     k_level_group,
     minimal_flow,
 )
-from padyn.types1 import ScaleLadder, TruncType1, enumerate_types, roundtrip_check
+from padyn.types1 import (
+    DEFAULT_LADDER,
+    ScaleLadder,
+    TruncType1,
+    enumerate_types,
+    roundtrip_check,
+)
 
 DEFAULT_SEED = 20260814
-DEFAULT_LADDER = ScaleLadder.build(gap=8, window_w=2, length=4)
 
 
 def _strip(k: int, p: int) -> tuple[int, int]:

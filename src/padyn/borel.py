@@ -17,48 +17,45 @@ the concrete pairs, and classifies the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .padic import PadicMatrix2, RationalLike, _coerce_fraction
+from .padic import PadicMatrix2, PadicRational, RationalLike, mat_mul
 from .residues import ResidueClass, build_group, class_of
-from .types1 import ScaleLadder, TruncType1, realize
-
-DEFAULT_LADDER = ScaleLadder.build(gap=8, window_w=2, length=4)
+from .types1 import DEFAULT_LADDER, ScaleLadder, TruncType1, realize
 
 
 @dataclass(frozen=True)
 class BorelElem:
-    """Pair (a, c), a != 0, with the upper-triangular product law."""
+    """Pair (a, c), a != 0, with the upper-triangular product law.
 
-    a: Fraction
-    c: Fraction
+    Both coordinates are PadicRationals for one prime: ladder witnesses
+    carry exponents in the tens of thousands, and the pair law and the
+    diagonal class only ever need their valuations and unit residues.
+    """
+
+    a: PadicRational
+    c: PadicRational
 
     def __post_init__(self) -> None:
-        if self.a == 0:
+        if not self.a:
             raise ValueError("diagonal part must be invertible")
 
     @classmethod
-    def of(cls, a: RationalLike, c: RationalLike) -> "BorelElem":
-        return cls(_coerce_fraction(a), _coerce_fraction(c))
+    def of(cls, a: RationalLike, c: RationalLike, p: int) -> "BorelElem":
+        return cls(PadicRational.of(a, p), PadicRational.of(c, p))
 
-    def _rows(self) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-        return ((self.a, self.c), (Fraction(0), 1 / self.a))
+    def _rows(self) -> tuple:
+        return ((self.a, self.c), (PadicRational.of(0, self.a.p), self.a.inverse()))
 
     def mul(self, other: "BorelElem") -> "BorelElem":
         pair = BorelElem(self.a * other.a, self.a * other.c + self.c / other.a)
         # self-test: the closed pair law must match generic 2x2 multiplication
-        left, right = self._rows(), other._rows()
-        product = tuple(
-            tuple(sum(left[i][k] * right[k][j] for k in range(2)) for j in range(2))
-            for i in range(2)
-        )
-        if pair._rows() != product:
+        if pair._rows() != mat_mul(self._rows(), other._rows()):
             raise ArithmeticError("pair law diverged from the matrix law")
         return pair
 
     def inverse(self) -> "BorelElem":
-        return BorelElem(1 / self.a, -self.c)
+        return BorelElem(self.a.inverse(), -self.c)
 
     def to_matrix(self, p: int) -> PadicMatrix2:
         return PadicMatrix2.of(self._rows(), p)
@@ -159,19 +156,22 @@ class FlowGroup:
         reps = set(self._by_rep)
         one = self.identity.a_class.representative
         for key, val in self.table.items():
-            assert val in reps, f"product {key} left the element set"
+            _require(val in reps, f"product {key} left the element set")
         for r in reps:
-            assert self.table[(one, r)] == r
-            assert self.table[(r, one)] == r
-            assert one in {self.table[(r, other)] for other in reps}
+            _require(self.table[(one, r)] == r, f"{one} is not a left identity at {r}")
+            _require(self.table[(r, one)] == r, f"{one} is not a right identity at {r}")
+            _require(one in {self.table[(r, s)] for s in reps}, f"{r} has no inverse")
         for r in reps:
             for s in reps:
                 rs = self.table[(r, s)]
                 for t in reps:
                     st = self.table[(s, t)]
-                    assert self.table[(rs, t)] == self.table[(r, st)]
-        assert self.idempotent_check()
-        assert self.isomorphic_to_residue_group()
+                    _require(
+                        self.table[(rs, t)] == self.table[(r, st)],
+                        f"associativity failed at {(r, s, t)}",
+                    )
+        _require(self.idempotent_check(), "basepoint is not idempotent")
+        _require(self.isomorphic_to_residue_group(), "table differs from the residue group")
 
     def to_json(self) -> dict:
         reps = [t.a_class.representative for t in self.elements]
@@ -182,6 +182,11 @@ class FlowGroup:
             "idempotent_check": self.idempotent_check(),
             "iso_to_residue_group": self.isomorphic_to_residue_group(),
         }
+
+
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise ArithmeticError(f"flow group: {message}")
 
 
 @lru_cache(maxsize=None)

@@ -26,7 +26,7 @@ from padyn.padic import PadicMatrix2, format_rational, parse_rational
 from padyn.proj import ProjLevel, collapse_check, minimality_proximality_report
 from padyn.residues import build_group
 from padyn.sl2 import ellis_group, iwasawa, minimal_flow
-from padyn.types1 import ScaleLadder
+from padyn.types1 import LADDER_LENGTH, ScaleLadder
 
 _CHECK_NAMES = tuple(name for name, _, _ in acceptance.CHECKS)
 
@@ -109,10 +109,6 @@ def _config_from(args: argparse.Namespace) -> GlobalConfig:
     )
 
 
-def _ladder(config: GlobalConfig) -> ScaleLadder:
-    return ScaleLadder.build(config.ladder_gap, config.valuation_window_w, length=4)
-
-
 def _rows_json(matrix: PadicMatrix2) -> list[list[str]]:
     return [[format_rational(entry) for entry in row] for row in matrix.rows()]
 
@@ -144,7 +140,8 @@ def _cmd_flows(args, config):
 
 
 def _cmd_borel(args, config):
-    fg = build_flow_group(config.prime, config.residue_level_n, _ladder(config))
+    ladder = ScaleLadder.from_config(config, LADDER_LENGTH)
+    fg = build_flow_group(config.prime, config.residue_level_n, ladder)
     payload = {"p": config.prime, "n": config.residue_level_n, **fg.to_json()}
     ok = fg.idempotent_check() and fg.isomorphic_to_residue_group()
     lines = [f"flow group of order {fg.order}; matches residue group: {ok}"]
@@ -179,9 +176,8 @@ def _cmd_iwasawa(args, config):
 
 
 def _cmd_minimal_flow(args, config):
-    report = minimal_flow(
-        config.prime, config.residue_level_n, config.matrix_level_m, _ladder(config)
-    )
+    ladder = ScaleLadder.from_config(config, LADDER_LENGTH)
+    report = minimal_flow(config.prime, config.residue_level_n, config.matrix_level_m, ladder)
     ok = report.strongly_connected and report.idempotent
     lines = [
         f"{report.size} states; strongly connected: {report.strongly_connected}; "
@@ -191,9 +187,8 @@ def _cmd_minimal_flow(args, config):
 
 
 def _cmd_ellis(args, config):
-    report = ellis_group(
-        config.prime, config.residue_level_n, config.matrix_level_m, _ladder(config)
-    )
+    ladder = ScaleLadder.from_config(config, LADDER_LENGTH)
+    report = ellis_group(config.prime, config.residue_level_n, config.matrix_level_m, ladder)
     iso_ok = all(report.iso_by_level.values())
     tower_ok = all(flag for (_, _, flag) in report.tower)
     lines = [
@@ -205,7 +200,7 @@ def _cmd_ellis(args, config):
 
 def _cmd_proj(args, config):
     level = ProjLevel(config.prime, config.residue_level_n, config.valuation_window_w)
-    ladder = _ladder(config)
+    ladder = ScaleLadder.from_config(config, LADDER_LENGTH)
     if args.report == "collapse":
         report = collapse_check(level, ladder=ladder, level_m=config.matrix_level_m)
         ok = report.collapsed

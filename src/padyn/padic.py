@@ -1,15 +1,28 @@
 """Exact p-adic valuations on rationals and unimodular 2x2 matrices.
 
-All arithmetic is exact: values are `fractions.Fraction`, valuations are
-Python integers, and the valuation of zero is a distinguished infinity
-object that compares above every integer.  No floating point is used
-anywhere in this module.
+Two exact representations of a rational live here.  `PadicRational`
+keeps a value as u * p**e for one fixed prime p: a p-free reduced
+fraction u = num/den and an exponent e, so the valuation is a field
+read and the unit residue is num * den**-1 modulo a power of p.  It is
+the type of the ladder witnesses, whose exponents run to tens of
+thousands and would otherwise pay for gcds on numbers of that many
+digits and for stripping p again on every valuation query.  Everything
+else (matrices, type bases, projective points) stays on
+`fractions.Fraction`; `_coerce_fraction` is the boundary and turns a
+`PadicRational` into the equal `Fraction` with one multiply by p**|e|.
+
+Valuations are Python integers, and the valuation of zero is a
+distinguished infinity object that compares above every integer.  No
+floating point is used anywhere in this module.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 from typing import Union
 
 
@@ -57,7 +70,7 @@ INFINITY = _ValuationInfinity()
 
 Valuation = Union[int, _ValuationInfinity]
 
-RationalLike = Union[int, Fraction, "PadicNumber"]
+RationalLike = Union[int, Fraction, "PadicRational"]
 
 
 _POWER_LADDERS: dict[int, list[int]] = {}
@@ -90,18 +103,250 @@ def int_valuation(num: int, p: int) -> tuple[int, int]:
     return v, num
 
 
+@lru_cache(maxsize=256)
+def _p_power(p: int, k: int) -> int:
+    """p**k for k >= 0; witness arithmetic reuses a few huge exponents."""
+    return p**k
+
+
+if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12+
+    _coprime_fraction = Fraction._from_coprime_ints
+else:
+
+    def _coprime_fraction(num: int, den: int) -> Fraction:
+        return Fraction(num, den, _normalize=False)
+
+
+def _add_reduced(na: int, da: int, nb: int, db: int) -> tuple[int, int]:
+    """na/da + nb/db for reduced fractions, as a reduced (num, den).
+
+    Every gcd has a denominator as one operand, so it stays cheap for
+    witnesses, whose numerators may be huge but whose denominators are
+    small.
+    """
+    g = gcd(da, db)
+    if g == 1:
+        return na * db + da * nb, da * db
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return t, s * db
+    return t // g2, s * (db // g2)
+
+
+class PadicRational:
+    """An exact rational u * p**e, normalised for one fixed prime p.
+
+    Fields (num, den, e, p) satisfy p ∤ num*den, den > 0 and
+    gcd(num, den) = 1; zero is the one value with num == 0, stored as
+    (0, 1, 0).  Values are never mutated after construction.  Products
+    add exponents and take gcds of the p-free parts only; sums align
+    exponents with one cached multiply by p**d and strip p only when the
+    exponents tie.  Equality and hashing agree with `Fraction` and `int`
+    on equal values.
+    """
+
+    __slots__ = ("num", "den", "e", "p")
+
+    num: int
+    den: int
+    e: int
+    p: int
+
+    @classmethod
+    def of(cls, x: RationalLike, p: int) -> "PadicRational":
+        """The value of an int, Fraction or PadicRational, normalised for p."""
+        if type(x) is cls:
+            if x.p == p:
+                return x
+            x = x.to_fraction()
+        if p < 2:
+            raise ValueError(f"p-adic normalisation needs a prime, got {p}")
+        if isinstance(x, int):
+            num, den = x, 1
+        elif isinstance(x, Fraction):
+            num, den = x.numerator, x.denominator
+        else:
+            raise TypeError(f"expected a rational value, got {type(x).__name__}")
+        if num == 0:
+            return _padic(0, 1, 0, p)
+        e = 0
+        if num % p == 0:
+            e, num = int_valuation(num, p)
+        if den % p == 0:
+            vd, den = int_valuation(den, p)
+            e -= vd
+        return _padic(num, den, e, p)
+
+    # --- exact reads --------------------------------------------------
+
+    def valuation(self) -> Valuation:
+        return self.e if self.num else INFINITY
+
+    def unit_residue(self, modulus: int) -> int:
+        """num * den**-1 mod `modulus` (a power of p); nonzero values only."""
+        if not self.num:
+            raise ZeroDivisionError("zero has no unit residue")
+        return self.num % modulus * pow(self.den, -1, modulus) % modulus
+
+    @property
+    def numerator(self) -> int:
+        return self.num * _p_power(self.p, self.e) if self.e > 0 else self.num
+
+    @property
+    def denominator(self) -> int:
+        return self.den * _p_power(self.p, -self.e) if self.e < 0 else self.den
+
+    def to_fraction(self) -> Fraction:
+        """The equal Fraction: one multiply by p**|e|, no gcd."""
+        return _coprime_fraction(self.numerator, self.denominator)
+
+    def shifted(self, k: int) -> "PadicRational":
+        """self * p**k."""
+        return _padic(self.num, self.den, self.e + k, self.p) if self.num else self
+
+    # --- field operations ---------------------------------------------
+
+    def _coerce(self, other) -> "PadicRational":
+        if type(other) is PadicRational:
+            if other.p != self.p:
+                raise ValueError("mixed primes in p-adic arithmetic")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return PadicRational.of(other, self.p)
+        return NotImplemented
+
+    def __add__(self, other) -> "PadicRational":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        lo, hi = (self, other) if self.e <= other.e else (other, self)
+        e, p = lo.e, lo.p
+        if hi.e == e:
+            num, den = _add_reduced(lo.num, lo.den, hi.num, hi.den)
+            if not num:
+                return _padic(0, 1, 0, p)
+            if num % p == 0:
+                v, num = int_valuation(num, p)
+                e += v
+            return _padic(num, den, e, p)
+        # p divides only the shifted term, so the sum stays p-free
+        shifted = hi.num * _p_power(p, hi.e - e)
+        num, den = _add_reduced(lo.num, lo.den, shifted, hi.den)
+        return _padic(num, den, e, p)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "PadicRational":
+        return _padic(-self.num, self.den, self.e, self.p)
+
+    def __sub__(self, other) -> "PadicRational":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + -other
+
+    def __rsub__(self, other) -> "PadicRational":
+        return -self + other
+
+    def __mul__(self, other) -> "PadicRational":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if not n1 or not n2:
+            return _padic(0, 1, 0, self.p)
+        g1 = gcd(n1, d2)
+        if g1 > 1:
+            n1, d2 = n1 // g1, d2 // g1
+        g2 = gcd(n2, d1)
+        if g2 > 1:
+            n2, d1 = n2 // g2, d1 // g2
+        return _padic(n1 * n2, d1 * d2, self.e + other.e, self.p)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "PadicRational":
+        if not self.num:
+            raise ZeroDivisionError("zero has no inverse")
+        if self.num < 0:
+            return _padic(-self.den, -self.num, -self.e, self.p)
+        return _padic(self.den, self.num, -self.e, self.p)
+
+    def __truediv__(self, other) -> "PadicRational":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self * other.inverse()
+
+    def __rtruediv__(self, other) -> "PadicRational":
+        return self.inverse() * other
+
+    # --- comparison ---------------------------------------------------
+
+    def __bool__(self) -> bool:
+        return self.num != 0
+
+    def __eq__(self, other) -> bool:
+        if type(other) is PadicRational:
+            if other.p != self.p:
+                return self.to_fraction() == other.to_fraction()
+            return self.e == other.e and self.den == other.den and self.num == other.num
+        if isinstance(other, (int, Fraction)):
+            return self == PadicRational.of(other, self.p)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        """hash(Fraction(self)), from residues mod the hash modulus."""
+        if not self.num:
+            return 0
+        top, bottom = abs(self.num) % _HASH_MODULUS, self.den
+        if self.e >= 0:
+            top = top * pow(self.p, self.e, _HASH_MODULUS) % _HASH_MODULUS
+        else:
+            bottom = bottom * pow(self.p, -self.e, _HASH_MODULUS)
+        try:
+            value = top * pow(bottom, -1, _HASH_MODULUS) % _HASH_MODULUS
+        except ValueError:  # the modulus divides the denominator
+            value = sys.hash_info.inf
+        value = value if self.num > 0 else -value
+        return -2 if value == -1 else value
+
+    def __repr__(self) -> str:
+        return f"PadicRational({self.num}/{self.den} * {self.p}**{self.e})"
+
+
+_HASH_MODULUS = sys.hash_info.modulus
+
+
+def _padic(num: int, den: int, e: int, p: int) -> PadicRational:
+    """A PadicRational from fields that already meet its invariants."""
+    x = object.__new__(PadicRational)
+    x.num, x.den, x.e, x.p = num, den, e, p
+    return x
+
+
 def _coerce_fraction(x: RationalLike) -> Fraction:
-    if isinstance(x, PadicNumber):
-        return x.value
     if isinstance(x, Fraction):
         return x
+    if type(x) is PadicRational:
+        return x.to_fraction()
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected a rational value, got {type(x).__name__}")
 
 
-def fraction_valuation(x: Fraction, p: int) -> Valuation:
+def fraction_valuation(x: RationalLike, p: int) -> Valuation:
     """p-adic valuation of an exact rational; INFINITY for zero."""
+    if type(x) is PadicRational:
+        if x.p == p:
+            return x.valuation()
+        x = x.to_fraction()
     if x == 0:
         return INFINITY
     vn, _ = int_valuation(x.numerator, p)
@@ -120,13 +365,17 @@ def fraction_unit_part(x: Fraction, p: int) -> Fraction:
     return Fraction(un, ud)
 
 
-def unit_residue(x: Fraction, p: int, modulus: int) -> int:
-    """unit_part(x) reduced modulo `modulus` (a power of p); x != 0.
+def unit_residue(x: RationalLike, p: int, modulus: int) -> int:
+    """The unit part of x reduced modulo `modulus` (a power of p); x != 0.
 
     Computed modularly so huge scale factors p**(+-k) never have to be
     expanded: only the prime-to-p parts of numerator and denominator
     enter, via a modular inverse.
     """
+    if type(x) is PadicRational:
+        if x.p == p:
+            return x.unit_residue(modulus)
+        x = x.to_fraction()
     if x == 0:
         raise ZeroDivisionError("zero has no unit residue")
     _, un = int_valuation(x.numerator, p)
@@ -150,77 +399,11 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
-class PadicNumber:
-    """An exact rational viewed as an element of Q_p.
-
-    The value is a plain Fraction; the prime fixes which valuation the
-    convenience methods use.  Equality is exact equality of rationals
-    with matching primes.
-    """
-
-    value: Fraction
-    prime: int
-
-    @classmethod
-    def of(cls, x: RationalLike, p: int) -> "PadicNumber":
-        return cls(_coerce_fraction(x), p)
-
-    @classmethod
-    def parse(cls, text: str, p: int) -> "PadicNumber":
-        return cls(parse_rational(text), p)
-
-    def __str__(self) -> str:
-        return format_rational(self.value)
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def valuation(self) -> Valuation:
-        return fraction_valuation(self.value, self.prime)
-
-    def unit_part(self) -> "PadicNumber":
-        return PadicNumber(fraction_unit_part(self.value, self.prime), self.prime)
-
-    def _check_prime(self, other: "PadicNumber") -> None:
-        if self.prime != other.prime:
-            raise ValueError("mixed primes in p-adic arithmetic")
-
-    def __add__(self, other: "PadicNumber") -> "PadicNumber":
-        self._check_prime(other)
-        return PadicNumber(self.value + other.value, self.prime)
-
-    def __sub__(self, other: "PadicNumber") -> "PadicNumber":
-        self._check_prime(other)
-        return PadicNumber(self.value - other.value, self.prime)
-
-    def __mul__(self, other: "PadicNumber") -> "PadicNumber":
-        self._check_prime(other)
-        return PadicNumber(self.value * other.value, self.prime)
-
-    def __truediv__(self, other: "PadicNumber") -> "PadicNumber":
-        self._check_prime(other)
-        return PadicNumber(self.value / other.value, self.prime)
-
-    def __neg__(self) -> "PadicNumber":
-        return PadicNumber(-self.value, self.prime)
-
-
-def valuation(x: RationalLike, p: int | None = None) -> Valuation:
-    """Module-level valuation; prime comes from the value or the argument."""
-    if isinstance(x, PadicNumber):
-        return x.valuation()
-    if p is None:
-        raise ValueError("prime required for bare rational values")
-    return fraction_valuation(_coerce_fraction(x), p)
-
-
-def unit_part(x: RationalLike, p: int | None = None) -> Fraction:
-    if isinstance(x, PadicNumber):
-        return x.unit_part().value
-    if p is None:
-        raise ValueError("prime required for bare rational values")
-    return fraction_unit_part(_coerce_fraction(x), p)
+def mat_mul(left, right) -> tuple:
+    """Generic product of row-major 2x2 tuples over any exact field type."""
+    (a, b), (c, d) = left
+    (e, f), (g, h) = right
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
 
 class SingularMatrixError(ValueError):

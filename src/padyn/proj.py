@@ -29,12 +29,10 @@ from fractions import Fraction
 from ._graph import strongly_connected_components
 from .borel import BorelTruncType
 from .borel import witness as borel_witness
-from .padic import PadicMatrix2, _coerce_fraction, fraction_valuation
+from .padic import PadicMatrix2, _coerce_fraction, fraction_valuation, mat_mul
 from .residues import ResidueClass, build_group, class_of
 from .sl2 import GFlowPoint, KLevelElem, flow_generators
-from .types1 import ScaleLadder, TruncType1, realize
-
-DEFAULT_LADDER = ScaleLadder.build(gap=8, window_w=2, length=4)
+from .types1 import DEFAULT_LADDER, ScaleLadder, TruncType1, realize
 
 _ID = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
 _SWAP = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
@@ -184,8 +182,10 @@ def _realize_type(
     pt = t.point
     if _inverted_chart(pt, level.prime):
         y0 = Fraction(0) if pt.is_infinity else 1 / pt.x0
-        return 1 / realize(TruncType1.near(y0, t.near_class), rung_index, ladder)
-    return realize(TruncType1.near(pt.x0, t.near_class), rung_index, ladder)
+        witness = 1 / realize(TruncType1.near(y0, t.near_class), rung_index, ladder)
+    else:
+        witness = realize(TruncType1.near(pt.x0, t.near_class), rung_index, ladder)
+    return _coerce_fraction(witness)
 
 
 def snap_type(t: ProjTruncType, level: ProjLevel, ladder: ScaleLadder) -> ProjTruncType:
@@ -198,13 +198,6 @@ def snap_type(t: ProjTruncType, level: ProjLevel, ladder: ScaleLadder) -> ProjTr
         return classify_value(t.point.x0, level)
     return classify_value(
         _realize_type(t, level, ladder, len(ladder.rungs) - 1), level
-    )
-
-
-def _mat_mul(left, right):
-    return tuple(
-        tuple(sum(left[i][k] * right[k][j] for k in range(2)) for j in range(2))
-        for i in range(2)
     )
 
 
@@ -223,7 +216,7 @@ def act_proj(g: PadicMatrix2, t: ProjTruncType) -> ProjTruncType:
     p = g.prime
     chart_in = _SWAP if _inverted_chart(t.point, p) else _ID
     chart_out = _SWAP if _inverted_chart(image, p) else _ID
-    e = _mat_mul(chart_out, _mat_mul(g.rows(), chart_in))
+    e = mat_mul(chart_out, mat_mul(g.rows(), chart_in))
     u0 = _chart_coordinate(t.point, p)
     denom = e[1][0] * u0 + e[1][1]
     if denom == 0:
@@ -288,7 +281,7 @@ def fiber_star(
     what the orbit closure contributes beyond single group elements.
     """
     ladder = ladder if ladder is not None else DEFAULT_LADDER
-    corner = realize(TruncType1.near(0, klass), 0, ladder)
+    corner = _coerce_fraction(realize(TruncType1.near(0, klass), 0, ladder))
     if t.is_realized and t.point.is_infinity:
         return classify_value(1 / corner, level)
     value = t.point.x0 if t.is_realized else _realize_type(t, level, ladder, 2)

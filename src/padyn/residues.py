@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from padyn.padic import (
     INFINITY,
-    PadicNumber,
+    PadicRational,
     RationalLike,
     _coerce_fraction,
     fraction_valuation,
@@ -43,19 +43,31 @@ def _unit_power_residues(p: int, n: int, modulus: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def _exact_value(x: RationalLike, p: int | None) -> tuple[RationalLike, int]:
+    """The value to read valuation and unit residue from, and its prime.
+
+    A PadicRational supplies its own prime when none is given and is read
+    as is; any other value becomes a Fraction.
+    """
+    if type(x) is PadicRational:
+        if p is None:
+            p = x.p
+        if x.p == p:
+            return x, p
+    if p is None:
+        raise ValueError("prime required")
+    return _coerce_fraction(x), p
+
+
 def is_nth_power(x: RationalLike, n: int, p: int | None = None) -> bool:
     """Exact membership test x in (Q_p*)^n for a nonzero rational x.
 
     True iff n divides v(x) and the unit part of x is an nth-power
     residue at the Hensel modulus.
     """
-    if isinstance(x, PadicNumber):
-        p = x.prime
-    if p is None:
-        raise ValueError("prime required")
+    value, p = _exact_value(x, p)
     if n < 1:
         raise ValueError("power level must be >= 1")
-    value = _coerce_fraction(x)
     if value == 0:
         raise ValueError("zero is not in the multiplicative group")
     v = fraction_valuation(value, p)
@@ -121,11 +133,7 @@ def _canonical_unit_rep(p: int, n: int, residue: int) -> int:
 
 def class_of(x: RationalLike, n: int, p: int | None = None) -> ResidueClass:
     """Canonical power-residue class of a nonzero rational."""
-    if isinstance(x, PadicNumber):
-        p = x.prime
-    if p is None:
-        raise ValueError("prime required")
-    value = _coerce_fraction(x)
+    value, p = _exact_value(x, p)
     if value == 0:
         raise ValueError("zero has no residue class")
     v = fraction_valuation(value, p)

@@ -29,9 +29,7 @@ from .borel import BorelElem, BorelTruncType, build_flow_group
 from .borel import witness as borel_witness
 from .padic import PadicMatrix2, fraction_valuation
 from .residues import build_group, class_of, induced_valuation_map
-from .types1 import ScaleLadder
-
-DEFAULT_LADDER = ScaleLadder.build(gap=8, window_w=2, length=4)
+from .types1 import DEFAULT_LADDER, ScaleLadder
 
 
 # --------------------------------------------------------------- factoring
@@ -236,7 +234,7 @@ class GFlowPoint:
 
 
 def _as_pair(h: PadicMatrix2) -> BorelElem:
-    return BorelElem(h.a, h.b)
+    return BorelElem.of(h.a, h.b, h.prime)
 
 
 def _lower_perturbation(p: int, exponent: int) -> PadicMatrix2:
@@ -347,7 +345,7 @@ def identification_moves(p: int, level_n: int, unit_level: int) -> tuple:
     generating moves."""
     u = _unit_generator(p, unit_level)
     moves = []
-    for b in (BorelElem.of(u, 0), BorelElem.of(1, 1), BorelElem.of(-1, 0)):
+    for b in (BorelElem.of(u, 0, p), BorelElem.of(1, 1, p), BorelElem.of(-1, 0, p)):
         moves.append(
             (b.to_matrix(p), class_of(b.a, level_n, p).inverse())
         )

@@ -17,6 +17,7 @@ from fractions import Fraction
 from padyn.config import GlobalConfig
 from padyn.padic import (
     INFINITY,
+    PadicRational,
     RationalLike,
     _coerce_fraction,
     format_rational,
@@ -78,6 +79,11 @@ class ScaleLadder:
         return self.rungs[rung_index]
 
 
+# rungs a `star` product uses: two per factor
+LADDER_LENGTH = 4
+DEFAULT_LADDER = ScaleLadder.from_config(GlobalConfig(), LADDER_LENGTH)
+
+
 @dataclass(frozen=True)
 class TruncType1:
     """Realized(a) | Near(a, C) | AtInfinity(C), structural equality."""
@@ -133,27 +139,31 @@ class TruncType1:
         return (self.kind, base, rep)
 
 
-def _witness_scale(klass: ResidueClass, magnitude: int, toward_infinity: bool) -> Fraction:
+def _witness_scale(klass: ResidueClass, magnitude: int, toward_infinity: bool) -> PadicRational:
     """rep(C) * p**(+-nk), the least level-multiple putting the witness
     at distance at least `magnitude` on the requested side."""
     n = klass.level_n
-    p = klass.prime
-    rep_val = fraction_valuation(Fraction(klass.representative), p)
+    rep = PadicRational.of(klass.representative, klass.prime)
     if toward_infinity:
-        nk = n * -(-(magnitude + rep_val) // n)
-        return Fraction(klass.representative) * Fraction(p) ** (-nk)
+        nk = n * -(-(magnitude + rep.e) // n)
+        return rep.shifted(-nk)
     nk = n * -(-magnitude // n)
-    return Fraction(klass.representative) * Fraction(p) ** nk
+    return rep.shifted(nk)
 
 
-def realize(t: TruncType1, rung_index: int, ladder: ScaleLadder) -> Fraction:
-    """Concrete rational witness of t at the given ladder rung."""
+def realize(t: TruncType1, rung_index: int, ladder: ScaleLadder) -> PadicRational | Fraction:
+    """Concrete rational witness of t at the given ladder rung.
+
+    Near and at-infinity witnesses come back as PadicRational for the
+    class's prime; a realized type has no prime and returns its base.
+    """
     if t.kind == REALIZED:
         return t.base
     magnitude = ladder.magnitude(rung_index)
+    scale = _witness_scale(t.klass, magnitude, toward_infinity=t.kind == AT_INFINITY)
     if t.kind == NEAR:
-        return t.base + _witness_scale(t.klass, magnitude, toward_infinity=False)
-    return _witness_scale(t.klass, magnitude, toward_infinity=True)
+        return scale + t.base
+    return scale
 
 
 def classify(

@@ -5,6 +5,7 @@ independently in test_residues.py); star must reproduce it through honest
 witness realization and classification, never by multiplying classes.
 """
 
+import copy
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ import pytest
 
 from padyn import borel
 from padyn.borel import BorelElem, BorelTruncType
-from padyn.padic import fraction_valuation
+from padyn.padic import _coerce_fraction, fraction_valuation, mat_mul
 from padyn.residues import build_group, class_of, is_nth_power
 from padyn.types1 import ScaleLadder
 
@@ -36,8 +37,8 @@ def test_pair_law_matches_matrix_product():
         c = Fraction(rng.randint(-40, 40), rng.randint(1, 40))
         aa = Fraction(rng.randint(1, 40), rng.randint(1, 40))
         cc = Fraction(rng.randint(-40, 40), rng.randint(1, 40))
-        left = BorelElem.of(a, c)
-        right = BorelElem.of(aa, cc)
+        left = BorelElem.of(a, c, P)
+        right = BorelElem.of(aa, cc, P)
         prod = left.mul(right)
         assert prod.a == a * aa
         assert prod.c == a * cc + c / aa
@@ -46,15 +47,27 @@ def test_pair_law_matches_matrix_product():
         assert (lm @ rm).rows() == prod.to_matrix(P).rows()
 
 
+def test_mul_raises_when_pair_law_and_matrix_law_disagree(monkeypatch):
+    def skewed(left, right):
+        (a, b), (c, d) = mat_mul(left, right)
+        return ((a, b + 1), (c, d))
+
+    left, right = BorelElem.of(2, 3, P), BorelElem.of(Fraction(5, 7), 11, P)
+    assert left.mul(right) == BorelElem.of(Fraction(10, 7), 2 * 11 + Fraction(21, 5), P)
+    monkeypatch.setattr(borel, "mat_mul", skewed)
+    with pytest.raises(ArithmeticError):
+        left.mul(right)
+
+
 def test_pair_must_have_invertible_diagonal():
     with pytest.raises(ValueError):
-        BorelElem.of(0, 3)
+        BorelElem.of(0, 3, P)
 
 
 def test_inverse_and_matrix_shape():
-    g = BorelElem.of(Fraction(2, 5), 7)
-    assert g.mul(g.inverse()) == BorelElem.of(1, 0)
-    assert g.inverse().mul(g) == BorelElem.of(1, 0)
+    g = BorelElem.of(Fraction(2, 5), 7, P)
+    assert g.mul(g.inverse()) == BorelElem.of(1, 0, P)
+    assert g.inverse().mul(g) == BorelElem.of(1, 0, P)
     m = g.to_matrix(P)
     assert m.det() == 1
     assert m.is_upper_triangular()
@@ -142,9 +155,9 @@ def test_star_rejects_mixed_levels():
 def test_left_translate_pinned():
     ident = btype(1)
     for rep in (1, 2, 5, 10):
-        assert borel.left_translate(BorelElem.of(1, 17), btype(rep)) == btype(rep)
-    assert borel.left_translate(BorelElem.of(5, 0), ident) == btype(5)
-    assert borel.left_translate(BorelElem.of(4, 0), ident) == ident
+        assert borel.left_translate(BorelElem.of(1, 17, P), btype(rep)) == btype(rep)
+    assert borel.left_translate(BorelElem.of(5, 0, P), ident) == btype(5)
+    assert borel.left_translate(BorelElem.of(4, 0, P), ident) == ident
 
 
 def test_left_translate_fixes_types_iff_nth_power_part():
@@ -152,7 +165,7 @@ def test_left_translate_fixes_types_iff_nth_power_part():
     for _ in range(200):
         a = Fraction(rng.randint(1, 60), rng.randint(1, 60))
         c = Fraction(rng.randint(-9, 9))
-        g = BorelElem.of(a, c)
+        g = BorelElem.of(a, c, P)
         t = btype(rng.choice((1, 2, 5, 10)))
         moved = borel.left_translate(g, t)
         if is_nth_power(a, N, P):
@@ -201,6 +214,45 @@ def test_flow_group_stable_under_gap_doubling():
             borel.build_flow_group(P, n, LADDER).table
             == borel.build_flow_group(P, n, doubled).table
         )
+
+
+def _fraction_witness(rep: int, n: int, rung_index: int, ladder: ScaleLadder) -> tuple:
+    """The witness pair of class `rep` as plain Fractions: near 0 at the
+    least multiple of n above the rung, at infinity one rung up."""
+    v = 0
+    while rep % P**(v + 1) == 0:
+        v += 1
+    near = -(-ladder.rungs[rung_index] // n) * n
+    far = -(-(ladder.rungs[rung_index + 1] + v) // n) * n
+    return Fraction(rep * P**near), Fraction(rep, P**far)
+
+
+@pytest.mark.parametrize("doubled", [False, True], ids=["default", "doubled-gap"])
+def test_star_tables_match_a_plain_fraction_pair_law(doubled):
+    ladder = LADDER.doubled_gap() if doubled else LADDER
+    for n in (1, 2, 3):
+        group = build_group(P, n)
+        reps = [c.representative for c in group.elements]
+        table = {}
+        for r in reps:
+            a1, c1 = _fraction_witness(r, n, 0, ladder)
+            for s in reps:
+                a2, c2 = _fraction_witness(s, n, 2, ladder)
+                a, c = a1 * a2, a1 * c2 + c1 / a2
+                table[(r, s)] = class_of(a, n, P).representative
+                pair = borel.witness(btype(r, n), ladder, 0).mul(
+                    borel.witness(btype(s, n), ladder, 2)
+                )
+                assert (_coerce_fraction(pair.a), _coerce_fraction(pair.c)) == (a, c)
+        assert borel.build_flow_group(P, n, ladder).table == table
+
+
+def test_flow_group_verify_raises_on_a_broken_table():
+    broken = copy.copy(borel.build_flow_group(P, N, LADDER))
+    broken.table = dict(broken.table)
+    broken.table[(2, 5)] = 2
+    with pytest.raises(ArithmeticError):
+        broken._verify()
 
 
 def test_flow_group_json_shape():

@@ -1,9 +1,14 @@
 """Exit codes, JSON shapes, and byte determinism of the command line."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import padyn
 from padyn import acceptance, cli
 
 
@@ -177,3 +182,15 @@ def test_verify_all_fails_with_exit_one(capsys, monkeypatch):
     assert flags["main-flow"] is False
     assert sum(1 for value in flags.values() if value) == 9
     assert "main-flow: FAIL" in err
+
+
+def test_borel_flow_group_check_passes_with_asserts_stripped():
+    # python -O strips every assert, so the check's verdict must rest on
+    # explicit errors and comparisons alone
+    src = str(Path(padyn.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    argv = [sys.executable, "-O", "-m", "padyn.cli", "verify", "--check", "borel-flow-group"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["passed"] is True

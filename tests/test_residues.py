@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from padyn.padic import PadicNumber
+from padyn.padic import PadicRational
 from padyn.residues import (
     brute_force_order,
     build_group,
@@ -92,7 +92,7 @@ def test_is_nth_power_pinned_cases():
     assert is_nth_power(-1, 2, 5)
     assert not is_nth_power(-1, 2, 7)
     assert is_nth_power(Fraction(22, 7), 1, 5)
-    assert is_nth_power(PadicNumber.of(6, 5), 2)
+    assert is_nth_power(PadicRational.of(6, 5), 2)
     with pytest.raises(ValueError):
         is_nth_power(0, 2, 5)
     with pytest.raises(ValueError):
