@@ -22,7 +22,7 @@ from padyn import acceptance
 from padyn.borel import build_flow_group
 from padyn.config import GlobalConfig, is_prime
 from padyn.flows import GROUP_TAGS, minimal_subflows
-from padyn.padic import PadicMatrix2, format_rational, parse_rational
+from padyn.padic import PadicMatrix2, parse_rational
 from padyn.proj import ProjLevel, collapse_check, minimality_proximality_report
 from padyn.residues import build_group
 from padyn.sl2 import ellis_group, iwasawa, minimal_flow
@@ -109,10 +109,6 @@ def _config_from(args: argparse.Namespace) -> GlobalConfig:
     )
 
 
-def _rows_json(matrix: PadicMatrix2) -> list[list[str]]:
-    return [[format_rational(entry) for entry in row] for row in matrix.rows()]
-
-
 def _seed_from(args: argparse.Namespace) -> int:
     if args.seed is not None:
         return args.seed
@@ -166,9 +162,9 @@ def _cmd_iwasawa(args, config):
     t, h = iwasawa(g)
     payload = {
         "p": p,
-        "input": _rows_json(g),
-        "integral_factor": _rows_json(t),
-        "triangular_factor": _rows_json(h),
+        "input": g.to_json(),
+        "integral_factor": t.to_json(),
+        "triangular_factor": h.to_json(),
         "exact": (t @ h).rows() == g.rows(),
     }
     lines = [f"factored over p={p}; reconstruction exact: {payload['exact']}"]

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from padyn._graph import terminal_components, undirected_components
 from padyn.config import GlobalConfig
-from padyn.padic import RationalLike, _coerce_fraction, fraction_valuation
+from padyn.padic import RationalLike, fraction_valuation
 from padyn.residues import build_group, class_of
 from padyn.types1 import AT_INFINITY, NEAR, REALIZED, TruncType1
 
@@ -48,24 +48,22 @@ def act_add(b: RationalLike, t: TruncType1) -> TruncType1:
     Types at infinity are fixed: the witness dominates every concrete
     translation, so base and class are both untouched.
     """
-    shift = _coerce_fraction(b)
     if t.kind == REALIZED:
-        return TruncType1.realized(t.base + shift)
+        return TruncType1.realized(t.base + b)
     if t.kind == NEAR:
-        return TruncType1.near(t.base + shift, t.klass)
+        return TruncType1.near(t.base + b, t.klass)
     return t
 
 
 def act_mul(g: RationalLike, t: TruncType1) -> TruncType1:
     """Scale a truncated type by a nonzero exact rational."""
-    factor = _coerce_fraction(g)
-    if factor == 0:
+    if g == 0:
         raise ValueError("zero multiplier")
     if t.kind == REALIZED:
-        return TruncType1.realized(t.base * factor)
-    twist = class_of(factor, t.klass.level_n, t.klass.prime)
+        return TruncType1.realized(t.base * g)
+    twist = class_of(g, t.klass.level_n, t.klass.prime)
     if t.kind == NEAR:
-        return TruncType1.near(t.base * factor, twist * t.klass)
+        return TruncType1.near(t.base * g, twist * t.klass)
     return TruncType1.at_infinity(twist * t.klass)
 
 
@@ -119,9 +117,7 @@ def closure_transitions(
     """
     tag = normalize_group_tag(group_tag)
     group = build_group(config.prime, config.residue_level_n)
-    bases = default_base_points(config) if base_points is None else tuple(
-        _coerce_fraction(a) for a in base_points
-    )
+    bases = default_base_points(config) if base_points is None else tuple(base_points)
     if tag == GA:
         if t.kind in (REALIZED, NEAR):
             return frozenset(TruncType1.at_infinity(c) for c in group.elements)

@@ -1,15 +1,18 @@
 """Exact p-adic valuations on rationals and unimodular 2x2 matrices.
 
-Two exact representations of a rational live here.  `PadicRational`
-keeps a value as u * p**e for one fixed prime p: a p-free reduced
-fraction u = num/den and an exponent e, so the valuation is a field
-read and the unit residue is num * den**-1 modulo a power of p.  It is
-the type of the ladder witnesses, whose exponents run to tens of
-thousands and would otherwise pay for gcds on numbers of that many
-digits and for stripping p again on every valuation query.  Everything
-else (matrices, type bases, projective points) stays on
-`fractions.Fraction`; `_coerce_fraction` is the boundary and turns a
-`PadicRational` into the equal `Fraction` with one multiply by p**|e|.
+Two exact representations of a rational live here, one for reading and
+one for storing.  `PadicRational` keeps a value as u * p**e for one
+fixed prime p: a p-free reduced fraction u = num/den and an exponent e.
+`PadicRational.of` is the one place that strips p from a rational, and
+every unit and class read goes through the result: the valuation is
+`e`, the unit residue is num * den**-1 modulo a power of p, and the
+residue of a p-integral value is that times p**e.  Ladder witnesses,
+whose exponents run to tens of thousands, are built and classified in
+this form and never pay for a gcd on numbers of that many digits.
+Stored values (matrix entries, type bases, projective points) are
+`fractions.Fraction`s; `_coerce_fraction` turns a `PadicRational` into
+the equal `Fraction` with one multiply by p**|e|.  `fraction_valuation`
+reads a `Fraction`'s valuation alone without building a `PadicRational`.
 
 Valuations are Python integers, and the valuation of zero is a
 distinguished infinity object that compares above every integer.  No
@@ -190,6 +193,13 @@ class PadicRational:
             raise ZeroDivisionError("zero has no unit residue")
         return self.num % modulus * pow(self.den, -1, modulus) % modulus
 
+    def residue(self, modulus: int) -> int:
+        """The value mod `modulus` (a power of p); p-integral values only."""
+        if self.e < 0:
+            raise ValueError("only p-integral values have a residue")
+        scaled = self.num * pow(self.p, self.e, modulus)
+        return scaled * pow(self.den, -1, modulus) % modulus
+
     @property
     def numerator(self) -> int:
         return self.num * _p_power(self.p, self.e) if self.e > 0 else self.num
@@ -331,6 +341,13 @@ def _padic(num: int, den: int, e: int, p: int) -> PadicRational:
     return x
 
 
+def _require(condition: bool, message: str) -> None:
+    """Raise ArithmeticError unless an exact invariant holds; unlike an
+    assert, it still runs under `python -O`."""
+    if not condition:
+        raise ArithmeticError(message)
+
+
 def _coerce_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -354,33 +371,6 @@ def fraction_valuation(x: RationalLike, p: int) -> Valuation:
         return vn
     vd, _ = int_valuation(x.denominator, p)
     return -vd
-
-
-def fraction_unit_part(x: Fraction, p: int) -> Fraction:
-    """The unit u with x = u * p**v(x); requires x != 0."""
-    if x == 0:
-        raise ZeroDivisionError("zero has no unit part")
-    vn, un = int_valuation(x.numerator, p)
-    vd, ud = int_valuation(x.denominator, p)
-    return Fraction(un, ud)
-
-
-def unit_residue(x: RationalLike, p: int, modulus: int) -> int:
-    """The unit part of x reduced modulo `modulus` (a power of p); x != 0.
-
-    Computed modularly so huge scale factors p**(+-k) never have to be
-    expanded: only the prime-to-p parts of numerator and denominator
-    enter, via a modular inverse.
-    """
-    if type(x) is PadicRational:
-        if x.p == p:
-            return x.unit_residue(modulus)
-        x = x.to_fraction()
-    if x == 0:
-        raise ZeroDivisionError("zero has no unit residue")
-    _, un = int_valuation(x.numerator, p)
-    _, ud = int_valuation(x.denominator, p)
-    return (un % modulus) * pow(ud, -1, modulus) % modulus
 
 
 def parse_rational(text: str) -> Fraction:
@@ -436,18 +426,6 @@ class PadicMatrix2:
         one, zero = Fraction(1), Fraction(0)
         return cls(one, zero, zero, one, p)
 
-    @classmethod
-    def parse_json(cls, payload, p: int) -> "PadicMatrix2":
-        """Accept row-major [[a,b],[c,d]] or flat [a,b,c,d] string arrays."""
-        if len(payload) == 2:
-            flat = [payload[0][0], payload[0][1], payload[1][0], payload[1][1]]
-        elif len(payload) == 4:
-            flat = list(payload)
-        else:
-            raise ValueError("matrix JSON must be 2x2 nested or flat length 4")
-        vals = [parse_rational(str(s)) for s in flat]
-        return cls(vals[0], vals[1], vals[2], vals[3], p)
-
     def to_json(self) -> list[list[str]]:
         return [
             [format_rational(self.a), format_rational(self.b)],
@@ -463,13 +441,8 @@ class PadicMatrix2:
     def __matmul__(self, other: "PadicMatrix2") -> "PadicMatrix2":
         if self.prime != other.prime:
             raise ValueError("mixed primes in matrix arithmetic")
-        return PadicMatrix2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-            self.prime,
-        )
+        (a, b), (c, d) = mat_mul(self.rows(), other.rows())
+        return PadicMatrix2(a, b, c, d, self.prime)
 
     def inverse(self) -> "PadicMatrix2":
         det = self.det()

@@ -29,7 +29,15 @@ from fractions import Fraction
 from ._graph import strongly_connected_components
 from .borel import BorelTruncType
 from .borel import witness as borel_witness
-from .padic import PadicMatrix2, _coerce_fraction, fraction_valuation, mat_mul
+from .padic import (
+    PadicMatrix2,
+    PadicRational,
+    RationalLike,
+    _coerce_fraction,
+    _require,
+    fraction_valuation,
+    mat_mul,
+)
 from .residues import ResidueClass, build_group, class_of
 from .sl2 import GFlowPoint, KLevelElem, flow_generators
 from .types1 import DEFAULT_LADDER, ScaleLadder, TruncType1, realize
@@ -143,38 +151,33 @@ def _chart_coordinate(pt: ProjPoint, p: int) -> Fraction:
     return 1 / pt.x0 if _inverted_chart(pt, p) else pt.x0
 
 
-def _residue(x: Fraction, mod: int) -> int:
-    return x.numerator * pow(x.denominator, -1, mod) % mod
-
-
-def classify_value(x, level: ProjLevel) -> ProjTruncType:
+def classify_value(x: RationalLike, level: ProjLevel) -> ProjTruncType:
     """The truncated type of an exact value: its window residue plus the
     class of the deviation, realized when the deviation vanishes."""
-    x = _coerce_fraction(x)
     p = level.prime
-    if x != 0 and fraction_valuation(x, p) < 0:
-        y = 1 / x
-        r = _residue(y, level.modulus)
+    x = PadicRational.of(x, p)
+    if x and x.e < 0:
+        x = x.inverse()
+        r = x.residue(level.modulus)
         pt = ProjPoint.infinity() if r == 0 else ProjPoint.of(1, r)
-        dev = y - r
     else:
-        r = _residue(x, level.modulus)
+        r = x.residue(level.modulus)
         pt = ProjPoint.of(r, 1)
-        dev = x - r
-    if dev == 0:
+    dev = x - r
+    if not dev:
         return ProjTruncType.realized(pt)
     return ProjTruncType.near(pt, class_of(dev, level.level_n, p))
 
 
-def _classify_vector(x0: Fraction, x1: Fraction, level: ProjLevel) -> ProjTruncType:
-    if x1 == 0:
+def _classify_vector(x0: RationalLike, x1: RationalLike, level: ProjLevel) -> ProjTruncType:
+    if not x1:
         return ProjTruncType.realized(ProjPoint.infinity())
     return classify_value(x0 / x1, level)
 
 
 def _realize_type(
     t: ProjTruncType, level: ProjLevel, ladder: ScaleLadder, rung_index: int
-) -> Fraction:
+) -> PadicRational:
     """An exact value realizing the Near family at the given rung,
     produced in the base point's own chart."""
     if t.is_realized:
@@ -182,10 +185,8 @@ def _realize_type(
     pt = t.point
     if _inverted_chart(pt, level.prime):
         y0 = Fraction(0) if pt.is_infinity else 1 / pt.x0
-        witness = 1 / realize(TruncType1.near(y0, t.near_class), rung_index, ladder)
-    else:
-        witness = realize(TruncType1.near(pt.x0, t.near_class), rung_index, ladder)
-    return _coerce_fraction(witness)
+        return 1 / realize(TruncType1.near(y0, t.near_class), rung_index, ladder)
+    return realize(TruncType1.near(pt.x0, t.near_class), rung_index, ladder)
 
 
 def snap_type(t: ProjTruncType, level: ProjLevel, ladder: ScaleLadder) -> ProjTruncType:
@@ -248,7 +249,7 @@ def flow_star(
 
 
 def triangular_star(
-    t: ProjTruncType, level: ProjLevel, ladder: ScaleLadder | None = None
+    t: ProjTruncType, level: ProjLevel, ladder: ScaleLadder = DEFAULT_LADDER
 ) -> ProjTruncType:
     """Product with the triangular flow's generic point.
 
@@ -257,7 +258,6 @@ def triangular_star(
     exact valuation comparison picks the dominant term.  Infinity itself
     is fixed, and infinity-based families stay within the family.
     """
-    ladder = ladder if ladder is not None else DEFAULT_LADDER
     source = GFlowPoint(
         KLevelElem.identity(level.prime, 1),
         BorelTruncType.identity(level.level_n, level.prime),
@@ -269,7 +269,7 @@ def fiber_star(
     t: ProjTruncType,
     klass: ResidueClass,
     level: ProjLevel,
-    ladder: ScaleLadder | None = None,
+    ladder: ScaleLadder = DEFAULT_LADDER,
 ) -> ProjTruncType:
     """Product with the near-identity integral family of a given class.
 
@@ -280,13 +280,12 @@ def fiber_star(
     group walks the whole identity fiber of generic products, which is
     what the orbit closure contributes beyond single group elements.
     """
-    ladder = ladder if ladder is not None else DEFAULT_LADDER
-    corner = _coerce_fraction(realize(TruncType1.near(0, klass), 0, ladder))
+    corner = realize(TruncType1.near(0, klass), 0, ladder)
     if t.is_realized and t.point.is_infinity:
         return classify_value(1 / corner, level)
     value = t.point.x0 if t.is_realized else _realize_type(t, level, ladder, 2)
     denom = corner * value + 1
-    if denom == 0:
+    if not denom:
         return ProjTruncType.realized(ProjPoint.infinity())
     return classify_value(value / denom, level)
 
@@ -294,7 +293,7 @@ def fiber_star(
 def compact_star(
     t: ProjTruncType,
     level: ProjLevel,
-    ladder: ScaleLadder | None = None,
+    ladder: ScaleLadder = DEFAULT_LADDER,
     level_m: int = 1,
 ) -> ProjTruncType:
     """Product with the integral group's generic point.
@@ -305,12 +304,11 @@ def compact_star(
     absorbed by the generic perturbation.  Elsewhere the composition is
     computed generically and no collapse is claimed.
     """
-    ladder = ladder if ladder is not None else DEFAULT_LADDER
     p = level.prime
     if t.point.is_infinity and not t.is_realized:
         c_value = _realize_type(t, level, ladder, 2)
         absorbed = PadicMatrix2.of(((1, 0), (1 / c_value, 1)), p)
-        assert absorbed.congruent_to_identity(level_m)
+        _require(absorbed.congruent_to_identity(level_m), "witness not absorbed at level m")
     return fiber_star(t, class_of(1, level.level_n, p), level, ladder)
 
 
@@ -362,13 +360,12 @@ class CollapseReport:
 
 def collapse_check(
     level: ProjLevel,
-    ladder: ScaleLadder | None = None,
+    ladder: ScaleLadder = DEFAULT_LADDER,
     level_m: int = 1,
     states=None,
 ) -> CollapseReport:
     """Apply the composite product operator to every truncated type at
     the level and confirm a single output value."""
-    ladder = ladder if ladder is not None else DEFAULT_LADDER
     states = all_states(level) if states is None else tuple(states)
     outputs = {
         compact_star(triangular_star(t, level, ladder), level, ladder, level_m)
@@ -405,7 +402,7 @@ class ProjFlowReport:
 def minimality_proximality_report(
     level: ProjLevel,
     level_m: int = 1,
-    ladder: ScaleLadder | None = None,
+    ladder: ScaleLadder = DEFAULT_LADDER,
     states=None,
 ) -> ProjFlowReport:
     """Strong connectivity of the nonalgebraic truncated types under the
@@ -416,7 +413,6 @@ def minimality_proximality_report(
     The fiber transitions are load-bearing: determinant-one derivatives
     only twist classes by squares, so the action alone cannot cross
     between class fibers away from collapsing boundary deviations."""
-    ladder = ladder if ladder is not None else DEFAULT_LADDER
     states = nonalgebraic_states(level) if states is None else tuple(states)
     index = set(states)
     gens = flow_generators(level.prime, level_m + level.window_w)

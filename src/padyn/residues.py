@@ -19,10 +19,9 @@ from padyn.padic import (
     INFINITY,
     PadicRational,
     RationalLike,
-    _coerce_fraction,
+    _require,
     fraction_valuation,
     int_valuation,
-    unit_residue,
 )
 
 
@@ -43,38 +42,21 @@ def _unit_power_residues(p: int, n: int, modulus: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _exact_value(x: RationalLike, p: int | None) -> tuple[RationalLike, int]:
-    """The value to read valuation and unit residue from, and its prime.
-
-    A PadicRational supplies its own prime when none is given and is read
-    as is; any other value becomes a Fraction.
-    """
-    if type(x) is PadicRational:
-        if p is None:
-            p = x.p
-        if x.p == p:
-            return x, p
-    if p is None:
-        raise ValueError("prime required")
-    return _coerce_fraction(x), p
-
-
-def is_nth_power(x: RationalLike, n: int, p: int | None = None) -> bool:
+def is_nth_power(x: RationalLike, n: int, p: int) -> bool:
     """Exact membership test x in (Q_p*)^n for a nonzero rational x.
 
     True iff n divides v(x) and the unit part of x is an nth-power
     residue at the Hensel modulus.
     """
-    value, p = _exact_value(x, p)
+    value = PadicRational.of(x, p)
     if n < 1:
         raise ValueError("power level must be >= 1")
-    if value == 0:
+    if not value:
         raise ValueError("zero is not in the multiplicative group")
-    v = fraction_valuation(value, p)
-    if v % n != 0:
+    if value.e % n != 0:
         return False
     modulus = hensel_modulus(p, n)
-    return unit_residue(value, p, modulus) in _unit_power_residues(p, n, modulus)
+    return value.unit_residue(modulus) in _unit_power_residues(p, n, modulus)
 
 
 @dataclass(frozen=True)
@@ -93,21 +75,13 @@ class ResidueClass:
     def __mul__(self, other: "ResidueClass") -> "ResidueClass":
         if (self.prime, self.level_n) != (other.prime, other.level_n):
             raise ValueError("mixed residue levels")
-        return class_of(
-            Fraction(self.representative * other.representative),
-            self.level_n,
-            self.prime,
-        )
+        return class_of(self.representative * other.representative, self.level_n, self.prime)
 
     def inverse(self) -> "ResidueClass":
         return class_of(Fraction(1, self.representative), self.level_n, self.prime)
 
     def is_identity(self) -> bool:
         return self.representative == 1
-
-    def contains(self, x: RationalLike) -> bool:
-        value = _coerce_fraction(x)
-        return is_nth_power(value / self.representative, self.level_n, self.prime)
 
     def __str__(self) -> str:
         return str(self.representative)
@@ -131,16 +105,14 @@ def _canonical_unit_rep(p: int, n: int, residue: int) -> int:
     raise AssertionError("unit residue search exhausted; unreachable")
 
 
-def class_of(x: RationalLike, n: int, p: int | None = None) -> ResidueClass:
+def class_of(x: RationalLike, n: int, p: int) -> ResidueClass:
     """Canonical power-residue class of a nonzero rational."""
-    value, p = _exact_value(x, p)
-    if value == 0:
+    value = PadicRational.of(x, p)
+    if not value:
         raise ValueError("zero has no residue class")
-    v = fraction_valuation(value, p)
-    e = v % n
     modulus = hensel_modulus(p, n)
-    u = _canonical_unit_rep(p, n, unit_residue(value, p, modulus))
-    return ResidueClass(p, n, u * p**e)
+    u = _canonical_unit_rep(p, n, value.unit_residue(modulus))
+    return ResidueClass(p, n, u * p ** (value.e % n))
 
 
 class ResidueGroup:
@@ -179,29 +151,26 @@ class ResidueGroup:
         return self.by_rep(s.inverse().representative)
 
     def _verify_axioms(self) -> None:
-        elems = self.elements
-        reps = set(self._index)
-        # closure and well-defined table
-        for key, val in self.table.items():
-            assert val in reps, f"product {key} left the element set"
-        # identity
-        for s in elems:
-            assert self.table[(1, s.representative)] == s.representative
-            assert self.table[(s.representative, 1)] == s.representative
-        # inverses
-        for s in elems:
-            inv = s.inverse().representative
-            assert inv in reps
-            assert self.table[(s.representative, inv)] == 1
-        # associativity, exhaustive
-        for s in elems:
-            for t in elems:
-                st = self.table[(s.representative, t.representative)]
-                for u in elems:
-                    tu = self.table[(t.representative, u.representative)]
-                    lhs = self.table[(st, u.representative)]
-                    rhs = self.table[(s.representative, tu)]
-                    assert lhs == rhs, "associativity failed"
+        """Closure, identity, inverses and associativity, exhaustively."""
+        table = self.table
+        reps = list(self._index)
+        for key, val in table.items():
+            _require(val in self._index, f"residue group: product {key} left the element set")
+        for r in reps:
+            _require(table[(1, r)] == r, f"residue group: 1 is not a left identity at {r}")
+            _require(table[(r, 1)] == r, f"residue group: 1 is not a right identity at {r}")
+        for c in self.elements:
+            inv = c.inverse().representative
+            _require(table.get((c.representative, inv)) == 1, f"residue group: {c} has no inverse")
+        _require(
+            all(
+                table[(table[(r, s)], t)] == table[(r, table[(s, t)])]
+                for r in reps
+                for s in reps
+                for t in reps
+            ),
+            "residue group: associativity failed",
+        )
 
     def to_json(self) -> dict:
         reps = [str(c.representative) for c in self.elements]
@@ -236,7 +205,7 @@ def build_group(p: int, n: int, max_level: int = 12) -> ResidueGroup:
         for u in range(1, modulus):
             if u % p == 0:
                 continue
-            c = class_of(Fraction(u * p**e), n, p)
+            c = class_of(u * p**e, n, p)
             seen[c.representative] = c
     return ResidueGroup(p, n, list(seen.values()))
 
@@ -284,8 +253,8 @@ def induced_valuation_map(group: ResidueGroup) -> ValuationMapReport:
     p = group.prime
     mapping = {}
     for c in group.elements:
-        v = fraction_valuation(Fraction(c.representative), p)
-        assert v is not INFINITY
+        v = fraction_valuation(c.representative, p)
+        _require(v is not INFINITY, "a class representative is zero")
         mapping[c.representative] = v % n
     kernel = tuple(sorted(r for r, img in mapping.items() if img == 0))
     injective = len(kernel) == 1

@@ -27,7 +27,7 @@ from functools import lru_cache
 from ._graph import strongly_connected_components
 from .borel import BorelElem, BorelTruncType, build_flow_group
 from .borel import witness as borel_witness
-from .padic import PadicMatrix2, fraction_valuation
+from .padic import PadicMatrix2, _require, fraction_valuation
 from .residues import build_group, class_of, induced_valuation_map
 from .types1 import DEFAULT_LADDER, ScaleLadder
 
@@ -59,8 +59,8 @@ def iwasawa(g: PadicMatrix2) -> tuple[PadicMatrix2, PadicMatrix2]:
     else:
         t = PadicMatrix2.of(((u0, -1 / u1), (u1, 0)), p)
     h = t.inverse() @ g
-    assert t.is_unimodular_integral()
-    assert h.is_upper_triangular()
+    _require(t.is_unimodular_integral(), "iwasawa: integral factor is not unimodular")
+    _require(h.is_upper_triangular(), "iwasawa: remainder is not upper triangular")
     return t, h
 
 
@@ -110,7 +110,7 @@ def conj_stability(g: PadicMatrix2, t: PadicMatrix2, m: int) -> PadicMatrix2:
     if not depth > 2 * spread + m:
         raise ValueError("perturbation too shallow to survive conjugation")
     result = g @ t @ g.inverse()
-    assert result.congruent_to_identity(m)
+    _require(result.congruent_to_identity(m), "conjugate left the congruence level")
     return result
 
 
@@ -186,8 +186,8 @@ class KLevelElem:
             # det = ad - bc = 1 mod p with a = d = 0 mod p forces c a unit
             b = (a * d - 1) / c
         lifted = PadicMatrix2.of(((a, b), (c, d)), p)
-        assert lifted.det() == 1
-        assert KLevelElem.reduce(lifted, self.level_m) == self
+        _require(lifted.det() == 1, "lift: determinant is not one")
+        _require(KLevelElem.reduce(lifted, self.level_m) == self, "lift: reduction differs")
         return lifted
 
     def __str__(self) -> str:
@@ -215,7 +215,7 @@ def k_level_group(p: int, level_m: int) -> tuple[KLevelElem, ...]:
                     nxt.append(candidate)
         frontier = nxt
     expected = (p**3 - p) * p ** (3 * (level_m - 1))
-    assert len(seen) == expected, "generators failed to span the level"
+    _require(len(seen) == expected, "generators failed to span the level")
     return tuple(sorted(seen, key=lambda k: k.entries))
 
 
@@ -389,7 +389,7 @@ class EllisReport:
 
 
 def ellis_group(
-    p: int, level_n: int, level_m: int, ladder: ScaleLadder | None = None
+    p: int, level_n: int, level_m: int, ladder: ScaleLadder = DEFAULT_LADDER
 ) -> EllisReport:
     """The identity-fiber points under `star`, tabulated level by level
     down the divisor tower of level_n.
@@ -400,7 +400,6 @@ def ellis_group(
     products, and (reported, never asserted) whether valuations alone
     separate the classes.
     """
-    ladder = ladder if ladder is not None else DEFAULT_LADDER
     levels = tuple(d for d in range(1, level_n + 1) if level_n % d == 0)
     ident_k = KLevelElem.identity(p, level_m)
     tables: dict[int, dict] = {}
@@ -413,7 +412,7 @@ def ellis_group(
         for a in points:
             for b in points:
                 out = star(a, b, ladder)
-                assert out.k == ident_k, "identity fiber not closed"
+                _require(out.k == ident_k, "identity fiber not closed")
                 key = (a.j.a_class.representative, b.j.a_class.representative)
                 table[key] = out.j.a_class.representative
         tables[lev] = table
@@ -470,7 +469,7 @@ def minimal_flow(
     p: int,
     level_n: int,
     level_m: int,
-    ladder: ScaleLadder | None = None,
+    ladder: ScaleLadder = DEFAULT_LADDER,
     *,
     include_closure_edges: bool = True,
 ) -> MinimalFlowReport:
@@ -478,7 +477,6 @@ def minimal_flow(
     check strong connectivity under the generator action plus the
     coordinate-sliding identifications, and check the basepoint is
     idempotent under both product paths."""
-    ladder = ladder if ladder is not None else DEFAULT_LADDER
     unit_level = level_m + ladder.window_w
     jgroup = build_group(p, level_n)
     states = tuple(

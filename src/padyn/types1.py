@@ -15,14 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from padyn.config import GlobalConfig
-from padyn.padic import (
-    INFINITY,
-    PadicRational,
-    RationalLike,
-    _coerce_fraction,
-    format_rational,
-    fraction_valuation,
-)
+from padyn.padic import PadicRational, RationalLike, _coerce_fraction, format_rational
 from padyn.residues import ResidueClass, build_group, class_of
 
 REALIZED = "realized"
@@ -179,14 +172,13 @@ def classify(
     a unique base point closer than the window gives a near type.  Two
     base points inside the window mean the base set was not separated.
     """
-    value = _coerce_fraction(x)
-    bases = [_coerce_fraction(a) for a in base_points]
+    value = PadicRational.of(x, p)
+    bases = list(base_points)
     if value in bases:
         return TruncType1.realized(value)
-    v = fraction_valuation(value, p)
-    if v is not INFINITY and v < -window_w:
+    if value and value.e < -window_w:
         return TruncType1.at_infinity(class_of(value, level_n, p))
-    hits = [a for a in bases if fraction_valuation(value - a, p) > window_w]
+    hits = [a for a in bases if (value - a).valuation() > window_w]
     if len(hits) > 1:
         raise WindowTooCoarseError(f"window {window_w} cannot separate {hits}")
     if hits:
@@ -208,7 +200,7 @@ def enumerate_types(base_points, level_n: int, p: int) -> list[TruncType1]:
     """The full nonrealized catalogue over a base set: (|bases|+1)*|group|."""
     group = build_group(p, level_n)
     out = [
-        TruncType1.near(_coerce_fraction(a), c)
+        TruncType1.near(a, c)
         for a in base_points
         for c in group.elements
     ]

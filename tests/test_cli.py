@@ -184,13 +184,25 @@ def test_verify_all_fails_with_exit_one(capsys, monkeypatch):
     assert "main-flow: FAIL" in err
 
 
-def test_borel_flow_group_check_passes_with_asserts_stripped():
+def verify_with_asserts_stripped(check):
     # python -O strips every assert, so the check's verdict must rest on
     # explicit errors and comparisons alone
     src = str(Path(padyn.__file__).resolve().parents[1])
     path = [src, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    argv = [sys.executable, "-O", "-m", "padyn.cli", "verify", "--check", "borel-flow-group"]
+    argv = [sys.executable, "-O", "-m", "padyn.cli", "verify", "--check", check]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["passed"] is True
+
+
+def test_borel_flow_group_check_passes_with_asserts_stripped():
+    verify_with_asserts_stripped("borel-flow-group")
+
+
+@pytest.mark.parametrize(
+    "check",
+    ["residue-oracle", "iwasawa-rewrite", "main-flow", "ellis-tower", "projective-collapse"],
+)
+def test_check_passes_with_asserts_stripped(check):
+    verify_with_asserts_stripped(check)

@@ -1,8 +1,12 @@
-"""PadicRational against the Fraction path it stands in for.
+"""PadicRational against plain Fraction arithmetic and naive strip loops.
 
-Every operation is checked against plain `Fraction` arithmetic on the
-same values, with exponents up to +-50 000 (the size of the ladder
-witnesses), zero, and tied exponents whose sum cancels low p-digits.
+Field operations are checked against `Fraction` on the same values.
+Every read (valuation, unit residue, residue, power class, nth-power
+test) is checked against a reference that strips p one division at a
+time from the small parts a value was drawn from, and decides powers by
+enumerating unit nth powers, sharing no code with `padyn`.  Exponents
+run to +-50 000 (the size of the ladder witnesses); zero and tied
+exponents whose sum cancels low p-digits are covered.
 """
 
 from fractions import Fraction
@@ -17,33 +21,85 @@ from padyn.padic import (
     PadicRational,
     _coerce_fraction,
     fraction_valuation,
-    unit_residue,
 )
 from padyn.residues import class_of, is_nth_power
 
 PRIMES = (2, 3, 5, 7)
+LEVELS = (1, 2, 3, 6)
 SETTINGS = settings(max_examples=60, deadline=None)
 
 exponents = st.one_of(st.integers(-6, 6), st.integers(-50_000, 50_000))
 
 
+def naive_valuation(num: int, p: int) -> tuple[int, int]:
+    # one division per step; nonzero num only
+    v = 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    return v, num
+
+
+_POWERS: dict[tuple[int, int], tuple[int, frozenset]] = {}
+
+
+def naive_powers(p: int, n: int) -> tuple[int, frozenset]:
+    """All unit nth powers mod p**(2*v_p(n)+3), two digits past the
+    precision that decides them; cached per (p, n)."""
+    if (p, n) not in _POWERS:
+        modulus = p ** (2 * naive_valuation(n, p)[0] + 3)
+        members = frozenset(pow(a, n, modulus) for a in range(1, modulus) if a % p)
+        _POWERS[(p, n)] = (modulus, members)
+    return _POWERS[(p, n)]
+
+
+class Naive:
+    """num/den * p**e read by stripping the small num and den alone."""
+
+    def __init__(self, p: int, num: int, den: int, e: int):
+        self.p = p
+        self.value = Fraction(num, den) * Fraction(p) ** e
+        if num:
+            vn, self.un = naive_valuation(num, p)
+            vd, self.ud = naive_valuation(den, p)
+            self.v = e + vn - vd
+
+    def unit_residue(self, modulus: int) -> int:
+        return self.un * pow(self.ud, -1, modulus) % modulus
+
+    def is_nth_power(self, n: int) -> bool:
+        modulus, members = naive_powers(self.p, n)
+        return self.v % n == 0 and self.unit_residue(modulus) in members
+
+    def class_rep(self, n: int) -> int:
+        """Smallest w * p**(v mod n), w a positive unit with unit/w an nth power."""
+        p = self.p
+        modulus, members = naive_powers(p, n)
+        r = self.unit_residue(modulus)
+        w = next(
+            w for w in range(1, modulus) if w % p and r * pow(w, -1, modulus) % modulus in members
+        )
+        return w * p ** (self.v % n)
+
+
 @st.composite
-def rationals(draw, p):
-    """A Fraction u * p**e, zero included."""
+def naive_values(draw, p):
+    """num/den * p**e with num and den small, zero included."""
     num = draw(st.one_of(st.just(0), st.integers(-10**6, 10**6)))
     den = draw(st.integers(1, 10**6))
-    return Fraction(num, den) * Fraction(p) ** draw(exponents)
+    return Naive(p, num, den, draw(exponents))
 
 
 @st.composite
 def pairs(draw):
     p = draw(st.sampled_from(PRIMES))
-    return p, draw(rationals(p)), draw(rationals(p))
+    return p, draw(naive_values(p)).value, draw(naive_values(p)).value
 
 
 @st.composite
 def cancelling_pairs(draw):
-    """x and y with the same valuation whose sum cancels k >= 1 p-digits."""
+    """x and y with the same valuation whose sum cancels k >= 1 p-digits,
+    and the valuation of that sum."""
     p = draw(st.sampled_from(PRIMES))
     e = draw(exponents)
     u = draw(st.integers(1, 10**6).filter(lambda k: k % p))
@@ -51,7 +107,8 @@ def cancelling_pairs(draw):
     w = draw(st.integers(-10**3, 10**3))
     den = draw(st.integers(1, 10**4).filter(lambda d: d % p))
     scale = Fraction(p) ** e / den
-    return p, u * scale, (-u + w * p**k) * scale
+    v = e + k + naive_valuation(w, p)[0] if w else INFINITY
+    return p, u * scale, (-u + w * p**k) * scale, v
 
 
 def assert_normalised(x: PadicRational) -> None:
@@ -93,30 +150,47 @@ def test_field_operations_match_fraction(case):
 @SETTINGS
 @given(cancelling_pairs())
 def test_tied_exponents_strip_cancelled_digits(case):
-    p, xf, yf = case
+    p, xf, yf, v = case
     x, y = PadicRational.of(xf, p), PadicRational.of(yf, p)
     assert x.e == y.e
     total = x + y
     assert_same(total, xf + yf)
-    assert total.valuation() == fraction_valuation(xf + yf, p)
+    assert total.valuation() == v
     assert total.valuation() > x.e
 
 
 @SETTINGS
-@given(pairs())
-def test_reads_match_fraction(case):
-    p, xf, _ = case
+@given(st.sampled_from(PRIMES).flatmap(naive_values))
+def test_reads_match_fraction(ref):
+    p, xf = ref.p, ref.value
     x = PadicRational.of(xf, p)
     assert hash(x) == hash(xf)
-    assert fraction_valuation(x, p) == fraction_valuation(xf, p)
     if not xf:
         assert x.valuation() is INFINITY
+        assert fraction_valuation(xf, p) is INFINITY
+        assert x.residue(p**3) == 0
+        with pytest.raises(ZeroDivisionError):
+            x.unit_residue(p)
+        for n in LEVELS:
+            with pytest.raises(ValueError):
+                class_of(xf, n, p)
+            with pytest.raises(ValueError):
+                is_nth_power(xf, n, p)
         return
+    assert x.valuation() == fraction_valuation(xf, p) == ref.v
     for r in (1, 3):
-        assert unit_residue(x, p, p**r) == unit_residue(xf, p, p**r)
-    for n in (1, 2, 3, 6):
-        assert class_of(x, n) == class_of(xf, n, p)
-        assert is_nth_power(x, n) == is_nth_power(xf, n, p)
+        modulus = p**r
+        assert x.unit_residue(modulus) == ref.unit_residue(modulus)
+        if ref.v >= 0:
+            expect = xf.numerator * pow(xf.denominator, -1, modulus) % modulus
+            assert x.residue(modulus) == expect
+        else:
+            with pytest.raises(ValueError):
+                x.residue(modulus)
+    for n in LEVELS:
+        assert class_of(x, n, p).representative == ref.class_rep(n)
+        assert class_of(xf, n, p).representative == ref.class_rep(n)
+        assert is_nth_power(x, n, p) == is_nth_power(xf, n, p) == ref.is_nth_power(n)
 
 
 @SETTINGS
@@ -146,9 +220,10 @@ def test_small_values_hash_like_ints():
 
 def test_other_primes_fall_back_to_the_fraction_path():
     x = PadicRational.of(Fraction(50, 3), 5)
+    ref = Naive(3, 50, 3, 0)
     assert fraction_valuation(x, 3) == -1
-    assert unit_residue(x, 3, 9) == unit_residue(Fraction(50, 3), 3, 9)
-    assert class_of(x, 2, 3) == class_of(Fraction(50, 3), 2, 3)
+    assert PadicRational.of(x, 3).unit_residue(9) == ref.unit_residue(9)
+    assert class_of(x, 2, 3).representative == ref.class_rep(2)
     assert x == PadicRational.of(Fraction(50, 3), 3)
     with pytest.raises(ValueError):
         x * PadicRational.of(1, 3)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from padyn import proj
 from padyn.proj import (
     DEFAULT_LADDER,
     ProjLevel,
@@ -26,7 +27,7 @@ from padyn.proj import (
 from padyn._graph import strongly_connected_components
 from padyn.borel import BorelTruncType
 from padyn.borel import witness as borel_witness
-from padyn.padic import PadicMatrix2
+from padyn.padic import PadicMatrix2, fraction_valuation
 from padyn.residues import build_group, class_of
 from padyn.sl2 import GFlowPoint, KLevelElem, flow_generators, k_level_group
 from padyn.types1 import ScaleLadder, TruncType1, realize
@@ -155,6 +156,49 @@ def test_classification_is_total_onto_base_points():
         x = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
         t = classify_value(x, L22)
         assert t.point in base
+
+
+def fraction_classify_value(x, level):
+    """The plain-Fraction classifier: window residue by modular inverse
+    of the denominator, deviation as a Fraction difference."""
+    x = Fraction(x.numerator, x.denominator)
+    p = level.prime
+    if x != 0 and fraction_valuation(x, p) < 0:
+        y = 1 / x
+        r = y.numerator * pow(y.denominator, -1, level.modulus) % level.modulus
+        point = INF if r == 0 else ProjPoint.of(1, r)
+        dev = y - r
+    else:
+        r = x.numerator * pow(x.denominator, -1, level.modulus) % level.modulus
+        point = ProjPoint.of(r, 1)
+        dev = x - r
+    if dev == 0:
+        return ProjTruncType.realized(point)
+    return ProjTruncType.near(point, class_of(dev, level.level_n, p))
+
+
+@pytest.mark.parametrize("window, witnesses", [(2, 1495), (3, 7495)])
+def test_classify_value_matches_the_plain_fraction_classifier(window, witnesses, monkeypatch):
+    # every witness snap_type, triangular_star and fiber_star classify
+    # over all states of the level, checked against the Fraction path
+    level = ProjLevel(P, 2, window)
+    checked = []
+
+    def cross_checked(x, lev):
+        got = classify_value(x, lev)
+        assert got == fraction_classify_value(x, lev), x
+        checked.append(got)
+        return got
+
+    monkeypatch.setattr(proj, "classify_value", cross_checked)
+    gens = flow_generators(P, 1 + window)
+    for s in all_states(level):
+        for g in gens:
+            proj.snap_type(act_proj(g, s), level, LADDER)
+        proj.triangular_star(s, level, LADDER)
+        for c in level.classes():
+            proj.fiber_star(s, c, level, LADDER)
+    assert len(checked) == witnesses
 
 
 # ---------------------------------------------------------------- action

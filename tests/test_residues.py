@@ -6,6 +6,7 @@ merging concrete values under quotient tests.  Neither shares code with
 the implementation.
 """
 
+import copy
 import random
 from fractions import Fraction
 
@@ -92,11 +93,9 @@ def test_is_nth_power_pinned_cases():
     assert is_nth_power(-1, 2, 5)
     assert not is_nth_power(-1, 2, 7)
     assert is_nth_power(Fraction(22, 7), 1, 5)
-    assert is_nth_power(PadicRational.of(6, 5), 2)
+    assert is_nth_power(PadicRational.of(6, 5), 2, 5)
     with pytest.raises(ValueError):
         is_nth_power(0, 2, 5)
-    with pytest.raises(ValueError):
-        is_nth_power(6, 2)
 
 
 def test_is_nth_power_agrees_with_oracle_sweep():
@@ -156,9 +155,9 @@ def test_power_scales_collapse_to_identity():
 
 def test_class_membership_and_inverse():
     c2 = class_of(2, 2, 5)
-    assert c2.contains(8)
-    assert c2.contains(Fraction(2, 9))
-    assert not c2.contains(6)
+    assert class_of(8, 2, 5) == c2
+    assert class_of(Fraction(2, 9), 2, 5) == c2
+    assert class_of(6, 2, 5) != c2
     assert c2.inverse() == c2
     assert class_of(5, 2, 5).inverse() == class_of(5, 2, 5)
     with pytest.raises(ValueError):
@@ -186,6 +185,19 @@ def test_level_two_integer_sweep_merges_to_four_buckets():
             reps.append(x)
     assert len(reps) == 4
     assert sorted(class_of(r, 2, 5).representative for r in reps) == [1, 2, 5, 10]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [((2, 2), 3), ((1, 2), 5), ((5, 5), 2), ((2, 5), 2)],
+    ids=["closure", "identity", "inverse", "associativity"],
+)
+def test_verify_axioms_raises_on_a_broken_table(key, value):
+    broken = copy.copy(build_group(5, 2))
+    broken.table = dict(broken.table)
+    broken.table[key] = value
+    with pytest.raises(ArithmeticError):
+        broken._verify_axioms()
 
 
 def test_level_two_group_is_klein_four():
