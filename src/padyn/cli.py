@@ -1,6 +1,7 @@
 """Command-line front end: machine JSON on stdout, summaries on stderr.
 
-Exit codes: 0 success, 1 a checked property failed, 2 usage error.
+Exit codes: 0 success, 1 a checked property failed, 2 usage error,
+3 internal error (an unexpected exception, reported on stderr).
 
 Machine output is deterministic by construction — keys are sorted and
 nothing time- or host-dependent is ever written to stdout (wall times
@@ -271,6 +272,12 @@ def run(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:
+        import traceback  # only a crash pays for the import
+
+        traceback.print_exc()
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     for line in lines:
         print(line, file=sys.stderr)

@@ -469,9 +469,3 @@ class PadicMatrix2:
         p = self.prime
         diffs = (self.a - 1, self.b, self.c, self.d - 1)
         return all(e == 0 or fraction_valuation(e, p) >= k for e in diffs)
-
-    def max_entry_valuation_magnitude(self) -> int:
-        """max |v(entry)| over nonzero entries; 0 for the zero matrix."""
-        p = self.prime
-        mags = [abs(fraction_valuation(e, p)) for e in self.entries() if e != 0]
-        return max(mags, default=0)

@@ -75,7 +75,7 @@ class ResidueClass:
     def __mul__(self, other: "ResidueClass") -> "ResidueClass":
         if (self.prime, self.level_n) != (other.prime, other.level_n):
             raise ValueError("mixed residue levels")
-        return class_of(self.representative * other.representative, self.level_n, self.prime)
+        return _class_product(self.prime, self.level_n, self.representative, other.representative)
 
     def inverse(self) -> "ResidueClass":
         return class_of(Fraction(1, self.representative), self.level_n, self.prime)
@@ -113,6 +113,12 @@ def class_of(x: RationalLike, n: int, p: int) -> ResidueClass:
     modulus = hensel_modulus(p, n)
     u = _canonical_unit_rep(p, n, value.unit_residue(modulus))
     return ResidueClass(p, n, u * p ** (value.e % n))
+
+
+@lru_cache(maxsize=None)
+def _class_product(p: int, n: int, r: int, s: int) -> ResidueClass:
+    """Class of the product of two canonical representatives."""
+    return class_of(r * s, n, p)
 
 
 class ResidueGroup:

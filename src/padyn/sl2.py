@@ -6,8 +6,7 @@ Four layers, all exact:
   upper-triangular one, pivoting on the first column.
 - `borel_past_integral` rewrites (triangular)·(integral) as
   (integral)·(triangular), the engine that lets triangular data flow
-  through compact factors; `conj_stability` bounds how conjugation
-  erodes deep identity perturbations.
+  through compact factors.
 - `KLevelElem` is the finite group of det-1 matrices mod p^m, with exact
   det-1 lifts back to rationals.
 - `GFlowPoint` pairs a compact level with a triangular truncated type;
@@ -28,7 +27,7 @@ from ._graph import strongly_connected_components
 from .borel import BorelElem, BorelTruncType, build_flow_group
 from .borel import witness as borel_witness
 from .padic import PadicMatrix2, _require, fraction_valuation
-from .residues import build_group, class_of, induced_valuation_map
+from .residues import ResidueClass, build_group, class_of, induced_valuation_map
 from .types1 import DEFAULT_LADDER, ScaleLadder
 
 
@@ -94,24 +93,6 @@ def borel_past_integral(
     if (t2 @ h2).rows() != (h @ t).rows():
         raise ArithmeticError("rewrite failed the exact product check")
     return t2, h2
-
-
-def conj_stability(g: PadicMatrix2, t: PadicMatrix2, m: int) -> PadicMatrix2:
-    """Conjugate the deep identity perturbation t by g, guaranteeing the
-    result stays congruent to the identity mod p^m.
-
-    Conjugation can shallow each entry by at most twice g's largest
-    entry-valuation magnitude, so the depth of t must exceed that plus m.
-    """
-    p = g.prime
-    deviations = (t.a - 1, t.b, t.c, t.d - 1)
-    depth = min(fraction_valuation(e, p) for e in deviations)
-    spread = g.max_entry_valuation_magnitude()
-    if not depth > 2 * spread + m:
-        raise ValueError("perturbation too shallow to survive conjugation")
-    result = g @ t @ g.inverse()
-    _require(result.congruent_to_identity(m), "conjugate left the congruence level")
-    return result
 
 
 # --------------------------------------------------------- compact level
@@ -291,15 +272,22 @@ def star_shortcut(s: GFlowPoint, t: GFlowPoint) -> GFlowPoint:
     )
 
 
+@lru_cache(maxsize=None)
+def _compact_step(
+    g: PadicMatrix2, k: KLevelElem, level_n: int
+) -> tuple[KLevelElem, ResidueClass]:
+    """The base cocycle of `act`: factor g·lift(k), reduce the integral
+    part, and classify the triangular remainder's diagonal.  Neither
+    depends on the type, so each (g, k) is factored once."""
+    t, h = iwasawa(g @ k.lift())
+    return KLevelElem.reduce(t, k.level_m), class_of(h.a, level_n, g.prime)
+
+
 def act(g: PadicMatrix2, state: GFlowPoint) -> GFlowPoint:
-    """Left translation: factor g·lift(k), reduce the integral part, and
-    push the triangular remainder into the type's class."""
-    t, h = iwasawa(g @ state.k.lift())
-    twist = class_of(h.a, state.j.a_class.level_n, g.prime)
-    return GFlowPoint(
-        KLevelElem.reduce(t, state.k.level_m),
-        BorelTruncType(twist * state.j.a_class),
-    )
+    """Left translation: the compact part moves by the base cocycle and
+    its twist σ(g, k) multiplies into the type's class."""
+    k_out, twist = _compact_step(g, state.k, state.j.a_class.level_n)
+    return GFlowPoint(k_out, BorelTruncType(twist * state.j.a_class))
 
 
 # ------------------------------------------------------------- the flow
@@ -478,27 +466,26 @@ def minimal_flow(
     coordinate-sliding identifications, and check the basepoint is
     idempotent under both product paths."""
     unit_level = level_m + ladder.window_w
-    jgroup = build_group(p, level_n)
-    states = tuple(
-        GFlowPoint(k, BorelTruncType(c))
-        for k in k_level_group(p, level_m)
-        for c in jgroup.elements
-    )
+    ks = k_level_group(p, level_m)
+    classes = build_group(p, level_n).elements
+    # state (k, c) is the int k_index * |J| + j_index, in ks x classes order
+    k_index = {k.entries: i for i, k in enumerate(ks)}
+    j_index = {c.representative: i for i, c in enumerate(classes)}
+    width = len(classes)
     gens = flow_generators(p, unit_level)
-    moves = identification_moves(p, level_n, unit_level)
-    successors: dict[GFlowPoint, list[GFlowPoint]] = {}
-    for state in states:
-        outs = [act(g, state) for g in gens]
-        if include_closure_edges:
-            for bmat, class_mult in moves:
-                outs.append(
-                    GFlowPoint(
-                        state.k * KLevelElem.reduce(bmat, level_m),
-                        BorelTruncType(class_mult * state.j.a_class),
-                    )
-                )
-        successors[state] = outs
-    components = strongly_connected_components(states, lambda s: successors[s])
+    moves = identification_moves(p, level_n, unit_level) if include_closure_edges else ()
+    slides = [(KLevelElem.reduce(bmat, level_m), mult) for bmat, mult in moves]
+    successors: list[list[int]] = []
+    for k in ks:
+        slid = [(k_index[(k * kb).entries] * width, mult) for kb, mult in slides]
+        for c in classes:
+            state = GFlowPoint(k, BorelTruncType(c))
+            outs = [act(g, state) for g in gens]
+            successors.append(
+                [k_index[o.k.entries] * width + j_index[o.j.a_class.representative] for o in outs]
+                + [row + j_index[(mult * c).representative] for row, mult in slid]
+            )
+    components = strongly_connected_components(range(len(successors)), successors.__getitem__)
     base = GFlowPoint(
         KLevelElem.identity(p, level_m), BorelTruncType.identity(level_n, p)
     )
@@ -510,7 +497,7 @@ def minimal_flow(
         prime=p,
         level_n=level_n,
         level_m=level_m,
-        size=len(states),
+        size=len(successors),
         strongly_connected=len(components) == 1,
         idempotent=idempotent,
         ellis=ellis_group(p, level_n, level_m, ladder),

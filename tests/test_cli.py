@@ -35,6 +35,26 @@ def test_non_prime_is_a_usage_error(capsys):
     assert "not prime" in err
 
 
+def test_a_crash_is_an_internal_error_not_a_failed_property(capsys, monkeypatch):
+    def crash(args, config):
+        raise ArithmeticError("lift: determinant is not one")
+
+    monkeypatch.setitem(cli._HANDLERS, "residues", crash)
+    code, out, err = run_cli(capsys, "residues")
+    assert code == 3
+    assert out == ""
+    assert "internal error: ArithmeticError: lift: determinant is not one" in err
+
+    def reject(args, config):
+        raise ValueError("bad level")
+
+    monkeypatch.setitem(cli._HANDLERS, "residues", reject)
+    code, out, err = run_cli(capsys, "residues")
+    assert code == 2
+    assert out == ""
+    assert "error: bad level" in err
+
+
 def test_unknown_subcommand_is_a_usage_error(capsys):
     assert cli.run(["frobnicate"]) == 2
 

@@ -175,8 +175,6 @@ def test_matrix_predicates():
     assert h.congruent_to_identity(1)
     assert not h.congruent_to_identity(2)
     assert PadicMatrix2.identity(5).is_unimodular_integral()
-    k = PadicMatrix2.of([[Fraction(1, 25), 0], [0, 125]], 5)
-    assert k.max_entry_valuation_magnitude() == 3
 
 
 def test_matrix_json_forms():

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from padyn import sl2
+from padyn._graph import strongly_connected_components
 from padyn.borel import BorelTruncType, build_flow_group, witness
 from padyn.padic import PadicMatrix2, fraction_valuation
 from padyn.residues import build_group, class_of
-from padyn.types1 import ScaleLadder
+from padyn.types1 import DEFAULT_LADDER, ScaleLadder
 
 P = 5
 N = 2
@@ -187,44 +188,6 @@ def test_rewrite_random_words_stay_exact():
         done += 1
 
 
-# ------------------------------------------------------------ conjugation
-
-
-def test_conj_stability_pinned_diagonal():
-    g = mat(((5, 0), (0, Fraction(1, 5))))
-    t = mat(((1, 0), (5**10, 1)))
-    assert sl2.conj_stability(g, t, 2).rows() == ((1, 0), (5**8, 1))
-
-
-def test_conj_stability_pinned_rotation():
-    g = mat(((0, -1), (1, 0)))
-    t = mat(((1, 5**3), (0, 1)))
-    assert sl2.conj_stability(g, t, 2).rows() == ((1, 0), (-(5**3), 1))
-
-
-def test_conj_stability_identity_is_always_deep_enough():
-    g = mat(((25, 3), (0, Fraction(1, 25))))
-    out = sl2.conj_stability(g, PadicMatrix2.identity(P), 7)
-    assert out == PadicMatrix2.identity(P)
-
-
-def test_conj_stability_rejects_shallow_perturbations():
-    g = mat(((25, 0), (0, Fraction(1, 25))))
-    t = mat(((1, 0), (5**5, 1)))
-    with pytest.raises(ValueError):
-        sl2.conj_stability(g, t, 2)
-
-
-def test_conj_stability_random_deep_inputs():
-    rng = random.Random(31)
-    for _ in range(60):
-        g = random_det_one(rng)
-        m = rng.randint(1, 4)
-        depth = 2 * g.max_entry_valuation_magnitude() + m + rng.randint(1, 3)
-        t = mat(((1, 0), (Fraction(P) ** depth, 1)))
-        assert sl2.conj_stability(g, t, m).congruent_to_identity(m)
-
-
 # ----------------------------------------------------------- level groups
 
 
@@ -397,6 +360,58 @@ def test_act_dilation_twists_the_class():
     moved = sl2.act(dil, ident_point())
     assert moved.k == sl2.KLevelElem.identity(P, M)
     assert moved.j == btype(5)
+
+
+def reference_act(g, state):
+    # the exact per-state path: no table, no cached class product
+    t, h = sl2.iwasawa(g @ state.k.lift())
+    n, p = state.j.a_class.level_n, g.prime
+    return sl2.GFlowPoint(
+        sl2.KLevelElem.reduce(t, state.k.level_m),
+        BorelTruncType(class_of(h.a * state.j.a_class.representative, n, p)),
+    )
+
+
+@pytest.mark.parametrize("p, n, m", [(3, 2, 1), (5, 2, 1), (7, 2, 1)])
+def test_tabulated_flow_matches_the_per_state_path(p, n, m, monkeypatch):
+    unit_level = m + DEFAULT_LADDER.window_w
+    gens = sl2.flow_generators(p, unit_level)
+    moves = sl2.identification_moves(p, n, unit_level)
+    states = [
+        sl2.GFlowPoint(k, BorelTruncType(c))
+        for k in sl2.k_level_group(p, m)
+        for c in build_group(p, n).elements
+    ]
+    plain, closed = {}, {}
+    for state in states:
+        outs = [reference_act(g, state) for g in gens]
+        assert [sl2.act(g, state) for g in gens] == outs
+        plain[state] = outs
+        closed[state] = outs + [
+            sl2.GFlowPoint(
+                state.k * sl2.KLevelElem.reduce(bmat, m),
+                BorelTruncType(
+                    class_of(mult.representative * state.j.a_class.representative, n, p)
+                ),
+            )
+            for bmat, mult in moves
+        ]
+    # the int-coded graph minimal_flow hands to Tarjan, decoded: state i
+    # is states[i], in k_level_group x class order
+    decoded = []
+
+    def recording(nodes, successors):
+        nodes = list(nodes)
+        decoded.append([[states[t] for t in successors(i)] for i in nodes])
+        return strongly_connected_components(nodes, successors)
+
+    monkeypatch.setattr(sl2, "strongly_connected_components", recording)
+    for successors, include in ((plain, False), (closed, True)):
+        report = sl2.minimal_flow(p, n, m, include_closure_edges=include)
+        assert decoded.pop() == [successors[state] for state in states]
+        components = strongly_connected_components(states, successors.__getitem__)
+        assert report.size == len(states)
+        assert report.strongly_connected == (len(components) == 1)
 
 
 def test_minimal_flow_full_graph():
