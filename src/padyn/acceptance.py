@@ -25,7 +25,6 @@ import time
 from fractions import Fraction
 
 from padyn.borel import (
-    BorelTruncType,
     build_flow_group,
     star as borel_star,
     witness as borel_witness,
@@ -41,7 +40,7 @@ from padyn.proj import (
     minimality_proximality_report,
     triangular_star,
 )
-from padyn.residues import brute_force_order, build_group, hensel_modulus, is_nth_power
+from padyn.residues import brute_force_order, build_group, class_of, hensel_modulus, is_nth_power
 from padyn.sl2 import (
     borel_past_integral,
     ellis_group,
@@ -264,7 +263,7 @@ def check_iwasawa_and_rewrite(seed: int = DEFAULT_SEED) -> dict:
             or not h.is_upper_triangular()
         ):
             reconstruction_failures += 1
-    ident = BorelTruncType.identity(2, p)
+    ident = class_of(1, 2, p)
     formula_failures = 0
     formula_cases = 0
     pass_through_cases = 0

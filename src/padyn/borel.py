@@ -4,6 +4,8 @@ An element is a pair (a, c) with a != 0, multiplying like the matrix
 [[a, c], [0, 1/a]].  At residue level n the truncated type of such a pair
 is determined by the power-residue class of `a` alone: the additive
 coordinate ranges over a connected group and carries no level-n data.
+A triangular type is therefore its class, a `ResidueClass`, and
+`sl2.GFlowPoint` pairs a K element with one.
 
 The distinguished family of types is witnessed by pairs whose diagonal
 part sits near 0 and whose off-diagonal part sits near infinity, the
@@ -61,23 +63,7 @@ class BorelElem:
         return PadicMatrix2.of(self._rows(), p)
 
 
-@dataclass(frozen=True)
-class BorelTruncType:
-    """Truncated type of a pair, keyed by the class of the diagonal part."""
-
-    a_class: ResidueClass
-    structure_tag: str = "minimal-flow-family"
-    witness_recipe: str = "at-infinity-rung-above-near-rung"
-
-    @classmethod
-    def identity(cls, level_n: int, p: int) -> "BorelTruncType":
-        return cls(class_of(1, level_n, p))
-
-    def __str__(self) -> str:
-        return f"BorelType({self.a_class.representative})"
-
-
-def witness(t: BorelTruncType, ladder: ScaleLadder, rung_index: int = 0) -> BorelElem:
+def witness(t: ResidueClass, ladder: ScaleLadder, rung_index: int = 0) -> BorelElem:
     """Concrete pair realizing t: diagonal part near 0 in t's class at the
     given rung, off-diagonal part at infinity in the same class one rung up.
 
@@ -87,30 +73,19 @@ def witness(t: BorelTruncType, ladder: ScaleLadder, rung_index: int = 0) -> Bore
     """
     if rung_index + 1 >= len(ladder.rungs):
         raise ValueError("ladder exhausted: a witness needs two free rungs")
-    alpha = realize(TruncType1.near(0, t.a_class), rung_index, ladder)
-    beta = realize(TruncType1.at_infinity(t.a_class), rung_index + 1, ladder)
+    alpha = realize(TruncType1.near(0, t), rung_index, ladder)
+    beta = realize(TruncType1.at_infinity(t), rung_index + 1, ladder)
     return BorelElem(alpha, beta)
 
 
-def classify(g: BorelElem, level_n: int, p: int) -> BorelTruncType:
-    return BorelTruncType(class_of(g.a, level_n, p))
-
-
-def star(s: BorelTruncType, t: BorelTruncType, ladder: ScaleLadder) -> BorelTruncType:
+def star(s: ResidueClass, t: ResidueClass, ladder: ScaleLadder) -> ResidueClass:
     """Product of truncated types via witnesses, right factor on the rungs
     above everything derivable from the left factor's block."""
-    key = (s.a_class.prime, s.a_class.level_n)
-    if key != (t.a_class.prime, t.a_class.level_n):
+    if (s.prime, s.level_n) != (t.prime, t.level_n):
         raise ValueError("mixed residue levels")
     left = witness(s, ladder, 0)
     right = witness(t, ladder, 2)
-    return classify(left.mul(right), s.a_class.level_n, s.a_class.prime)
-
-
-def left_translate(g: BorelElem, t: BorelTruncType) -> BorelTruncType:
-    """Translating by g multiplies the class by class_of(g.a); nth-power
-    diagonal parts fix every type."""
-    return BorelTruncType(class_of(g.a, t.a_class.level_n, t.a_class.prime) * t.a_class)
+    return class_of(left.mul(right).a, s.level_n, s.prime)
 
 
 class FlowGroup:
@@ -126,27 +101,20 @@ class FlowGroup:
         self.level_n = n
         self.ladder = ladder
         self.residue_group = build_group(p, n)
-        self.elements = tuple(BorelTruncType(c) for c in self.residue_group.elements)
-        self.identity = BorelTruncType(self.residue_group.identity)
-        self._by_rep = {t.a_class.representative: t for t in self.elements}
+        self.elements = self.residue_group.elements
+        self.identity = self.residue_group.identity
         self.table: dict[tuple[int, int], int] = {}
         for s in self.elements:
             for t in self.elements:
-                result = star(s, t, ladder)
-                key = (s.a_class.representative, t.a_class.representative)
-                self.table[key] = result.a_class.representative
+                self.table[(s.representative, t.representative)] = star(s, t, ladder).representative
         self._verify()
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    def star_of(self, s: BorelTruncType, t: BorelTruncType) -> BorelTruncType:
-        rep = self.table[(s.a_class.representative, t.a_class.representative)]
-        return self._by_rep[rep]
-
     def idempotent_check(self) -> bool:
-        one = self.identity.a_class.representative
+        one = self.identity.representative
         return self.table[(one, one)] == one
 
     def isomorphic_to_residue_group(self) -> bool:
@@ -162,7 +130,7 @@ class FlowGroup:
         )
 
     def to_json(self) -> dict:
-        reps = [t.a_class.representative for t in self.elements]
+        reps = [t.representative for t in self.elements]
         return {
             "order": self.order,
             "representatives": [str(r) for r in reps],

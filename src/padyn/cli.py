@@ -157,6 +157,8 @@ def _cmd_iwasawa(args, config):
             a, b, c, d = (parse_rational(tok) for tok in tokens)
         except ValueError:
             raise UsageError(f"could not parse matrix entries {args.entries!r}")
+        except ZeroDivisionError:
+            raise UsageError(f"matrix entries {args.entries!r} have a zero denominator")
         g = PadicMatrix2.of(((a, b), (c, d)), p)
     if g.det() != 1:
         raise UsageError(f"matrix determinant must be 1, got {g.det()}")

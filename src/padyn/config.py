@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+RESIDUE_LEVEL_MAX = 12  # largest residue level n accepted anywhere
+
 
 def is_prime(k: int) -> bool:
     """Deterministic primality test by trial division (desk-scale inputs)."""
@@ -38,7 +40,6 @@ class GlobalConfig:
         valuation_window_w: classification window; differences with
             valuation beyond the window count as infinitesimal.
         ladder_gap: multiplicative separation factor between ladder rungs.
-        residue_level_max: upper bound accepted for residue levels.
     """
 
     prime: int = 5
@@ -46,18 +47,14 @@ class GlobalConfig:
     matrix_level_m: int = 1
     valuation_window_w: int = 2
     ladder_gap: int = 8
-    residue_level_max: int = 12
 
     def __post_init__(self) -> None:
         if not is_prime(self.prime):
             raise ValueError(f"prime must be a prime number, got {self.prime}")
         if self.residue_level_n < 1:
             raise ValueError("residue_level_n must be >= 1")
-        if self.residue_level_n > self.residue_level_max:
-            raise ValueError(
-                f"residue_level_n {self.residue_level_n} exceeds the configured "
-                f"maximum {self.residue_level_max}"
-            )
+        if self.residue_level_n > RESIDUE_LEVEL_MAX:
+            raise ValueError(f"residue_level_n must be at most {RESIDUE_LEVEL_MAX}")
         if self.matrix_level_m < 1:
             raise ValueError("matrix_level_m must be >= 1")
         if self.valuation_window_w < 1:

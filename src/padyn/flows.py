@@ -99,7 +99,6 @@ def closure_transitions(
     t: TruncType1,
     group_tag: str,
     config: GlobalConfig,
-    base_points=None,
 ) -> frozenset[TruncType1]:
     """Limit states adjoined when group elements escape every scale.
 
@@ -117,7 +116,7 @@ def closure_transitions(
     """
     tag = normalize_group_tag(group_tag)
     group = build_group(config.prime, config.residue_level_n)
-    bases = default_base_points(config) if base_points is None else tuple(base_points)
+    bases = default_base_points(config)
     if tag == GA:
         if t.kind in (REALIZED, NEAR):
             return frozenset(TruncType1.at_infinity(c) for c in group.elements)

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._graph import strongly_connected_components
-from .borel import BorelTruncType
 from .borel import witness as borel_witness
 from .padic import (
     PadicMatrix2,
@@ -234,7 +233,7 @@ def flow_star(
     concrete witnesses: the flow point is realized on the first rung
     block, the input on the block above everything the witness spans."""
     p = level.prime
-    if source.k.prime != p or source.j.a_class.level_n != level.level_n:
+    if source.k.prime != p or source.j.level_n != level.level_n:
         raise ValueError("mixed truncation levels")
     left = source.k.lift() @ borel_witness(source.j, ladder, 0).to_matrix(p)
     if t.is_realized and t.point.is_infinity:
@@ -259,8 +258,7 @@ def triangular_star(
     is fixed, and infinity-based families stay within the family.
     """
     source = GFlowPoint(
-        KLevelElem.identity(level.prime, 1),
-        BorelTruncType.identity(level.level_n, level.prime),
+        KLevelElem.identity(level.prime, 1), class_of(1, level.level_n, level.prime)
     )
     return flow_star(source, t, level, ladder)
 
@@ -362,11 +360,10 @@ def collapse_check(
     level: ProjLevel,
     ladder: ScaleLadder = DEFAULT_LADDER,
     level_m: int = 1,
-    states=None,
 ) -> CollapseReport:
     """Apply the composite product operator to every truncated type at
     the level and confirm a single output value."""
-    states = all_states(level) if states is None else tuple(states)
+    states = all_states(level)
     outputs = {
         compact_star(triangular_star(t, level, ladder), level, ladder, level_m)
         for t in states
@@ -403,7 +400,6 @@ def minimality_proximality_report(
     level: ProjLevel,
     level_m: int = 1,
     ladder: ScaleLadder = DEFAULT_LADDER,
-    states=None,
 ) -> ProjFlowReport:
     """Strong connectivity of the nonalgebraic truncated types under the
     generator action plus the orbit-closure transitions (the triangular
@@ -413,7 +409,7 @@ def minimality_proximality_report(
     The fiber transitions are load-bearing: determinant-one derivatives
     only twist classes by squares, so the action alone cannot cross
     between class fibers away from collapsing boundary deviations."""
-    states = nonalgebraic_states(level) if states is None else tuple(states)
+    states = nonalgebraic_states(level)
     index = set(states)
     gens = flow_generators(level.prime, level_m + level.window_w)
     successors = {}

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from padyn.config import RESIDUE_LEVEL_MAX
 from padyn.padic import (
     INFINITY,
     PadicRational,
@@ -80,9 +81,6 @@ class ResidueClass:
     def inverse(self) -> "ResidueClass":
         return class_of(Fraction(1, self.representative), self.level_n, self.prime)
 
-    def is_identity(self) -> bool:
-        return self.representative == 1
-
     def __str__(self) -> str:
         return str(self.representative)
 
@@ -145,17 +143,6 @@ class ResidueGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def by_rep(self, rep: int) -> ResidueClass:
-        if rep not in self._index:
-            raise KeyError(f"{rep} is not a canonical representative at this level")
-        return self.elements[self._index[rep]]
-
-    def mul(self, s: ResidueClass, t: ResidueClass) -> ResidueClass:
-        return self.by_rep(self.table[(s.representative, t.representative)])
-
-    def inverse(self, s: ResidueClass) -> ResidueClass:
-        return self.by_rep(s.inverse().representative)
-
     def _verify_axioms(self) -> None:
         """Closure, identity, inverses and associativity, exhaustively."""
         table = self.table
@@ -195,7 +182,7 @@ class ResidueGroup:
 
 
 @lru_cache(maxsize=None)
-def build_group(p: int, n: int, max_level: int = 12) -> ResidueGroup:
+def build_group(p: int, n: int) -> ResidueGroup:
     """Enumerate the classes of K*/(K*)^n and tabulate the product.
 
     Candidates u * p**e with u ranging over unit residues and e over
@@ -203,8 +190,8 @@ def build_group(p: int, n: int, max_level: int = 12) -> ResidueGroup:
     representative.  The resulting order is cross-checked against an
     independent merge of a concrete value set in `brute_force_order`.
     """
-    if n < 1 or n > max_level:
-        raise ValueError(f"residue level must be in [1, {max_level}]")
+    if n < 1 or n > RESIDUE_LEVEL_MAX:
+        raise ValueError(f"residue level must be in [1, {RESIDUE_LEVEL_MAX}]")
     modulus = hensel_modulus(p, n)
     seen: dict[int, ResidueClass] = {}
     for e in range(n):

@@ -9,12 +9,13 @@ Four layers, all exact:
   through compact factors.
 - `KLevelElem` is the finite group of det-1 matrices mod p^m, with exact
   det-1 lifts back to rationals.
-- `GFlowPoint` pairs a compact level with a triangular truncated type;
-  `star` multiplies two points by realizing concrete witnesses on
-  separated ladder blocks and refactoring the product, `star_shortcut`
-  is the symbolic form it must agree with, and `minimal_flow` /
-  `ellis_group` assemble the finite flow graph and its identity-fiber
-  group.
+- `GFlowPoint` pairs a K element (a `KLevelElem`) with a residue
+  class: a triangular truncated type is the power-residue class of its
+  diagonal, so the class is the type.  `star` multiplies two points by
+  realizing concrete witnesses on separated ladder blocks and
+  refactoring the product, `star_shortcut` is the symbolic form it must
+  agree with, and `minimal_flow` / `ellis_group` assemble the finite
+  flow graph and its identity-fiber group.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._graph import strongly_connected_components
-from .borel import BorelElem, BorelTruncType, build_flow_group
+from .borel import BorelElem, build_flow_group
 from .borel import witness as borel_witness
 from .padic import PadicMatrix2, _require, fraction_valuation
 from .residues import ResidueClass, build_group, class_of, induced_valuation_map
@@ -205,10 +206,10 @@ def k_level_group(p: int, level_m: int) -> tuple[KLevelElem, ...]:
 
 @dataclass(frozen=True)
 class GFlowPoint:
-    """A compact level element paired with a triangular truncated type."""
+    """A compact level element paired with a triangular type's class."""
 
     k: KLevelElem
-    j: BorelTruncType
+    j: ResidueClass
 
     def __str__(self) -> str:
         return f"({self.k}, {self.j})"
@@ -240,8 +241,8 @@ def star(
     """
     p = s.k.prime
     level_m = s.k.level_m
-    level_n = s.j.a_class.level_n
-    if (p, level_m, level_n) != (t.k.prime, t.k.level_m, t.j.a_class.level_n):
+    level_n = s.j.level_n
+    if (p, level_m, level_n) != (t.k.prime, t.k.level_m, t.j.level_n):
         raise ValueError("mixed truncation levels")
     h1 = borel_witness(s.j, ladder, 0).to_matrix(p)
     h2 = borel_witness(t.j, ladder, 2)
@@ -254,7 +255,7 @@ def star(
         deep, h1 = borel_past_integral(h1, tau2)
         k_out = k_out * KLevelElem.reduce(deep, level_m)
     product = _as_pair(h1).mul(h2)
-    return GFlowPoint(k_out, BorelTruncType(class_of(product.a, level_n, p)))
+    return GFlowPoint(k_out, class_of(product.a, level_n, p))
 
 
 def star_shortcut(s: GFlowPoint, t: GFlowPoint) -> GFlowPoint:
@@ -262,14 +263,12 @@ def star_shortcut(s: GFlowPoint, t: GFlowPoint) -> GFlowPoint:
     triangular passes into the compact part, any other is absorbed into
     the triangular class through its lower-left corner."""
     p = s.k.prime
-    level_n = s.j.a_class.level_n
+    level_n = s.j.level_n
     lifted = t.k.lift()
     if lifted.c == 0:
-        return GFlowPoint(s.k * t.k, BorelTruncType(s.j.a_class * t.j.a_class))
+        return GFlowPoint(s.k * t.k, s.j * t.j)
     corner_class = class_of(lifted.c, level_n, p)
-    return GFlowPoint(
-        s.k, BorelTruncType(s.j.a_class * corner_class * t.j.a_class)
-    )
+    return GFlowPoint(s.k, s.j * corner_class * t.j)
 
 
 @lru_cache(maxsize=None)
@@ -286,8 +285,8 @@ def _compact_step(
 def act(g: PadicMatrix2, state: GFlowPoint) -> GFlowPoint:
     """Left translation: the compact part moves by the base cocycle and
     its twist σ(g, k) multiplies into the type's class."""
-    k_out, twist = _compact_step(g, state.k, state.j.a_class.level_n)
-    return GFlowPoint(k_out, BorelTruncType(twist * state.j.a_class))
+    k_out, twist = _compact_step(g, state.k, state.j.level_n)
+    return GFlowPoint(k_out, twist * state.j)
 
 
 # ------------------------------------------------------------- the flow
@@ -401,8 +400,7 @@ def ellis_group(
             for b in points:
                 out = star(a, b, ladder)
                 _require(out.k == ident_k, "identity fiber not closed")
-                key = (a.j.a_class.representative, b.j.a_class.representative)
-                table[key] = out.j.a_class.representative
+                table[(a.j.representative, b.j.representative)] = out.j.representative
         tables[lev] = table
         iso[lev] = table == flow.table
         vinj[lev] = induced_valuation_map(flow.residue_group).injective
@@ -479,16 +477,14 @@ def minimal_flow(
     for k in ks:
         slid = [(k_index[(k * kb).entries] * width, mult) for kb, mult in slides]
         for c in classes:
-            state = GFlowPoint(k, BorelTruncType(c))
+            state = GFlowPoint(k, c)
             outs = [act(g, state) for g in gens]
             successors.append(
-                [k_index[o.k.entries] * width + j_index[o.j.a_class.representative] for o in outs]
+                [k_index[o.k.entries] * width + j_index[o.j.representative] for o in outs]
                 + [row + j_index[(mult * c).representative] for row, mult in slid]
             )
     components = strongly_connected_components(range(len(successors)), successors.__getitem__)
-    base = GFlowPoint(
-        KLevelElem.identity(p, level_m), BorelTruncType.identity(level_n, p)
-    )
+    base = GFlowPoint(KLevelElem.identity(p, level_m), class_of(1, level_n, p))
     idempotent = (
         star(base, base, ladder) == base
         and star(base, base, ladder, perturbed=True) == base

@@ -1,5 +1,6 @@
 """Exit codes, JSON shapes, and byte determinism of the command line."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -33,6 +34,10 @@ def test_non_prime_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "not prime" in err
+    code, out, err = run_cli(capsys, "residues", "--n", "13")
+    assert code == 2
+    assert out == ""
+    assert "at most 12" in err
 
 
 def test_a_crash_is_an_internal_error_not_a_failed_property(capsys, monkeypatch):
@@ -110,6 +115,10 @@ def test_iwasawa_rejects_bad_input(capsys):
     code, _, err = run_cli(capsys, "iwasawa", "--entries", "1 2 3")
     assert code == 2
     assert "four rationals" in err
+    code, out, err = run_cli(capsys, "iwasawa", "--entries", "1/0 0 0 1")
+    assert code == 2
+    assert out == ""
+    assert "zero denominator" in err
 
 
 def test_minimal_flow_report(capsys):
@@ -226,3 +235,27 @@ def test_borel_flow_group_check_passes_with_asserts_stripped():
 )
 def test_check_passes_with_asserts_stripped(check):
     verify_with_asserts_stripped(check)
+
+
+# sha256 of the stdout of each command at default flags; any change to
+# these bytes is a change to the CLI's output contract
+STDOUT_SHA256 = {
+    "residues": "3fcdf32e7a51a534fa73030d26e6813c2ae1afed3b3681f3624745b1f8a62d65",
+    "flows --group Ga": "ee54549b2a8d2bd5ce8d32db5b4f93861d76104cdc59ae1c3e6ff439548eb1a3",
+    "flows --group Gm": "a6f173e3c06371a6fabc61f068b19d7231d2bd693ee816951eef2d6e0967da9b",
+    "flows --group ZpAdd": "5c4da25580488df9c3f69efdd3c31a289b8167a6f17b93affe38aeab3f6a8a21",
+    "flows --group ZpMul": "2de5818fe6b140af440f621cf1dda86fb05c8776993d15e728f8a473125e0479",
+    "borel": "b50e3e4f7b9a1db1ad063b3b3d8c6e23322e367a9c1989e21fe277c69cca53d4",
+    "iwasawa": "eb900f5be722d7b2fb62b4196e3e40c11710a9cb5643c246b7e435dcf0ed9fd1",
+    "minimal-flow": "d38d92f8e5ec9a6e54c6116a0e0d49e616c6f6096d94f43cb89cabb82e90bec0",
+    "ellis --n 4": "f70e340e5c99976758f3ae2f98420a2f5b606b0163248f0efcca4c01ea3effaf",
+    "proj collapse": "f7d20a64cc774f4484a65b04bec0ca5d1da23f86d23520804a6ed90213b1faf0",
+    "proj minimal": "9c07170058f50821d251ea8895351524b4ff56cbd63c796bf2f8c6e9f5ad0115",
+}
+
+
+@pytest.mark.parametrize("command", list(STDOUT_SHA256))
+def test_default_stdout_matches_the_pinned_digest(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command]

@@ -7,7 +7,7 @@ import pytest
 
 from padyn import sl2
 from padyn._graph import strongly_connected_components
-from padyn.borel import BorelTruncType, build_flow_group, witness
+from padyn.borel import build_flow_group, witness
 from padyn.padic import PadicMatrix2, fraction_valuation
 from padyn.residues import build_group, class_of
 from padyn.types1 import DEFAULT_LADDER, ScaleLadder
@@ -23,7 +23,7 @@ def mat(rows, p=P):
 
 
 def btype(rep, n=N, p=P):
-    return BorelTruncType(class_of(rep, n, p))
+    return class_of(rep, n, p)
 
 
 def unit_fraction(rng, p=P):
@@ -240,9 +240,7 @@ def test_reduce_handles_prime_free_denominators():
 
 
 def ident_point(m=M, n=N, p=P):
-    return sl2.GFlowPoint(
-        sl2.KLevelElem.identity(p, m), BorelTruncType.identity(n, p)
-    )
+    return sl2.GFlowPoint(sl2.KLevelElem.identity(p, m), class_of(1, n, p))
 
 
 def test_star_identity_is_idempotent_both_paths():
@@ -316,7 +314,7 @@ def test_star_agrees_with_shortcut_random_left_compact():
 def test_star_agrees_with_shortcut_at_deeper_truncation():
     rng = random.Random(59)
     group = sl2.k_level_group(5, 2)
-    types = [BorelTruncType(c) for c in build_group(5, 4).elements]
+    types = build_group(5, 4).elements
     for _ in range(30):
         s = sl2.GFlowPoint(rng.choice(group), rng.choice(types))
         t = sl2.GFlowPoint(rng.choice(group), rng.choice(types))
@@ -365,10 +363,10 @@ def test_act_dilation_twists_the_class():
 def reference_act(g, state):
     # the exact per-state path: no table, no cached class product
     t, h = sl2.iwasawa(g @ state.k.lift())
-    n, p = state.j.a_class.level_n, g.prime
+    n, p = state.j.level_n, g.prime
     return sl2.GFlowPoint(
         sl2.KLevelElem.reduce(t, state.k.level_m),
-        BorelTruncType(class_of(h.a * state.j.a_class.representative, n, p)),
+        class_of(h.a * state.j.representative, n, p),
     )
 
 
@@ -378,7 +376,7 @@ def test_tabulated_flow_matches_the_per_state_path(p, n, m, monkeypatch):
     gens = sl2.flow_generators(p, unit_level)
     moves = sl2.identification_moves(p, n, unit_level)
     states = [
-        sl2.GFlowPoint(k, BorelTruncType(c))
+        sl2.GFlowPoint(k, c)
         for k in sl2.k_level_group(p, m)
         for c in build_group(p, n).elements
     ]
@@ -390,9 +388,7 @@ def test_tabulated_flow_matches_the_per_state_path(p, n, m, monkeypatch):
         closed[state] = outs + [
             sl2.GFlowPoint(
                 state.k * sl2.KLevelElem.reduce(bmat, m),
-                BorelTruncType(
-                    class_of(mult.representative * state.j.a_class.representative, n, p)
-                ),
+                class_of(mult.representative * state.j.representative, n, p),
             )
             for bmat, mult in moves
         ]
