@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
-
 
 def strongly_connected_components(nodes, successors) -> list[list]:
     """Iterative Tarjan; `successors` maps a node to an iterable of nodes."""
@@ -63,29 +61,3 @@ def terminal_components(nodes, successors) -> list[list]:
         if all(home[t] == i for node in component for t in successors(node)):
             out.append(component)
     return out
-
-
-def undirected_components(nodes, neighbors) -> list[list]:
-    """Connected components treating every edge as two-way."""
-    forward: dict = {node: set(neighbors(node)) for node in nodes}
-    adjacency: dict = {node: set(targets) for node, targets in forward.items()}
-    for node, targets in forward.items():
-        for target in targets:
-            adjacency[target].add(node)
-    seen: set = set()
-    components = []
-    for start in nodes:
-        if start in seen:
-            continue
-        queue = deque([start])
-        seen.add(start)
-        component = []
-        while queue:
-            node = queue.popleft()
-            component.append(node)
-            for target in adjacency[node]:
-                if target not in seen:
-                    seen.add(target)
-                    queue.append(target)
-        components.append(component)
-    return components

@@ -1,10 +1,10 @@
 """Acceptance battery: the ten exact checks this package ships against.
 
-Every check returns a plain dict with at least ``passed`` and
-``seconds`` so the same battery backs both the test suite and the
-command-line ``verify`` subcommand.  All comparisons are exact — there
-are no numeric tolerances anywhere — and each check carries a wall-time
-budget that the caller is expected to enforce.
+Every check returns a plain dict with at least ``passed``, and
+``run_all`` times each one, so the same battery backs both the test
+suite and the command-line ``verify`` subcommand.  All comparisons are
+exact — there are no numeric tolerances anywhere — and each check
+carries a wall-time budget in ``CHECKS`` that ``run_all`` enforces.
 
 The residue-oracle check deserves a note on method.  The full grid of
 rationals with numerator and denominator up to p**4 is far too large to
@@ -72,7 +72,6 @@ def check_residue_oracle() -> dict:
     """Power test against enumerated residues over the full grid, by
     signature completeness, plus a pointwise sweep of the small grid and
     exhaustive group-axiom and order verification at every level."""
-    start = time.perf_counter()
     primes = (3, 5, 7)
     levels = (1, 2, 3, 4, 5, 6)
     pairs = []
@@ -137,7 +136,6 @@ def check_residue_oracle() -> dict:
             )
     return {
         "passed": mismatches == 0,
-        "seconds": round(time.perf_counter() - start, 3),
         "pairs": pairs,
     }
 
@@ -145,7 +143,6 @@ def check_residue_oracle() -> dict:
 def check_type_roundtrip() -> dict:
     """classify(realize(t)) == t for every truncated type over integer
     bases |a| <= 25, all levels n <= 4, windows w <= 3, two ladder gaps."""
-    start = time.perf_counter()
     p = 5
     bases = tuple(Fraction(a) for a in range(-25, 26))
     cases = 0
@@ -162,7 +159,6 @@ def check_type_roundtrip() -> dict:
                         failures += 1
     return {
         "passed": failures == 0,
-        "seconds": round(time.perf_counter() - start, 3),
         "cases": cases,
         "failures": failures,
     }
@@ -171,7 +167,6 @@ def check_type_roundtrip() -> dict:
 def check_affine_flows(seed: int = DEFAULT_SEED) -> dict:
     """Translations fix every type at infinity; the multiplicative flow
     splits into exactly two minimal subflows of residue-group size."""
-    start = time.perf_counter()
     rng = random.Random(seed)
     p = 5
     group = build_group(p, 2)
@@ -196,7 +191,6 @@ def check_affine_flows(seed: int = DEFAULT_SEED) -> dict:
             shapes_ok = False
     return {
         "passed": moved == 0 and shapes_ok,
-        "seconds": round(time.perf_counter() - start, 3),
         "translations": trials,
         "types_moved": moved,
         "gm_subflows": subflow_shapes,
@@ -206,7 +200,6 @@ def check_affine_flows(seed: int = DEFAULT_SEED) -> dict:
 def check_borel_flow_groups() -> dict:
     """Basepoint idempotent and flow-group/residue-group isomorphism for
     n <= 6, with identical tables after doubling the ladder gap."""
-    start = time.perf_counter()
     p = 5
     ladders = (DEFAULT_LADDER, DEFAULT_LADDER.doubled_gap())
     tables: dict[int, list] = {n: [] for n in range(1, 7)}
@@ -225,7 +218,6 @@ def check_borel_flow_groups() -> dict:
     stable = all(tables[n][0] == tables[n][1] for n in range(1, 7))
     return {
         "passed": ok and stable,
-        "seconds": round(time.perf_counter() - start, 3),
         "orders": orders,
         "gap_doubling_stable": stable,
     }
@@ -249,7 +241,6 @@ def check_iwasawa_and_rewrite(seed: int = DEFAULT_SEED) -> dict:
     and the corner rewrite formula reproduced entry-for-entry on every
     level-1 compact element against every identity-class witness block,
     with the lower-unipotent factor congruent to the identity."""
-    start = time.perf_counter()
     p = 5
     rng = random.Random(seed + 1)
     reconstruction_failures = 0
@@ -300,7 +291,6 @@ def check_iwasawa_and_rewrite(seed: int = DEFAULT_SEED) -> dict:
                 min_corner_valuation = depth
     return {
         "passed": reconstruction_failures == 0 and formula_failures == 0,
-        "seconds": round(time.perf_counter() - start, 3),
         "reconstructions": trials,
         "reconstruction_failures": reconstruction_failures,
         "formula_cases": formula_cases,
@@ -313,11 +303,9 @@ def check_iwasawa_and_rewrite(seed: int = DEFAULT_SEED) -> dict:
 def check_main_flow() -> dict:
     """Basepoint idempotent through the witness path and the full
     480-state flow strongly connected at levels (n, m) = (2, 1)."""
-    start = time.perf_counter()
     report = minimal_flow(5, 2, 1)
     return {
         "passed": report.size == 480 and report.strongly_connected and report.idempotent,
-        "seconds": round(time.perf_counter() - start, 3),
         "states": report.size,
         "strongly_connected": report.strongly_connected,
         "idempotent": report.idempotent,
@@ -328,7 +316,6 @@ def check_ellis_tower() -> dict:
     """Identity-fiber products form a group isomorphic to the residue
     group at every level n <= 4, with commuting reduction maps between
     divisor levels.  Valuation injectivity is reported, not asserted."""
-    start = time.perf_counter()
     per_level = {}
     ok = True
     for n in (1, 2, 3, 4):
@@ -346,7 +333,6 @@ def check_ellis_tower() -> dict:
         }
     return {
         "passed": ok,
-        "seconds": round(time.perf_counter() - start, 3),
         "levels": per_level,
     }
 
@@ -356,7 +342,6 @@ def check_projective_collapse() -> dict:
     projective types at (p, n, w) = (5, 2, 2); the triangular product
     lands in the family at infinity on every input, and the compact
     product is constant on that family."""
-    start = time.perf_counter()
     level = ProjLevel(5, 2, 2)
     report = collapse_check(level)
     states = all_states(level)
@@ -373,7 +358,6 @@ def check_projective_collapse() -> dict:
             and triangular_in_family
             and compact_constant
         ),
-        "seconds": round(time.perf_counter() - start, 3),
         "states": report.states_checked,
         "collapsed": report.collapsed,
         "collapsed_type": str(omega),
@@ -385,11 +369,9 @@ def check_projective_collapse() -> dict:
 def check_projective_minimality() -> dict:
     """The 120 nonalgebraic projective types are strongly connected
     under the generator and closure moves, and the flow is proximal."""
-    start = time.perf_counter()
     report = minimality_proximality_report(ProjLevel(5, 2, 2))
     return {
         "passed": report.size == 120 and report.strongly_connected and report.proximal,
-        "seconds": round(time.perf_counter() - start, 3),
         "states": report.size,
         "strongly_connected": report.strongly_connected,
         "proximal": report.proximal,
@@ -414,7 +396,6 @@ def _symbolic_snapshot(ladder: ScaleLadder) -> dict:
 def check_ladder_stability() -> dict:
     """Checks 4, 6, 7 and 8 produce identical symbolic output when the
     ladder gap is doubled and when every rung magnitude is doubled."""
-    start = time.perf_counter()
     base = DEFAULT_LADDER
     doubled_gap = base.doubled_gap()
     doubled_rungs = ScaleLadder(
@@ -425,7 +406,6 @@ def check_ladder_stability() -> dict:
     magnitude_stable = _symbolic_snapshot(doubled_rungs) == reference
     return {
         "passed": gap_stable and magnitude_stable,
-        "seconds": round(time.perf_counter() - start, 3),
         "rungs": {
             "default": list(base.rungs),
             "doubled_gap": list(doubled_gap.rungs),
@@ -461,7 +441,9 @@ def run_all(seed: int = DEFAULT_SEED, only: str | None = None) -> dict:
     for name, budget, fn in CHECKS:
         if only is not None and name != only:
             continue
+        start = time.perf_counter()
         outcome = fn(seed)
+        outcome["seconds"] = round(time.perf_counter() - start, 3)
         outcome["check"] = name
         outcome["budget_seconds"] = budget
         outcome["within_budget"] = outcome["seconds"] < budget

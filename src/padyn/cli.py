@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import padyn
@@ -34,32 +33,6 @@ _CHECK_NAMES = tuple(name for name, _, _ in acceptance.CHECKS)
 
 class UsageError(ValueError):
     """Flag combination the parser accepts but the domain rejects."""
-
-
-@dataclass(frozen=True)
-class RunReport:
-    """Consolidated verification report: config echo, seed, results."""
-
-    config: GlobalConfig
-    seed: int
-    version: str
-    passed: bool
-    checks: tuple
-
-    def to_json(self) -> dict:
-        return {
-            "config": {
-                "p": self.config.prime,
-                "n": self.config.residue_level_n,
-                "m": self.config.matrix_level_m,
-                "w": self.config.valuation_window_w,
-                "ladder_gap": self.config.ladder_gap,
-            },
-            "seed": self.seed,
-            "version": self.version,
-            "passed": self.passed,
-            "checks": list(self.checks),
-        }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("ellis", parents=[common], help="identity-fiber group and tower report")
     proj = sub.add_parser("proj", parents=[common], help="projective-line flow reports")
     proj.add_argument("report", choices=("collapse", "minimal"))
-    verify = sub.add_parser("verify", parents=[common], help="run the acceptance battery")
+    verify = sub.add_parser("verify", help="run the acceptance battery at its pinned levels")
     scope = verify.add_mutually_exclusive_group()
     scope.add_argument("--all", action="store_true", help="run every check (the default)")
     scope.add_argument("--check", choices=_CHECK_NAMES, help="run a single named check")
@@ -240,14 +213,20 @@ def _cmd_verify(args, config):
         )
     passed = all(entry["passed"] for entry in checks)
     lines.append(f"total: {outcome['total_seconds']}s; passed: {passed}")
-    report = RunReport(
-        config=config,
-        seed=seed,
-        version=padyn.__version__,
-        passed=passed,
-        checks=tuple(checks),
-    )
-    return (0 if passed else 1), report.to_json(), lines
+    payload = {
+        "config": {
+            "p": config.prime,
+            "n": config.residue_level_n,
+            "m": config.matrix_level_m,
+            "w": config.valuation_window_w,
+            "ladder_gap": config.ladder_gap,
+        },
+        "seed": seed,
+        "version": padyn.__version__,
+        "passed": passed,
+        "checks": checks,
+    }
+    return (0 if passed else 1), payload, lines
 
 
 _HANDLERS = {
@@ -269,7 +248,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as stop:
         return int(stop.code or 0)
     try:
-        config = _config_from(args)
+        config = GlobalConfig() if args.command == "verify" else _config_from(args)
         code, payload, lines = _HANDLERS[args.command](args, config)
     except (UsageError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from padyn._graph import terminal_components, undirected_components
+from padyn._graph import strongly_connected_components, terminal_components
 from padyn.config import GlobalConfig
-from padyn.padic import RationalLike, fraction_valuation
+from padyn.padic import RationalLike, _require, fraction_valuation
 from padyn.residues import build_group, class_of
 from padyn.types1 import AT_INFINITY, NEAR, REALIZED, TruncType1
 
@@ -204,17 +204,16 @@ def minimal_subflows(group_tag: str, config: GlobalConfig) -> AffineFlowReport:
     """Terminal components of action plus closure, with orbit partition."""
     tag = normalize_group_tag(group_tag)
     states = state_space(tag, config)
-    state_set = set(states)
     action = _action_adjacency(tag, states, config)
-    combined = {
-        s: set(action[s]) | (closure_transitions(s, tag, config) & state_set)
-        for s in states
-    }
-    minimal = terminal_components(states, lambda s: combined[s])
-    union = {s for component in minimal for s in component}
-    orbit_parts = undirected_components(
-        _sorted_family(union), lambda s: action[s] & union
+    combined = {s: action[s] | closure_transitions(s, tag, config) for s in states}
+    _require(
+        set().union(*combined.values()) <= set(states),
+        f"{tag} flow: a successor left the state space",
     )
+    minimal = terminal_components(states, combined.__getitem__)
+    union = {s for component in minimal for s in component}
+    # action edges come in inverse pairs and stay in the union: its SCCs are the orbits
+    orbit_parts = strongly_connected_components(_sorted_family(union), action.__getitem__)
     families = tuple(
         sorted((_sorted_family(c) for c in minimal), key=lambda f: f[0].sort_key())
     )

@@ -410,14 +410,17 @@ def minimality_proximality_report(
     only twist classes by squares, so the action alone cannot cross
     between class fibers away from collapsing boundary deviations."""
     states = nonalgebraic_states(level)
-    index = set(states)
     gens = flow_generators(level.prime, level_m + level.window_w)
     successors = {}
     for s in states:
         outs = [snap_type(act_proj(g, s), level, ladder) for g in gens]
         outs.append(triangular_star(s, level, ladder))
         outs.extend(fiber_star(s, c, level, ladder) for c in level.classes())
-        successors[s] = [o for o in outs if o in index]
+        successors[s] = outs
+    _require(
+        all(o in successors for outs in successors.values() for o in outs),
+        "projective flow: a successor left the state space",
+    )
     components = strongly_connected_components(states, lambda s: successors[s])
     collapse = collapse_check(level, ladder, level_m)
     return ProjFlowReport(

@@ -13,9 +13,8 @@ Four layers, all exact:
   class: a triangular truncated type is the power-residue class of its
   diagonal, so the class is the type.  `star` multiplies two points by
   realizing concrete witnesses on separated ladder blocks and
-  refactoring the product, `star_shortcut` is the symbolic form it must
-  agree with, and `minimal_flow` / `ellis_group` assemble the finite
-  flow graph and its identity-fiber group.
+  refactoring the product, and `minimal_flow` / `ellis_group` assemble
+  the finite flow graph and its identity-fiber group.
 """
 
 from __future__ import annotations
@@ -258,19 +257,6 @@ def star(
     return GFlowPoint(k_out, class_of(product.a, level_n, p))
 
 
-def star_shortcut(s: GFlowPoint, t: GFlowPoint) -> GFlowPoint:
-    """Symbolic form of `star`: a right factor whose lift is upper
-    triangular passes into the compact part, any other is absorbed into
-    the triangular class through its lower-left corner."""
-    p = s.k.prime
-    level_n = s.j.level_n
-    lifted = t.k.lift()
-    if lifted.c == 0:
-        return GFlowPoint(s.k * t.k, s.j * t.j)
-    corner_class = class_of(lifted.c, level_n, p)
-    return GFlowPoint(s.k, s.j * corner_class * t.j)
-
-
 @lru_cache(maxsize=None)
 def _compact_step(
     g: PadicMatrix2, k: KLevelElem, level_n: int
@@ -456,8 +442,6 @@ def minimal_flow(
     level_n: int,
     level_m: int,
     ladder: ScaleLadder = DEFAULT_LADDER,
-    *,
-    include_closure_edges: bool = True,
 ) -> MinimalFlowReport:
     """Build the full finite flow (compact level x triangular types),
     check strong connectivity under the generator action plus the
@@ -471,7 +455,7 @@ def minimal_flow(
     j_index = {c.representative: i for i, c in enumerate(classes)}
     width = len(classes)
     gens = flow_generators(p, unit_level)
-    moves = identification_moves(p, level_n, unit_level) if include_closure_edges else ()
+    moves = identification_moves(p, level_n, unit_level)
     slides = [(KLevelElem.reduce(bmat, level_m), mult) for bmat, mult in moves]
     successors: list[list[int]] = []
     for k in ks:

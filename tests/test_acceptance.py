@@ -1,68 +1,55 @@
-"""One test per shipped acceptance check, at its exact wall-time budget.
+"""One test per shipped acceptance check, at its wall-time budget.
 
 Each check function performs its own exact assertions internally and
-reports them through the ``passed`` flag; the tests here pin that flag
-and the budget so a slow or failing check shows up as a single red line.
+reports them through the ``passed`` flag; ``run_all`` times it against
+the budget in ``acceptance.CHECKS``, so a slow or failing check shows
+up as a single red line.
 """
 
 from padyn import acceptance
 
 
-def test_01_residue_power_test_matches_brute_force():
-    result = acceptance.check_residue_oracle()
+def assert_passes_within_budget(name):
+    (result,) = acceptance.run_all(only=name)["results"]
     assert result["passed"], result
-    assert result["seconds"] < 30.0, result["seconds"]
+    assert result["within_budget"], (result["seconds"], result["budget_seconds"])
+
+
+def test_01_residue_power_test_matches_brute_force():
+    assert_passes_within_budget("residue-oracle")
 
 
 def test_02_type_roundtrip_is_exact():
-    result = acceptance.check_type_roundtrip()
-    assert result["passed"], result
-    assert result["seconds"] < 10.0, result["seconds"]
+    assert_passes_within_budget("type-roundtrip")
 
 
 def test_03_affine_flows_fixed_points_and_subflows():
-    result = acceptance.check_affine_flows()
-    assert result["passed"], result
-    assert result["seconds"] < 10.0, result["seconds"]
+    assert_passes_within_budget("affine-flows")
 
 
 def test_04_borel_flow_group_idempotent_and_isomorphic():
-    result = acceptance.check_borel_flow_groups()
-    assert result["passed"], result
-    assert result["seconds"] < 20.0, result["seconds"]
+    assert_passes_within_budget("borel-flow-group")
 
 
 def test_05_iwasawa_reconstruction_and_corner_rewrite():
-    result = acceptance.check_iwasawa_and_rewrite()
-    assert result["passed"], result
-    assert result["seconds"] < 30.0, result["seconds"]
+    assert_passes_within_budget("iwasawa-rewrite")
 
 
 def test_06_main_flow_idempotent_and_connected():
-    result = acceptance.check_main_flow()
-    assert result["passed"], result
-    assert result["seconds"] < 60.0, result["seconds"]
+    assert_passes_within_budget("main-flow")
 
 
 def test_07_ellis_tower_isomorphisms_commute():
-    result = acceptance.check_ellis_tower()
-    assert result["passed"], result
-    assert result["seconds"] < 60.0, result["seconds"]
+    assert_passes_within_budget("ellis-tower")
 
 
 def test_08_projective_collapse_is_constant():
-    result = acceptance.check_projective_collapse()
-    assert result["passed"], result
-    assert result["seconds"] < 30.0, result["seconds"]
+    assert_passes_within_budget("projective-collapse")
 
 
 def test_09_projective_minimality_and_proximality():
-    result = acceptance.check_projective_minimality()
-    assert result["passed"], result
-    assert result["seconds"] < 30.0, result["seconds"]
+    assert_passes_within_budget("projective-minimality")
 
 
 def test_10_symbolic_outputs_stable_under_ladder_doubling():
-    result = acceptance.check_ladder_stability()
-    assert result["passed"], result
-    assert result["seconds"] < 120.0, result["seconds"]
+    assert_passes_within_budget("ladder-stability")

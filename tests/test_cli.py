@@ -1,5 +1,6 @@
 """Exit codes, JSON shapes, and byte determinism of the command line."""
 
+import ast
 import hashlib
 import json
 import os
@@ -181,14 +182,19 @@ def test_verify_seed_env_must_be_integer(capsys, monkeypatch):
 
 def test_verify_rejects_unknown_check(capsys):
     assert cli.run(["verify", "--check", "bogus"]) == 2
+    # the battery runs at its pinned levels, so a level flag is refused
+    code, out, err = run_cli(capsys, "verify", "--check", "main-flow", "--p", "7")
+    assert code == 2
+    assert out == ""
+    assert "--p" in err
 
 
 def test_verify_all_fails_with_exit_one(capsys, monkeypatch):
     def ok(*args, **kwargs):
-        return {"passed": True, "seconds": 0.0}
+        return {"passed": True}
 
     def bad(*args, **kwargs):
-        return {"passed": False, "seconds": 0.0}
+        return {"passed": False}
 
     for name in (
         "check_residue_oracle",
@@ -223,6 +229,14 @@ def verify_with_asserts_stripped(check):
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["passed"] is True
+
+
+def test_no_assert_in_the_package():
+    # python -O strips asserts, so no invariant may live in one
+    for path in sorted(Path(padyn.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert on line(s) {lines}"
 
 
 def test_borel_flow_group_check_passes_with_asserts_stripped():

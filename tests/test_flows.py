@@ -3,14 +3,18 @@
 import random
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
+from padyn import cli, flows
 from padyn.config import GlobalConfig
 from padyn.flows import (
     GA,
     GM,
+    GROUP_TAGS,
     ZP_ADD,
     ZP_MUL,
+    _action_adjacency,
     act_add,
     act_mul,
     closure_transitions,
@@ -244,3 +248,39 @@ def test_flow_report_json_shape():
     flags = payload["f_generic"]
     assert flags["Near(0, 2)"] is True
     assert flags["Realized(1)"] is False
+
+
+ORBIT_LEVELS = [(5, 2, 2), (3, 2, 2), (7, 2, 1), (2, 2, 2)]
+
+
+@pytest.mark.parametrize("tag", GROUP_TAGS)
+@pytest.mark.parametrize("p, n, w", ORBIT_LEVELS)
+def test_action_edges_come_in_inverse_pairs(p, n, w, tag):
+    cfg = GlobalConfig(prime=p, residue_level_n=n, valuation_window_w=w)
+    action = _action_adjacency(tag, state_space(tag, cfg), cfg)
+    assert all(s in action[t] for s, targets in action.items() for t in targets)
+
+
+@pytest.mark.parametrize("tag", GROUP_TAGS)
+@pytest.mark.parametrize("p, n, w", ORBIT_LEVELS)
+def test_orbits_are_the_weak_components_of_the_action_on_the_union(p, n, w, tag):
+    cfg = GlobalConfig(prime=p, residue_level_n=n, valuation_window_w=w)
+    report = minimal_subflows(tag, cfg)
+    union = report.minimal_union()
+    action = _action_adjacency(tag, state_space(tag, cfg), cfg)
+    oracle = nx.DiGraph()
+    oracle.add_nodes_from(union)
+    oracle.add_edges_from((s, t) for s in union for t in action[s] if t in union)
+    expected = {frozenset(c) for c in nx.weakly_connected_components(oracle)}
+    assert {frozenset(o) for o in report.orbits} == expected
+
+
+def test_a_successor_outside_the_state_space_is_an_error(monkeypatch, capsys):
+    def escaping(t, group_tag, config):
+        return frozenset({TruncType1.realized(Fraction(1, 7))})
+
+    monkeypatch.setattr(flows, "closure_transitions", escaping)
+    with pytest.raises(ArithmeticError, match="left the state space"):
+        minimal_subflows(GM, CFG)
+    assert cli.run(["flows", "--group", "gm"]) == 3
+    assert capsys.readouterr().out == ""

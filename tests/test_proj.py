@@ -377,6 +377,16 @@ def test_fiber_transitions_are_load_bearing():
     assert sorted(map(len, components)) == [1, 1, 1, 1, 1, 1, 1, 113]
 
 
+def test_a_successor_outside_the_state_space_is_an_error(monkeypatch):
+    # realized types are not states of the nonalgebraic flow
+    def escaping(t, level, ladder):
+        return ProjTruncType.realized(INF)
+
+    monkeypatch.setattr(proj, "triangular_star", escaping)
+    with pytest.raises(ArithmeticError, match="left the state space"):
+        minimality_proximality_report(L11, level_m=1, ladder=LADDER)
+
+
 def test_flow_report_json_shape():
     js = minimality_proximality_report(L11, level_m=1, ladder=LADDER).to_json()
     assert sorted(js) == [

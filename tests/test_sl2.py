@@ -10,6 +10,7 @@ from padyn._graph import strongly_connected_components
 from padyn.borel import build_flow_group, witness
 from padyn.padic import PadicMatrix2, fraction_valuation
 from padyn.residues import build_group, class_of
+from padyn.sl2 import GFlowPoint
 from padyn.types1 import DEFAULT_LADDER, ScaleLadder
 
 P = 5
@@ -288,6 +289,19 @@ def test_star_rejects_mixed_levels():
         sl2.star(ident_point(), ident_point(n=3), LADDER)
 
 
+def star_shortcut(s: GFlowPoint, t: GFlowPoint) -> GFlowPoint:
+    """Symbolic form of `star`: a right factor whose lift is upper
+    triangular passes into the compact part, any other is absorbed into
+    the triangular class through its lower-left corner."""
+    p = s.k.prime
+    level_n = s.j.level_n
+    lifted = t.k.lift()
+    if lifted.c == 0:
+        return GFlowPoint(s.k * t.k, s.j * t.j)
+    corner_class = class_of(lifted.c, level_n, p)
+    return GFlowPoint(s.k, s.j * corner_class * t.j)
+
+
 def test_star_agrees_with_shortcut_exhaustively():
     ident = sl2.KLevelElem.identity(P, M)
     types = [btype(r) for r in (1, 2, 5, 10)]
@@ -296,7 +310,7 @@ def test_star_agrees_with_shortcut_exhaustively():
             for j2 in types:
                 s = sl2.GFlowPoint(ident, j1)
                 t = sl2.GFlowPoint(k2, j2)
-                assert sl2.star(s, t, LADDER) == sl2.star_shortcut(s, t)
+                assert sl2.star(s, t, LADDER) == star_shortcut(s, t)
 
 
 def test_star_agrees_with_shortcut_random_left_compact():
@@ -308,7 +322,7 @@ def test_star_agrees_with_shortcut_random_left_compact():
     for _ in range(300):
         s = sl2.GFlowPoint(rng.choice(group), rng.choice(types))
         t = sl2.GFlowPoint(rng.choice(group), rng.choice(types))
-        assert sl2.star(s, t, LADDER) == sl2.star_shortcut(s, t)
+        assert sl2.star(s, t, LADDER) == star_shortcut(s, t)
 
 
 def test_star_agrees_with_shortcut_at_deeper_truncation():
@@ -318,7 +332,7 @@ def test_star_agrees_with_shortcut_at_deeper_truncation():
     for _ in range(30):
         s = sl2.GFlowPoint(rng.choice(group), rng.choice(types))
         t = sl2.GFlowPoint(rng.choice(group), rng.choice(types))
-        assert sl2.star(s, t, LADDER) == sl2.star_shortcut(s, t)
+        assert sl2.star(s, t, LADDER) == star_shortcut(s, t)
 
 
 def test_star_perturbed_path_matches_plain():
@@ -402,12 +416,13 @@ def test_tabulated_flow_matches_the_per_state_path(p, n, m, monkeypatch):
         return strongly_connected_components(nodes, successors)
 
     monkeypatch.setattr(sl2, "strongly_connected_components", recording)
-    for successors, include in ((plain, False), (closed, True)):
-        report = sl2.minimal_flow(p, n, m, include_closure_edges=include)
-        assert decoded.pop() == [successors[state] for state in states]
-        components = strongly_connected_components(states, successors.__getitem__)
-        assert report.size == len(states)
-        assert report.strongly_connected == (len(components) == 1)
+    report = sl2.minimal_flow(p, n, m)
+    assert decoded == [[closed[state] for state in states]]
+    components = strongly_connected_components(states, closed.__getitem__)
+    assert report.size == len(states)
+    assert report.strongly_connected == (len(components) == 1)
+    # the generator edges alone already connect the flow at these levels
+    assert len(strongly_connected_components(states, plain.__getitem__)) == 1
 
 
 def test_minimal_flow_full_graph():
@@ -422,8 +437,14 @@ def test_minimal_flow_connected_even_without_identifications():
     # the dilation edges already twist classes by cl(5)*cl(unit), which
     # spans the level together with the compact Cayley edges; the
     # identification moves are definitional, not load-bearing here
-    report = sl2.minimal_flow(5, 2, 1, include_closure_edges=False)
-    assert report.strongly_connected
+    gens = sl2.flow_generators(P, M + DEFAULT_LADDER.window_w)
+    states = [
+        sl2.GFlowPoint(k, c)
+        for k in sl2.k_level_group(P, M)
+        for c in build_group(P, N).elements
+    ]
+    edges = {state: [sl2.act(g, state) for g in gens] for state in states}
+    assert len(strongly_connected_components(states, edges.__getitem__)) == 1
 
 
 def test_minimal_flow_trivial_class_level():

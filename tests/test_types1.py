@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padyn.config import GlobalConfig
 from padyn.padic import fraction_valuation
@@ -113,6 +115,33 @@ def test_roundtrip_stable_under_gap_doubling():
     assert ladder.rungs == (10, 192, 3104, 49696)
     for t in enumerate_types(range(5), 3, 5):
         assert roundtrip_check(t, ladder, 3, 5), str(t)
+
+
+@st.composite
+def ladders_and_types(draw):
+    """A valid ladder and up to 8 types from the full catalogue over the
+    window residues 0 .. p^w - 1, realized types included."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(1, 4))
+    w = draw(st.integers(1, 3))
+    ladder = ScaleLadder.build(
+        gap=draw(st.integers(1, 16)),
+        window_w=w,
+        length=draw(st.integers(2, 3)),
+        base=draw(st.integers(w + 1, w + 20)),
+    )
+    bases = range(p**w)
+    catalogue = enumerate_types(bases, n, p) + [TruncType1.realized(a) for a in bases]
+    types = draw(st.lists(st.sampled_from(catalogue), min_size=1, max_size=8))
+    return p, n, ladder, types
+
+
+@settings(max_examples=200, deadline=None)
+@given(ladders_and_types())
+def test_roundtrip_on_drawn_ladders(case):
+    p, n, ladder, types = case
+    for t in types:
+        assert roundtrip_check(t, ladder, n, p), (str(t), ladder)
 
 
 def test_catalogue_size_matches_level():
