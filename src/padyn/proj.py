@@ -11,6 +11,10 @@ group action on exact-point types and O(1) per step.  `classify_value`
 is the honest truncation of an exact value (window residue plus the
 class of the deviation) and is total, since the deviation from a
 value's own residue always has valuation at least the window.
+`snap_type` truncates a Near type's deepest-rung witness y0 + scale the
+same way but reorders the sum: the residue r is read term by term and
+the deviation as (y0 - r) + scale, so the thousands of p-digits that
+forming the witness would multiply in, and r would cancel, never appear.
 
 Two product operators drive the collapse: `triangular_star` sends every
 type not based at infinity into the infinity family (the diagonal/corner
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from ._graph import strongly_connected_components
 from .borel import witness as borel_witness
@@ -35,14 +40,10 @@ from .padic import (
     _coerce_fraction,
     _require,
     fraction_valuation,
-    mat_mul,
 )
 from .residues import ResidueClass, build_group, class_of
 from .sl2 import GFlowPoint, KLevelElem, flow_generators
-from .types1 import DEFAULT_LADDER, ScaleLadder, TruncType1, realize
-
-_ID = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-_SWAP = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
+from .types1 import DEFAULT_LADDER, ScaleLadder, TruncType1, _witness_scale, realize
 
 
 @dataclass(frozen=True)
@@ -144,10 +145,24 @@ def _inverted_chart(pt: ProjPoint, p: int) -> bool:
     return pt.is_infinity or fraction_valuation(pt.x0, p) < 0
 
 
-def _chart_coordinate(pt: ProjPoint, p: int) -> Fraction:
+def _chart_coordinate(pt: ProjPoint, inverted: bool) -> Fraction:
     if pt.is_infinity:
         return Fraction(0)
-    return 1 / pt.x0 if _inverted_chart(pt, p) else pt.x0
+    return 1 / pt.x0 if inverted else pt.x0
+
+
+def _chart_type(
+    y: PadicRational, scale: PadicRational, inverted: bool, level: ProjLevel
+) -> ProjTruncType:
+    """The type of the chart coordinate y + scale, read without forming the
+    sum: the window residue r term by term, the deviation as (y - r) + scale."""
+    m = level.modulus
+    r = (y.residue(m) + scale.residue(m)) % m
+    pt = ProjPoint.of(1, r) if inverted else ProjPoint.of(r, 1)
+    dev = (y - r) + scale
+    if not dev:
+        return ProjTruncType.realized(pt)
+    return ProjTruncType.near(pt, class_of(dev, level.level_n, level.prime))
 
 
 def classify_value(x: RationalLike, level: ProjLevel) -> ProjTruncType:
@@ -155,23 +170,8 @@ def classify_value(x: RationalLike, level: ProjLevel) -> ProjTruncType:
     class of the deviation, realized when the deviation vanishes."""
     p = level.prime
     x = PadicRational.of(x, p)
-    if x and x.e < 0:
-        x = x.inverse()
-        r = x.residue(level.modulus)
-        pt = ProjPoint.infinity() if r == 0 else ProjPoint.of(1, r)
-    else:
-        r = x.residue(level.modulus)
-        pt = ProjPoint.of(r, 1)
-    dev = x - r
-    if not dev:
-        return ProjTruncType.realized(pt)
-    return ProjTruncType.near(pt, class_of(dev, level.level_n, p))
-
-
-def _classify_vector(x0: RationalLike, x1: RationalLike, level: ProjLevel) -> ProjTruncType:
-    if not x1:
-        return ProjTruncType.realized(ProjPoint.infinity())
-    return classify_value(x0 / x1, level)
+    inverted = bool(x) and x.e < 0
+    return _chart_type(x.inverse() if inverted else x, PadicRational.of(0, p), inverted, level)
 
 
 def _realize_type(
@@ -181,24 +181,26 @@ def _realize_type(
     produced in the base point's own chart."""
     if t.is_realized:
         raise ValueError("realized types need no witnesses")
-    pt = t.point
-    if _inverted_chart(pt, level.prime):
-        y0 = Fraction(0) if pt.is_infinity else 1 / pt.x0
-        return 1 / realize(TruncType1.near(y0, t.near_class), rung_index, ladder)
-    return realize(TruncType1.near(pt.x0, t.near_class), rung_index, ladder)
+    inverted = _inverted_chart(t.point, level.prime)
+    y0 = _chart_coordinate(t.point, inverted)
+    y = realize(TruncType1.near(y0, t.near_class), rung_index, ladder)
+    return 1 / y if inverted else y
 
 
 def snap_type(t: ProjTruncType, level: ProjLevel, ladder: ScaleLadder) -> ProjTruncType:
-    """Project a type onto the level's state space by realizing it at the
-    deepest rung and classifying the value; realized finite points are
-    reclassified directly."""
+    """Project a type onto the level's state space: realized finite points
+    are reclassified, and a Near type is classified as its deepest-rung
+    witness y0 + scale in the base point's chart, without forming it."""
     if t.is_realized:
         if t.point.is_infinity:
             return t
         return classify_value(t.point.x0, level)
-    return classify_value(
-        _realize_type(t, level, ladder, len(ladder.rungs) - 1), level
-    )
+    p = level.prime
+    inverted = _inverted_chart(t.point, p)
+    y0 = PadicRational.of(_chart_coordinate(t.point, inverted), p)
+    scale = _witness_scale(t.near_class, ladder.rungs[-1], toward_infinity=False)
+    _require(y0 != -scale, "snap_type: the deepest-rung witness vanishes")
+    return _chart_type(y0, scale, inverted, level)
 
 
 def act_proj(g: PadicMatrix2, t: ProjTruncType) -> ProjTruncType:
@@ -214,16 +216,29 @@ def act_proj(g: PadicMatrix2, t: ProjTruncType) -> ProjTruncType:
     if t.is_realized:
         return ProjTruncType.realized(image)
     p = g.prime
-    chart_in = _SWAP if _inverted_chart(t.point, p) else _ID
-    chart_out = _SWAP if _inverted_chart(image, p) else _ID
-    e = mat_mul(chart_out, mat_mul(g.rows(), chart_in))
-    u0 = _chart_coordinate(t.point, p)
-    denom = e[1][0] * u0 + e[1][1]
+    flip_in, flip_out = _inverted_chart(t.point, p), _inverted_chart(image, p)
+    # in the two charts g only permutes its entries: the bottom row is a row
+    # of g, reversed by a flipped input chart, and det is -1 iff one flips
+    lo, hi = (g.a, g.b) if flip_out else (g.c, g.d)
+    if flip_in:
+        lo, hi = hi, lo
+    denom = lo * _chart_coordinate(t.point, flip_in) + hi
     if denom == 0:
         raise ArithmeticError("chart selection failed to keep the image finite")
-    det = e[0][0] * e[1][1] - e[0][1] * e[1][0]
-    twist = class_of(det / denom**2, t.near_class.level_n, p)
+    twist = class_of((-1 if flip_in != flip_out else 1) / denom**2, t.near_class.level_n, p)
     return ProjTruncType.near(image, twist * t.near_class)
+
+
+# a product's witness for the flow point or the fiber class depends only on
+# that and the ladder, not on the input type, so each is built once
+@lru_cache(maxsize=256)
+def _flow_point_witness(source: GFlowPoint, ladder: ScaleLadder) -> PadicMatrix2:
+    return source.k.lift() @ borel_witness(source.j, ladder, 0).to_matrix(source.k.prime)
+
+
+@lru_cache(maxsize=256)
+def _fiber_corner(klass: ResidueClass, ladder: ScaleLadder) -> PadicRational:
+    return realize(TruncType1.near(0, klass), 0, ladder)
 
 
 def flow_star(
@@ -232,19 +247,17 @@ def flow_star(
     """Product of a paired flow point with a projective type through
     concrete witnesses: the flow point is realized on the first rung
     block, the input on the block above everything the witness spans."""
-    p = level.prime
-    if source.k.prime != p or source.j.level_n != level.level_n:
+    if source.k.prime != level.prime or source.j.level_n != level.level_n:
         raise ValueError("mixed truncation levels")
-    left = source.k.lift() @ borel_witness(source.j, ladder, 0).to_matrix(p)
+    left = _flow_point_witness(source, ladder)
     if t.is_realized and t.point.is_infinity:
-        vec = (Fraction(1), Fraction(0))
-    elif t.is_realized:
-        vec = (t.point.x0, Fraction(1))
+        x0, x1 = left.a, left.c
     else:
-        vec = (_realize_type(t, level, ladder, 2), Fraction(1))
-    return _classify_vector(
-        left.a * vec[0] + left.b * vec[1], left.c * vec[0] + left.d * vec[1], level
-    )
+        x = t.point.x0 if t.is_realized else _realize_type(t, level, ladder, 2)
+        x0, x1 = left.a * x + left.b, left.c * x + left.d
+    if not x1:
+        return ProjTruncType.realized(ProjPoint.infinity())
+    return classify_value(x0 / x1, level)
 
 
 def triangular_star(
@@ -257,10 +270,8 @@ def triangular_star(
     exact valuation comparison picks the dominant term.  Infinity itself
     is fixed, and infinity-based families stay within the family.
     """
-    source = GFlowPoint(
-        KLevelElem.identity(level.prime, 1), class_of(1, level.level_n, level.prime)
-    )
-    return flow_star(source, t, level, ladder)
+    p, n = level.prime, level.level_n
+    return flow_star(GFlowPoint(KLevelElem.identity(p, 1), class_of(1, n, p)), t, level, ladder)
 
 
 def fiber_star(
@@ -278,7 +289,7 @@ def fiber_star(
     group walks the whole identity fiber of generic products, which is
     what the orbit closure contributes beyond single group elements.
     """
-    corner = realize(TruncType1.near(0, klass), 0, ladder)
+    corner = _fiber_corner(klass, ladder)
     if t.is_realized and t.point.is_infinity:
         return classify_value(1 / corner, level)
     value = t.point.x0 if t.is_realized else _realize_type(t, level, ladder, 2)
@@ -302,20 +313,14 @@ def compact_star(
     absorbed by the generic perturbation.  Elsewhere the composition is
     computed generically and no collapse is claimed.
     """
-    p = level.prime
     if t.point.is_infinity and not t.is_realized:
         c_value = _realize_type(t, level, ladder, 2)
-        absorbed = PadicMatrix2.of(((1, 0), (1 / c_value, 1)), p)
-        _require(absorbed.congruent_to_identity(level_m), "witness not absorbed at level m")
-    return fiber_star(t, class_of(1, level.level_n, p), level, ladder)
+        _require(c_value.valuation() <= -level_m, "witness not absorbed at level m")
+    return fiber_star(t, class_of(1, level.level_n, level.prime), level, ladder)
 
 
 def nonalgebraic_states(level: ProjLevel) -> tuple[ProjTruncType, ...]:
-    return tuple(
-        ProjTruncType.near(pt, c)
-        for pt in level.base_points()
-        for c in level.classes()
-    )
+    return tuple(ProjTruncType.near(pt, c) for pt in level.base_points() for c in level.classes())
 
 
 def all_states(level: ProjLevel) -> tuple[ProjTruncType, ...]:
@@ -329,7 +334,7 @@ def boundary_flagged(level: ProjLevel) -> tuple[str, ...]:
     arithmetic there, and reports surface them."""
     flagged = []
     for pt in level.base_points():
-        u = _chart_coordinate(pt, level.prime)
+        u = _chart_coordinate(pt, _inverted_chart(pt, level.prime))
         if u == 0:
             continue
         if abs(fraction_valuation(u, level.prime)) >= level.window_w - 1:
@@ -349,9 +354,7 @@ class CollapseReport:
         return {
             "states": self.states_checked,
             "collapsed": self.collapsed,
-            "collapsed_type": None
-            if self.collapsed_type is None
-            else str(self.collapsed_type),
+            "collapsed_type": None if self.collapsed_type is None else str(self.collapsed_type),
             "boundary_flags": list(self.boundary_flags),
         }
 
@@ -370,9 +373,7 @@ def collapse_check(
     }
     collapsed = len(outputs) <= 1
     value = outputs.pop() if len(outputs) == 1 else None
-    return CollapseReport(
-        level, len(states), collapsed, value, boundary_flagged(level)
-    )
+    return CollapseReport(level, len(states), collapsed, value, boundary_flagged(level))
 
 
 @dataclass(frozen=True)
@@ -389,9 +390,7 @@ class ProjFlowReport:
             "states": self.size,
             "strongly_connected": self.strongly_connected,
             "proximal": self.proximal,
-            "collapsed_type": None
-            if self.collapsed_type is None
-            else str(self.collapsed_type),
+            "collapsed_type": None if self.collapsed_type is None else str(self.collapsed_type),
             "boundary_flags": list(self.boundary_flags),
         }
 

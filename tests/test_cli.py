@@ -251,7 +251,8 @@ def test_check_passes_with_asserts_stripped(check):
     verify_with_asserts_stripped(check)
 
 
-# sha256 of the stdout of each command at default flags; any change to
+# sha256 of the stdout of each command at default flags, and of the
+# scaled proj runs (a wider window, a doubled ladder gap); any change to
 # these bytes is a change to the CLI's output contract
 STDOUT_SHA256 = {
     "residues": "3fcdf32e7a51a534fa73030d26e6813c2ae1afed3b3681f3624745b1f8a62d65",
@@ -265,6 +266,8 @@ STDOUT_SHA256 = {
     "ellis --n 4": "f70e340e5c99976758f3ae2f98420a2f5b606b0163248f0efcca4c01ea3effaf",
     "proj collapse": "f7d20a64cc774f4484a65b04bec0ca5d1da23f86d23520804a6ed90213b1faf0",
     "proj minimal": "9c07170058f50821d251ea8895351524b4ff56cbd63c796bf2f8c6e9f5ad0115",
+    "proj minimal --w 3": "a74b5908c744b4844110d87826b34387673fb819403ba13161844b7346eaf2ab",
+    "proj minimal --gap 16": "9c07170058f50821d251ea8895351524b4ff56cbd63c796bf2f8c6e9f5ad0115",
 }
 
 

@@ -29,7 +29,7 @@ from padyn.borel import witness as borel_witness
 from padyn.padic import PadicMatrix2, fraction_valuation
 from padyn.residues import build_group, class_of
 from padyn.sl2 import GFlowPoint, KLevelElem, flow_generators, k_level_group
-from padyn.types1 import ScaleLadder, TruncType1, realize
+from padyn.types1 import ScaleLadder, TruncType1, _witness_scale, realize
 
 P = 5
 LADDER = ScaleLadder.build(gap=8, window_w=2, length=4)
@@ -78,6 +78,16 @@ def test_action_matches_realization_oracle_exhaustively():
         for g in gens:
             fast = snap_type(act_proj(g, state), L22, LADDER)
             assert fast == oracle_act(g, state, L22)
+
+
+@pytest.mark.parametrize("level", [ProjLevel(7, 2, 2), ProjLevel(3, 2, 3)], ids=["p7", "p3"])
+def test_action_matches_realization_oracle_where_minus_one_is_no_square(level):
+    # at p = 3 mod 4 and even n the class of -1 is nontrivial, so a chart change's
+    # determinant sign shows in the twist
+    gens = flow_generators(level.prime, 1 + level.window_w)
+    for state in nonalgebraic_states(level):
+        for g in gens:
+            assert snap_type(act_proj(g, state), level, LADDER) == oracle_act(g, state, level)
 
 
 def test_oracle_is_rung_independent():
@@ -179,9 +189,12 @@ def fraction_classify_value(x, level):
 @pytest.mark.parametrize("window, witnesses", [(2, 1495), (3, 7495)])
 def test_classify_value_matches_the_plain_fraction_classifier(window, witnesses, monkeypatch):
     # every witness snap_type, triangular_star and fiber_star classify
-    # over all states of the level, checked against the Fraction path
+    # over all states of the level, checked against the Fraction path;
+    # snap_type classifies a Near type's deepest-rung witness without
+    # classify_value, so those results are checked against the formed one
     level = ProjLevel(P, 2, window)
     checked = []
+    snap_type_itself = proj.snap_type
 
     def cross_checked(x, lev):
         got = classify_value(x, lev)
@@ -189,7 +202,16 @@ def test_classify_value_matches_the_plain_fraction_classifier(window, witnesses,
         checked.append(got)
         return got
 
+    def snap_cross_checked(t, lev, ladder):
+        got = snap_type_itself(t, lev, ladder)
+        if not t.is_realized:
+            witness = proj._realize_type(t, lev, ladder, len(ladder.rungs) - 1)
+            assert got == fraction_classify_value(witness, lev), t
+            checked.append(got)
+        return got
+
     monkeypatch.setattr(proj, "classify_value", cross_checked)
+    monkeypatch.setattr(proj, "snap_type", snap_cross_checked)
     gens = flow_generators(P, 1 + window)
     for s in all_states(level):
         for g in gens:
@@ -198,6 +220,44 @@ def test_classify_value_matches_the_plain_fraction_classifier(window, witnesses,
         for c in level.classes():
             proj.fiber_star(s, c, level, LADDER)
     assert len(checked) == witnesses
+
+
+def formed_witness_snap(t, level, ladder):
+    """snap_type's former exact path: form the deepest-rung witness and
+    classify the value."""
+    return classify_value(proj._realize_type(t, level, ladder, len(ladder.rungs) - 1), level)
+
+
+# (ladder, stride): the formed doubled-gap witness has ~115 000 bits, and
+# stripping each costs the oracle ~20 ms, so that ladder takes every 31st
+# input (the full sweep, about 165 s, passes as well)
+@pytest.mark.parametrize(
+    "ladder, stride",
+    [(LADDER, 1), (ScaleLadder.build(gap=1, window_w=2, length=4), 1), (LADDER.doubled_gap(), 31)],
+    ids=["default", "gap-1", "doubled-gap"],
+)
+@pytest.mark.parametrize(
+    "level",
+    [ProjLevel(5, 2, 2), ProjLevel(5, 2, 3), ProjLevel(3, 3, 3), ProjLevel(7, 2, 2)],
+    ids=lambda lev: f"p{lev.prime}-n{lev.level_n}-w{lev.window_w}",
+)
+def test_snap_type_matches_classifying_the_formed_witness(level, ladder, stride):
+    # every nonalgebraic state and every generator image of one
+    gens = flow_generators(level.prime, 1 + level.window_w)
+    inputs = [t for s in nonalgebraic_states(level) for t in (s, *(act_proj(g, s) for g in gens))]
+    for t in inputs[::stride]:
+        assert snap_type(t, level, ladder) == formed_witness_snap(t, level, ladder), t
+
+
+def test_snap_type_strips_a_deviation_that_ties_with_the_scale():
+    # y0 - r = 4·5^12 ties with the class-1 scale 5^12 at the deepest
+    # rung, so (y0 - r) + scale = 5^13 is stripped and lands in class 5
+    ladder = ScaleLadder.build(gap=1, window_w=2, length=2)
+    t = ProjTruncType.near(pt(1 + 4 * P**12), cl(1))
+    scale = _witness_scale(cl(1), ladder.rungs[-1], toward_infinity=False)
+    assert fraction_valuation(t.point.x0 - 1, P) == scale.valuation() == 12
+    assert snap_type(t, L22, ladder) == ProjTruncType.near(pt(1), cl(5))
+    assert snap_type(t, L22, ladder) == formed_witness_snap(t, L22, ladder)
 
 
 # ---------------------------------------------------------------- action
@@ -281,6 +341,16 @@ def test_compact_star_constant_on_infinity_family():
     family = [ProjTruncType.realized(INF)]
     family += [ProjTruncType.near(INF, cl(rep)) for rep in (1, 2, 5, 10)]
     assert {compact_star(t, L22, LADDER) for t in family} == {omega}
+
+
+def test_compact_star_raises_when_the_witness_is_not_absorbed():
+    # the infinity-family witness at rung 2 sits at distance p^rung, so it
+    # is absorbed up to that level and no further
+    t = ProjTruncType.near(INF, cl(1))
+    rung = LADDER.magnitude(2)
+    assert compact_star(t, L22, LADDER, level_m=rung) == ProjTruncType.near(INF, cl(1))
+    with pytest.raises(ArithmeticError, match="not absorbed"):
+        compact_star(t, L22, LADDER, level_m=rung + 1)
 
 
 def test_compact_star_generic_composition_off_the_family():
