@@ -62,7 +62,12 @@ class BorelElem:
     def to_matrix(self, p: int) -> PadicMatrix2:
         return PadicMatrix2.of(self._rows(), p)
 
+    def matrix(self) -> PadicMatrix2:
+        """The pair as a matrix over its own `PadicRational` entries."""
+        return PadicMatrix2.padic(self._rows(), self.a.p)
 
+
+@lru_cache(maxsize=256)
 def witness(t: ResidueClass, ladder: ScaleLadder, rung_index: int = 0) -> BorelElem:
     """Concrete pair realizing t: diagonal part near 0 in t's class at the
     given rung, off-diagonal part at infinity in the same class one rung up.

@@ -1,7 +1,9 @@
 """Command-line front end: machine JSON on stdout, summaries on stderr.
 
-Exit codes: 0 success, 1 a checked property failed, 2 usage error,
-3 internal error (an unexpected exception, reported on stderr).
+Exit codes: 0 success, 1 a checked property failed, 2 usage error (a
+`UsageError`: flags the domain rejects, caught before any work), 3
+internal error (any other exception, a domain `ValueError` included,
+reported on stderr).
 
 Machine output is deterministic by construction — keys are sorted and
 nothing time- or host-dependent is ever written to stdout (wall times
@@ -21,11 +23,11 @@ import padyn
 from padyn import acceptance
 from padyn.borel import build_flow_group
 from padyn.config import GlobalConfig, is_prime
-from padyn.flows import GROUP_TAGS, minimal_subflows
+from padyn.flows import GROUP_TAGS, minimal_subflows, normalize_group_tag
 from padyn.padic import PadicMatrix2, parse_rational
 from padyn.proj import ProjLevel, collapse_check, minimality_proximality_report
 from padyn.residues import build_group
-from padyn.sl2 import ellis_group, iwasawa, minimal_flow
+from padyn.sl2 import ellis_group, flow_generators, iwasawa, minimal_flow
 from padyn.types1 import LADDER_LENGTH, ScaleLadder
 
 _CHECK_NAMES = tuple(name for name, _, _ in acceptance.CHECKS)
@@ -74,13 +76,28 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from(args: argparse.Namespace) -> GlobalConfig:
     if not is_prime(args.p):
         raise UsageError(f"--p {args.p} is not prime")
-    return GlobalConfig(
+    return _flag_check(
+        GlobalConfig,
         prime=args.p,
         residue_level_n=args.n,
         matrix_level_m=args.m,
         valuation_window_w=args.w,
         ladder_gap=args.gap,
     )
+
+
+def _flag_check(check, *args, **kwargs):
+    """Run a check on flag values; its ValueError is a usage error."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as err:
+        raise UsageError(str(err)) from None
+
+
+def _require_flow_generators(config: GlobalConfig) -> None:
+    # the SL(2) flows act through a generator of the units mod p^(m+w),
+    # which 2^k lacks for k >= 3: refuse before any work is done
+    _flag_check(flow_generators, config.prime, config.matrix_level_m + config.valuation_window_w)
 
 
 def _seed_from(args: argparse.Namespace) -> int:
@@ -103,6 +120,7 @@ def _cmd_residues(args, config):
 
 
 def _cmd_flows(args, config):
+    _flag_check(normalize_group_tag, args.group)
     report = minimal_subflows(args.group, config)
     sizes = sorted(len(family) for family in report.minimal_subflows)
     lines = [f"{report.group_tag}: {len(sizes)} minimal subflow(s), sizes {sizes}"]
@@ -148,6 +166,7 @@ def _cmd_iwasawa(args, config):
 
 
 def _cmd_minimal_flow(args, config):
+    _require_flow_generators(config)
     ladder = ScaleLadder.from_config(config, LADDER_LENGTH)
     report = minimal_flow(config.prime, config.residue_level_n, config.matrix_level_m, ladder)
     ok = report.strongly_connected and report.idempotent
@@ -181,6 +200,7 @@ def _cmd_proj(args, config):
             f"onto {report.collapsed_type}"
         ]
     else:
+        _require_flow_generators(config)
         report = minimality_proximality_report(
             level, level_m=config.matrix_level_m, ladder=ladder
         )
@@ -250,7 +270,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         config = GlobalConfig() if args.command == "verify" else _config_from(args)
         code, payload, lines = _HANDLERS[args.command](args, config)
-    except (UsageError, ValueError) as err:
+    except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:

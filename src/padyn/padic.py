@@ -402,12 +402,19 @@ class SingularMatrixError(ValueError):
 
 @dataclass(frozen=True)
 class PadicMatrix2:
-    """Exact 2x2 rational matrix with p-adic helper predicates."""
+    """Exact 2x2 rational matrix with p-adic helper predicates.
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+    The entries share one exact type: `Fraction`s from `of`, the stored
+    form, or `PadicRational`s for p from `padic`, which carry ladder
+    witnesses through products without a gcd on their huge numerators.
+    Products, inverses and the predicates work on either (`mat_mul` is
+    generic); a product of the two kinds has `PadicRational` entries.
+    """
+
+    a: Fraction | PadicRational
+    b: Fraction | PadicRational
+    c: Fraction | PadicRational
+    d: Fraction | PadicRational
     prime: int
 
     @classmethod
@@ -420,6 +427,11 @@ class PadicMatrix2:
             _coerce_fraction(d),
             p,
         )
+
+    @classmethod
+    def padic(cls, rows, p: int) -> "PadicMatrix2":
+        (a, b), (c, d) = rows
+        return cls(*(PadicRational.of(x, p) for x in (a, b, c, d)), p)
 
     @classmethod
     def identity(cls, p: int) -> "PadicMatrix2":

@@ -6,15 +6,20 @@ Four layers, all exact:
   upper-triangular one, pivoting on the first column.
 - `borel_past_integral` rewrites (triangular)·(integral) as
   (integral)·(triangular), the engine that lets triangular data flow
-  through compact factors.
-- `KLevelElem` is the finite group of det-1 matrices mod p^m, with exact
-  det-1 lifts back to rationals.
-- `GFlowPoint` pairs a K element (a `KLevelElem`) with a residue
-  class: a triangular truncated type is the power-residue class of its
-  diagonal, so the class is the type.  `star` multiplies two points by
-  realizing concrete witnesses on separated ladder blocks and
-  refactoring the product, and `minimal_flow` / `ellis_group` assemble
-  the finite flow graph and its identity-fiber group.
+  through compact factors.  It keeps its input's entry type, so a
+  witness matrix of `PadicRational`s stays p-normalised throughout.
+- K, the finite group of det-1 matrices mod p^m, is int-coded: an
+  element is its entry tuple, numbered by its index in `k_level_group`.
+  `KLevelElem` wraps one where `star` and `proj` need its exact det-1
+  lift back to rationals.
+- `GFlowPoint` pairs a K element with a residue class: a triangular
+  truncated type is the power-residue class of its diagonal, so the
+  class is the type.  `star` multiplies two points by realizing
+  concrete witnesses on separated ladder blocks and refactoring the
+  product on their `PadicRational` entries; `ellis_group` tabulates the
+  identity fiber under it.  `minimal_flow` builds the finite flow
+  K x J on ints: `skew_product` tabulates iwasawa(g·lift(k)) in closed
+  form for every (generator, K element), and `act` is table lookups.
 """
 
 from __future__ import annotations
@@ -22,12 +27,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from ._graph import strongly_connected_components
 from .borel import BorelElem, build_flow_group
 from .borel import witness as borel_witness
-from .padic import PadicMatrix2, _require, fraction_valuation
-from .residues import ResidueClass, build_group, class_of, induced_valuation_map
+from .padic import PadicMatrix2, PadicRational, _require, fraction_valuation, int_valuation, mat_mul
+from .residues import (
+    ResidueClass,
+    build_group,
+    class_of,
+    hensel_modulus,
+    induced_valuation_map,
+)
 from .types1 import DEFAULT_LADDER, ScaleLadder
 
 
@@ -75,11 +87,16 @@ def borel_past_integral(
     valuation grows with the spread between h's diagonal and
     off-diagonal scales, which is what keeps compact parts clean when h
     witnesses a truncated type.
+
+    The rewrite runs in h's entry type, t converted to it, so a
+    `PadicRational` witness never passes through a `Fraction`.
     """
     if not h.is_upper_triangular() or h.det() != 1:
         raise ValueError("left factor must be upper triangular with det 1")
     if not t.is_integral() or t.det() != 1:
         raise ValueError("right factor must be integral with det 1")
+    build = PadicMatrix2.padic if type(h.a) is PadicRational else PadicMatrix2.of
+    t = build(t.rows(), h.prime)
     a, c = h.a, h.b
     u1, u2, u3, u4 = t.entries()
     if u3 == 0:
@@ -88,14 +105,28 @@ def borel_past_integral(
         lead = a * u1 + c * u3
         if lead == 0:
             raise ValueError("degenerate product: leading entry vanished")
-        t2 = PadicMatrix2.of(((1, 0), (u3 / (a * lead), 1)), h.prime)
-        h2 = PadicMatrix2.of(((lead, a * u2 + c * u4), (0, 1 / lead)), h.prime)
+        t2 = build(((1, 0), (u3 / (a * lead), 1)), h.prime)
+        h2 = build(((lead, a * u2 + c * u4), (0, 1 / lead)), h.prime)
     if (t2 @ h2).rows() != (h @ t).rows():
         raise ArithmeticError("rewrite failed the exact product check")
     return t2, h2
 
 
 # --------------------------------------------------------- compact level
+
+
+def _lift_scaled(entries: tuple[int, int, int, int], p: int) -> tuple[int, tuple]:
+    """The exact det-1 lift of K element `entries` as (den, rows): the lift
+    is rows / den with integer rows and a p-free den > 0.  Three entries
+    stay as they are; the fourth is solved through a unit, which changes
+    it only by a multiple of p^m."""
+    a, b, c, d = entries
+    if a % p:
+        return a, ((a * a, a * b), (a * c, 1 + b * c))
+    if d % p:
+        return d, ((1 + b * c, b * d), (c * d, d * d))
+    # det = ad - bc = 1 mod p with a = d = 0 mod p forces c a unit
+    return c, ((a * c, a * d - 1), (c * c, c * d))
 
 
 @dataclass(frozen=True)
@@ -141,32 +172,18 @@ class KLevelElem:
     def __mul__(self, other: "KLevelElem") -> "KLevelElem":
         if (self.prime, self.level_m) != (other.prime, other.level_m):
             raise ValueError("mixed compact levels")
-        a, b, c, d = self.entries
-        e, f, g, h = other.entries
-        return KLevelElem.of(
-            (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h),
-            self.prime,
-            self.level_m,
-        )
+        entries = _k_mul(self.entries, other.entries, self.modulus)
+        return KLevelElem(self.prime, self.level_m, entries)
 
     def inverse(self) -> "KLevelElem":
         a, b, c, d = self.entries
         return KLevelElem.of((d, -b, -c, a), self.prime, self.level_m)
 
     def lift(self) -> PadicMatrix2:
-        """Exact det-1 integral lift: keep three entries as integers and
-        solve the fourth through a unit denominator, which changes it
-        only by a multiple of p^m."""
-        a, b, c, d = (Fraction(e) for e in self.entries)
+        """Exact det-1 integral lift (see `_lift_scaled`)."""
         p = self.prime
-        if a.numerator % p:
-            d = (1 + b * c) / a
-        elif d.numerator % p:
-            a = (1 + b * c) / d
-        else:
-            # det = ad - bc = 1 mod p with a = d = 0 mod p forces c a unit
-            b = (a * d - 1) / c
-        lifted = PadicMatrix2.of(((a, b), (c, d)), p)
+        den, rows = _lift_scaled(self.entries, p)
+        lifted = PadicMatrix2.of(tuple(tuple(Fraction(x, den) for x in row) for row in rows), p)
         _require(lifted.det() == 1, "lift: determinant is not one")
         _require(KLevelElem.reduce(lifted, self.level_m) == self, "lift: reduction differs")
         return lifted
@@ -176,28 +193,40 @@ class KLevelElem:
         return f"[[{a},{b}],[{c},{d}]] mod {self.modulus}"
 
 
-@lru_cache(maxsize=None)
-def k_level_group(p: int, level_m: int) -> tuple[KLevelElem, ...]:
-    """All det-1 matrices mod p^m, reached from the two unipotent
-    generators by breadth-first closure."""
-    gens = (
-        KLevelElem.of((1, 1, 0, 1), p, level_m),
-        KLevelElem.of((1, 0, 1, 1), p, level_m),
+def _k_mul(x: tuple, y: tuple, mod: int) -> tuple[int, int, int, int]:
+    a, b, c, d = x
+    e, f, g, h = y
+    return (
+        (a * e + b * g) % mod,
+        (a * f + b * h) % mod,
+        (c * e + d * g) % mod,
+        (c * f + d * h) % mod,
     )
-    seen = {KLevelElem.identity(p, level_m)}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for k in frontier:
-            for g in gens:
-                candidate = k * g
-                if candidate not in seen:
-                    seen.add(candidate)
-                    nxt.append(candidate)
-        frontier = nxt
+
+
+@lru_cache(maxsize=None)
+def k_level_group(p: int, level_m: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Entries (a, b, c, d) of every det-1 matrix mod p^m, in
+    lexicographic order; a K element's int code is its index here.
+
+    For each (a, b, c) the d with a·d = 1 + b·c are solved directly:
+    with g = gcd(a, p^m) they exist iff g divides 1 + b·c, and then form
+    one residue class mod p^m / g.
+    """
+    mod = p**level_m
+    out = []
+    for a in range(mod):
+        g = gcd(a, mod)
+        step = mod // g
+        inv = pow(a // g, -1, step)
+        for b in range(mod):
+            for c in range(mod):
+                rhs = (1 + b * c) % mod
+                if rhs % g == 0:
+                    out.extend((a, b, c, d) for d in range(rhs // g * inv % step, mod, step))
     expected = (p**3 - p) * p ** (3 * (level_m - 1))
-    _require(len(seen) == expected, "generators failed to span the level")
-    return tuple(sorted(seen, key=lambda k: k.entries))
+    _require(len(out) == expected, "K enumeration missed elements")
+    return tuple(out)
 
 
 # ------------------------------------------------------------ flow points
@@ -210,16 +239,9 @@ class GFlowPoint:
     k: KLevelElem
     j: ResidueClass
 
-    def __str__(self) -> str:
-        return f"({self.k}, {self.j})"
-
-
-def _as_pair(h: PadicMatrix2) -> BorelElem:
-    return BorelElem.of(h.a, h.b, h.prime)
-
 
 def _lower_perturbation(p: int, exponent: int) -> PadicMatrix2:
-    return PadicMatrix2.of(((1, 0), (Fraction(p) ** exponent, 1)), p)
+    return PadicMatrix2.padic(((1, 0), (PadicRational.of(1, p).shifted(exponent), 1)), p)
 
 
 def star(
@@ -231,7 +253,8 @@ def star(
     block, the right one on the block above everything derivable from
     it; the middle factors are refactored with `borel_past_integral` so
     the product splits back into a compact part (reduced mod p^m) and a
-    triangular part (classified at level n).
+    triangular part (classified at level n).  The witnesses stay
+    `PadicRational`s throughout; only `lift()` builds `Fraction`s.
 
     With `perturbed=True` the compact parts carry explicit deep
     identity perturbations the way generic realizations would; they must
@@ -243,36 +266,17 @@ def star(
     level_n = s.j.level_n
     if (p, level_m, level_n) != (t.k.prime, t.k.level_m, t.j.level_n):
         raise ValueError("mixed truncation levels")
-    h1 = borel_witness(s.j, ladder, 0).to_matrix(p)
+    h1 = borel_witness(s.j, ladder, 0).matrix()
     h2 = borel_witness(t.j, ladder, 2)
     mid, h1 = borel_past_integral(h1, t.k.lift())
-    k_out = s.k * KLevelElem.reduce(mid, level_m)
+    compact = KLevelElem.reduce(mid, level_m)
     if perturbed:
         tau1 = _lower_perturbation(p, level_m + ladder.window_w)
-        k_out = s.k * KLevelElem.reduce(tau1, level_m) * KLevelElem.reduce(mid, level_m)
         tau2 = _lower_perturbation(p, ladder.gap * (ladder.rungs[1] + ladder.window_w))
         deep, h1 = borel_past_integral(h1, tau2)
-        k_out = k_out * KLevelElem.reduce(deep, level_m)
-    product = _as_pair(h1).mul(h2)
-    return GFlowPoint(k_out, class_of(product.a, level_n, p))
-
-
-@lru_cache(maxsize=None)
-def _compact_step(
-    g: PadicMatrix2, k: KLevelElem, level_n: int
-) -> tuple[KLevelElem, ResidueClass]:
-    """The base cocycle of `act`: factor g·lift(k), reduce the integral
-    part, and classify the triangular remainder's diagonal.  Neither
-    depends on the type, so each (g, k) is factored once."""
-    t, h = iwasawa(g @ k.lift())
-    return KLevelElem.reduce(t, k.level_m), class_of(h.a, level_n, g.prime)
-
-
-def act(g: PadicMatrix2, state: GFlowPoint) -> GFlowPoint:
-    """Left translation: the compact part moves by the base cocycle and
-    its twist σ(g, k) multiplies into the type's class."""
-    k_out, twist = _compact_step(g, state.k, state.j.level_n)
-    return GFlowPoint(k_out, twist * state.j)
+        compact = KLevelElem.reduce(tau1, level_m) * compact * KLevelElem.reduce(deep, level_m)
+    product = BorelElem(h1.a, h1.b).mul(h2)
+    return GFlowPoint(s.k * compact, class_of(product.a, level_n, p))
 
 
 # ------------------------------------------------------------- the flow
@@ -323,6 +327,108 @@ def identification_moves(p: int, level_n: int, unit_level: int) -> tuple:
             (b.to_matrix(p), class_of(b.a, level_n, p).inverse())
         )
     return tuple(moves)
+
+
+def _scaled(g: PadicMatrix2) -> tuple[int, int, tuple]:
+    """g as (e, den, rows): g = p^e · rows / den with integer rows and a
+    p-free den > 0, read off the entries' numerators and denominators."""
+    den = lcm(*(x.denominator for x in g.entries()))
+    rows = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in g.rows())
+    e, den = int_valuation(den, g.prime)
+    return -e, den, rows
+
+
+@dataclass(frozen=True)
+class SkewProduct:
+    """The finite flow K x J on ints: state k·width + j is the pair
+    (`k_level_group(p, m)[k]`, `build_group(p, n).elements[j]`).
+
+    cocycle[g][k] = (k_out, twist) is the base cocycle of flow generator
+    g at K element k, slides[i][k] the same pair for identification move
+    i, and products[r][s] the index of class r times class s.
+    """
+
+    width: int
+    products: tuple
+    cocycle: tuple
+    slides: tuple
+
+
+def skew_product(p: int, level_n: int, level_m: int, unit_level: int) -> SkewProduct:
+    """Tabulate the flow on ints, the base cocycle in closed form.
+
+    The cocycle reads iwasawa(g·lift(k)) = (t, h) as (t mod p^m,
+    class(h.a)).  Write G = g·lift(k) = p^e·Q/D with Q an integer matrix
+    and D p-free.  Upper-triangular G gives (I, class(G.a)); integral G
+    gives (G mod p^m, trivial).  Otherwise, with w = min(v(Q.a), v(Q.c)),
+    t is G's first column scaled by p^-(e+w), (A, C)/D, completed on the
+    more unit-like of A and C exactly as `iwasawa` does (ties keep the
+    diagonal shape), and h.a = p^(e+w).
+    """
+    mod = p**level_m
+    ks = k_level_group(p, level_m)
+    k_index = {k: i for i, k in enumerate(ks)}
+    group = build_group(p, level_n)
+    reps = [c.representative for c in group.elements]
+    j_index = {r: i for i, r in enumerate(reps)}
+    products = tuple(tuple(j_index[group.table[(r, s)]] for s in reps) for r in reps)
+    hensel = hensel_modulus(p, level_n)
+    # the class of unit·p^v, keyed by (v mod n, unit mod the Hensel modulus)
+    twist = {
+        (v, u): j_index[class_of(u * p**v, level_n, p).representative]
+        for v in range(level_n)
+        for u in range(1, hensel)
+        if u % p
+    }
+    trivial, identity = j_index[1], k_index[(1, 0, 0, 1)]
+
+    def index(entries) -> int:
+        out = k_index.get(tuple(x % mod for x in entries))
+        _require(out is not None, "skew product: a compact part is not in K")
+        return out
+
+    cocycle = []
+    for g in flow_generators(p, unit_level):
+        e, g_den, g_rows = _scaled(g)
+        shift = p ** abs(e)
+        row = []
+        for k in ks:
+            den, lift_rows = _lift_scaled(k, p)
+            (qa, qb), (qc, qd) = mat_mul(g_rows, lift_rows)
+            den *= g_den
+            if qc == 0:  # upper triangular: t = I
+                v, unit = int_valuation(qa, p)
+                unit = unit * pow(den, -1, hensel) % hensel
+                row.append((identity, twist[(e + v) % level_n, unit]))
+                continue
+            inv = pow(den, -1, mod)
+            q = (qa, qb, qc, qd)
+            if e >= 0 or not any(x % shift for x in q):  # integral: h = I
+                row.append((index((x * shift if e >= 0 else x // shift) * inv for x in q), trivial))
+                continue
+            vc, c_unit = int_valuation(qc, p)
+            va, a_unit = int_valuation(qa, p) if qa else (vc + 1, 0)
+            if va <= vc:
+                w = va
+                t = (a_unit * inv, 0, qc // p**w * inv, den * pow(a_unit, -1, mod))
+            else:
+                w = vc
+                t = (qa // p**w * inv, -den * pow(c_unit, -1, mod), c_unit * inv, 0)
+            row.append((index(t), twist[(e + w) % level_n, 1]))
+        cocycle.append(tuple(row))
+    slides = []
+    for bmat, mult in identification_moves(p, level_n, unit_level):
+        kb = KLevelElem.reduce(bmat, level_m).entries
+        slides.append(tuple((index(_k_mul(k, kb, mod)), j_index[mult.representative]) for k in ks))
+    return SkewProduct(len(reps), products, tuple(cocycle), tuple(slides))
+
+
+def act(flow: SkewProduct, g: int, state: int) -> int:
+    """Left translation by the flow's generator g: the compact part moves
+    by the base cocycle and its twist σ(g, k) multiplies into the class."""
+    k, j = divmod(state, flow.width)
+    k_out, twist = flow.cocycle[g][k]
+    return k_out * flow.width + flow.products[twist][j]
 
 
 @dataclass(frozen=True)
@@ -394,14 +500,12 @@ def ellis_group(
     for big in levels:
         for small in levels:
             if small < big and big % small == 0:
+                down = {
+                    c.representative: class_of(c.representative, small, p).representative
+                    for c in build_group(p, big).elements
+                }
                 ok = all(
-                    class_of(value, small, p).representative
-                    == tables[small][
-                        (
-                            class_of(r1, small, p).representative,
-                            class_of(r2, small, p).representative,
-                        )
-                    ]
+                    down[value] == tables[small][(down[r1], down[r2])]
                     for (r1, r2), value in tables[big].items()
                 )
                 tower.append((big, small, ok))
@@ -447,25 +551,15 @@ def minimal_flow(
     check strong connectivity under the generator action plus the
     coordinate-sliding identifications, and check the basepoint is
     idempotent under both product paths."""
-    unit_level = level_m + ladder.window_w
-    ks = k_level_group(p, level_m)
-    classes = build_group(p, level_n).elements
-    # state (k, c) is the int k_index * |J| + j_index, in ks x classes order
-    k_index = {k.entries: i for i, k in enumerate(ks)}
-    j_index = {c.representative: i for i, c in enumerate(classes)}
-    width = len(classes)
-    gens = flow_generators(p, unit_level)
-    moves = identification_moves(p, level_n, unit_level)
-    slides = [(KLevelElem.reduce(bmat, level_m), mult) for bmat, mult in moves]
+    flow = skew_product(p, level_n, level_m, level_m + ladder.window_w)
+    width, products, gens = flow.width, flow.products, range(len(flow.cocycle))
     successors: list[list[int]] = []
-    for k in ks:
-        slid = [(k_index[(k * kb).entries] * width, mult) for kb, mult in slides]
-        for c in classes:
-            state = GFlowPoint(k, c)
-            outs = [act(g, state) for g in gens]
+    for k, slid in enumerate(zip(*flow.slides)):
+        for j in range(width):
+            state = k * width + j
             successors.append(
-                [k_index[o.k.entries] * width + j_index[o.j.representative] for o in outs]
-                + [row + j_index[(mult * c).representative] for row, mult in slid]
+                [act(flow, g, state) for g in gens]
+                + [k_out * width + products[twist][j] for k_out, twist in slid]
             )
     components = strongly_connected_components(range(len(successors)), successors.__getitem__)
     base = GFlowPoint(KLevelElem.identity(p, level_m), class_of(1, level_n, p))

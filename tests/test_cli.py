@@ -54,11 +54,13 @@ def test_a_crash_is_an_internal_error_not_a_failed_property(capsys, monkeypatch)
     def reject(args, config):
         raise ValueError("bad level")
 
+    # a domain ValueError deep in the stack is a crash too: only a
+    # UsageError is the caller's fault
     monkeypatch.setitem(cli._HANDLERS, "residues", reject)
     code, out, err = run_cli(capsys, "residues")
-    assert code == 2
+    assert code == 3
     assert out == ""
-    assert "error: bad level" in err
+    assert "internal error: ValueError: bad level" in err
 
 
 def test_unknown_subcommand_is_a_usage_error(capsys):
@@ -69,6 +71,14 @@ def test_unknown_group_tag_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, "flows", "--group", "nope")
     assert code == 2
     assert "unknown group tag" in err
+
+
+@pytest.mark.parametrize("command", [["minimal-flow"], ["proj", "minimal"]])
+def test_p_two_sl2_flow_is_a_usage_error(capsys, command):
+    code, out, err = run_cli(capsys, *command, "--p", "2")
+    assert code == 2
+    assert out == ""
+    assert "error: no unit generator mod 2^3" in err
 
 
 def test_identical_invocations_are_byte_identical(capsys):

@@ -488,7 +488,7 @@ def test_projection_commutes_with_star_products():
     # the star product on tested samples: star first, project after,
     # equals project first, star after
     rng = random.Random(4417)
-    compact = k_level_group(P, 1)
+    compact = [KLevelElem(P, 1, k) for k in k_level_group(P, 1)]
     classes = build_group(P, 2).elements
     for _ in range(40):
         p1 = GFlowPoint(rng.choice(compact), rng.choice(classes))

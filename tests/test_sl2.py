@@ -1,14 +1,15 @@
 """Det-1 factoring, compact level groups, and the paired flow product."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from padyn import sl2
 from padyn._graph import strongly_connected_components
-from padyn.borel import build_flow_group, witness
-from padyn.padic import PadicMatrix2, fraction_valuation
+from padyn.borel import BorelElem, build_flow_group, witness
+from padyn.padic import PadicMatrix2, PadicRational, fraction_valuation
 from padyn.residues import build_group, class_of
 from padyn.sl2 import GFlowPoint
 from padyn.types1 import DEFAULT_LADDER, ScaleLadder
@@ -30,6 +31,11 @@ def btype(rep, n=N, p=P):
 def unit_fraction(rng, p=P):
     picks = [k for k in range(1, 40) if k % p]
     return Fraction(rng.choice(picks), rng.choice(picks))
+
+
+def k_group(p, m):
+    """K at level m as KLevelElems, in k_level_group order."""
+    return [sl2.KLevelElem(p, m, k) for k in sl2.k_level_group(p, m)]
 
 
 def random_det_one(rng, p=P):
@@ -198,8 +204,22 @@ def test_level_group_orders_frozen():
     assert len(sl2.k_level_group(5, 2)) == 15000
 
 
+@pytest.mark.parametrize("p, m", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2)])
+def test_level_group_is_every_det_one_matrix_in_order(p, m):
+    mod = p**m
+    brute = [
+        (a, b, c, d)
+        for a in range(mod)
+        for b in range(mod)
+        for c in range(mod)
+        for d in range(mod)
+        if (a * d - b * c) % mod == 1
+    ]
+    assert list(sl2.k_level_group(p, m)) == brute
+
+
 def test_level_one_lifts_roundtrip():
-    for k in sl2.k_level_group(5, 1):
+    for k in k_group(5, 1):
         lifted = k.lift()
         assert lifted.is_integral()
         assert lifted.det() == 1
@@ -213,7 +233,7 @@ def test_lift_pinned_antidiagonal():
 
 def test_level_product_matches_matrix_product():
     rng = random.Random(41)
-    group = sl2.k_level_group(5, 1)
+    group = k_group(5, 1)
     for _ in range(80):
         k1, k2 = rng.choice(group), rng.choice(group)
         assert sl2.KLevelElem.reduce(k1.lift() @ k2.lift(), 1) == k1 * k2
@@ -306,7 +326,7 @@ def test_star_agrees_with_shortcut_exhaustively():
     ident = sl2.KLevelElem.identity(P, M)
     types = [btype(r) for r in (1, 2, 5, 10)]
     for j1 in types:
-        for k2 in sl2.k_level_group(P, M):
+        for k2 in k_group(P, M):
             for j2 in types:
                 s = sl2.GFlowPoint(ident, j1)
                 t = sl2.GFlowPoint(k2, j2)
@@ -317,7 +337,7 @@ def test_star_agrees_with_shortcut_random_left_compact():
     # the left compact part only multiplies from the outside, so random
     # k1 discharges the remaining quantifier of the exhaustive check
     rng = random.Random(53)
-    group = sl2.k_level_group(P, M)
+    group = k_group(P, M)
     types = [btype(r) for r in (1, 2, 5, 10)]
     for _ in range(300):
         s = sl2.GFlowPoint(rng.choice(group), rng.choice(types))
@@ -327,7 +347,7 @@ def test_star_agrees_with_shortcut_random_left_compact():
 
 def test_star_agrees_with_shortcut_at_deeper_truncation():
     rng = random.Random(59)
-    group = sl2.k_level_group(5, 2)
+    group = k_group(5, 2)
     types = build_group(5, 4).elements
     for _ in range(30):
         s = sl2.GFlowPoint(rng.choice(group), rng.choice(types))
@@ -337,12 +357,74 @@ def test_star_agrees_with_shortcut_at_deeper_truncation():
 
 def test_star_perturbed_path_matches_plain():
     rng = random.Random(61)
-    group = sl2.k_level_group(P, M)
+    group = k_group(P, M)
     types = [btype(r) for r in (1, 2, 5, 10)]
     for _ in range(12):
         s = sl2.GFlowPoint(rng.choice(group), rng.choice(types))
         t = sl2.GFlowPoint(rng.choice(group), rng.choice(types))
         assert sl2.star(s, t, LADDER, perturbed=True) == sl2.star(s, t, LADDER)
+
+
+def fraction_lower_perturbation(p, exponent):
+    return mat(((1, 0), (Fraction(p) ** exponent, 1)), p)
+
+
+def fraction_star(s, t, ladder, *, perturbed=False):
+    """`star` on Fraction matrices: the left witness through to_matrix(),
+    Fraction products in the rewrite, and a BorelElem.of re-strip of the
+    triangular result."""
+    p = s.k.prime
+    level_m = s.k.level_m
+    level_n = s.j.level_n
+    h1 = witness(s.j, ladder, 0).to_matrix(p)
+    h2 = witness(t.j, ladder, 2)
+    mid, h1 = sl2.borel_past_integral(h1, t.k.lift())
+    k_out = s.k * sl2.KLevelElem.reduce(mid, level_m)
+    if perturbed:
+        tau1 = fraction_lower_perturbation(p, level_m + ladder.window_w)
+        k_out = s.k * sl2.KLevelElem.reduce(tau1, level_m) * sl2.KLevelElem.reduce(mid, level_m)
+        tau2 = fraction_lower_perturbation(p, ladder.gap * (ladder.rungs[1] + ladder.window_w))
+        deep, h1 = sl2.borel_past_integral(h1, tau2)
+        k_out = k_out * sl2.KLevelElem.reduce(deep, level_m)
+    product = BorelElem.of(h1.a, h1.b, p).mul(h2)
+    return sl2.GFlowPoint(k_out, class_of(product.a, level_n, p))
+
+
+def test_rewrite_keeps_padic_witness_entries():
+    for block in (0, 1, 2):
+        h = witness(btype(2), LADDER, block)
+        for k in k_group(P, M):
+            t2, h2 = sl2.borel_past_integral(h.matrix(), k.lift())
+            assert all(type(x) is PadicRational for x in t2.entries() + h2.entries())
+            assert (t2, h2) == sl2.borel_past_integral(h.to_matrix(P), k.lift())
+
+
+@pytest.mark.parametrize("p, n", [(5, 1), (5, 2), (5, 3), (5, 4), (7, 6)])
+def test_star_matches_the_fraction_oracle_on_every_ellis_product(p, n, monkeypatch):
+    checked = []
+    padic_star = sl2.star
+
+    def both(s, t, ladder, **kwargs):
+        out = padic_star(s, t, ladder, **kwargs)
+        assert out == fraction_star(s, t, ladder, **kwargs)
+        checked.append((s, t))
+        return out
+
+    monkeypatch.setattr(sl2, "star", both)
+    report = sl2.ellis_group(p, n, 1)
+    assert len(checked) == sum(build_group(p, lev).order ** 2 for lev in report.levels)
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_star_matches_the_fraction_oracle_on_random_pairs(perturbed):
+    rng = random.Random(71)
+    group = k_group(P, M)
+    classes = build_group(P, N).elements
+    for _ in range(60):
+        s = sl2.GFlowPoint(rng.choice(group), rng.choice(classes))
+        t = sl2.GFlowPoint(rng.choice(group), rng.choice(classes))
+        out = sl2.star(s, t, LADDER, perturbed=perturbed)
+        assert out == fraction_star(s, t, LADDER, perturbed=perturbed)
 
 
 # -------------------------------------------------------------- the flow
@@ -360,18 +442,27 @@ def test_flow_generators_have_det_one():
     assert all(g.det() == 1 for g in gens)
 
 
+def ident_state(flow, p=P, m=M):
+    # class index 0 is the class of 1, the smallest representative
+    return sl2.k_level_group(p, m).index((1, 0, 0, 1)) * flow.width
+
+
 def test_act_translates_the_compact_part():
-    state = ident_point()
-    moved = sl2.act(mat(((1, 0), (1, 1))), state)
-    assert moved.k == sl2.KLevelElem.of((1, 0, 1, 1), P, M)
-    assert moved.j == btype(1)
+    flow = sl2.skew_product(P, N, M, M + DEFAULT_LADDER.window_w)
+    lower = 1
+    assert sl2.flow_generators(P, M + DEFAULT_LADDER.window_w)[lower] == mat(((1, 0), (1, 1)))
+    moved = sl2.act(flow, lower, ident_state(flow))
+    assert divmod(moved, flow.width) == (sl2.k_level_group(P, M).index((1, 0, 1, 1)), 0)
 
 
 def test_act_dilation_twists_the_class():
-    dil = mat(((5, 0), (0, Fraction(1, 5))))
-    moved = sl2.act(dil, ident_point())
-    assert moved.k == sl2.KLevelElem.identity(P, M)
-    assert moved.j == btype(5)
+    flow = sl2.skew_product(P, N, M, M + DEFAULT_LADDER.window_w)
+    dilation = 3
+    gens = sl2.flow_generators(P, M + DEFAULT_LADDER.window_w)
+    assert gens[dilation] == mat(((5, 0), (0, Fraction(1, 5))))
+    moved = sl2.act(flow, dilation, ident_state(flow))
+    reps = [c.representative for c in build_group(P, N).elements]
+    assert divmod(moved, flow.width) == (sl2.k_level_group(P, M).index((1, 0, 0, 1)), reps.index(5))
 
 
 def reference_act(g, state):
@@ -384,20 +475,50 @@ def reference_act(g, state):
     )
 
 
-@pytest.mark.parametrize("p, n, m", [(3, 2, 1), (5, 2, 1), (7, 2, 1)])
+# iwasawa(g·lift(k)) over every (generator, K element): G upper triangular,
+# G integral, or split through the first column
+COCYCLE_BRANCHES = {
+    (3, 2, 1): {"triangular": 20, "integral": 82, "split": 18},
+    (5, 2, 1): {"triangular": 64, "integral": 436, "split": 100},
+    (7, 2, 1): {"triangular": 132, "integral": 1_254, "split": 294},
+    (5, 2, 2): {"triangular": 1_600, "integral": 58_900, "split": 14_500},
+}
+
+
+def test_every_cocycle_branch_occurs():
+    for branch in ("triangular", "integral", "split"):
+        assert any(counts[branch] for counts in COCYCLE_BRANCHES.values())
+
+
+@pytest.mark.parametrize("p, n, m", list(COCYCLE_BRANCHES))
 def test_tabulated_flow_matches_the_per_state_path(p, n, m, monkeypatch):
     unit_level = m + DEFAULT_LADDER.window_w
     gens = sl2.flow_generators(p, unit_level)
+    ks = k_group(p, m)
+    classes = build_group(p, n).elements
+    # the int cocycle against the Fraction path on every (g, k), no sampling
+    branches = Counter()
+    for g, row in zip(gens, sl2.skew_product(p, n, m, unit_level).cocycle):
+        assert len(row) == len(ks)
+        for k, (k_out, twist) in zip(ks, row):
+            big = g @ k.lift()
+            t, h = sl2.iwasawa(big)
+            assert ks[k_out] == sl2.KLevelElem.reduce(t, m)
+            assert classes[twist] == class_of(h.a, n, p)
+            if big.is_upper_triangular():
+                branches["triangular"] += 1
+            elif big.is_integral():
+                branches["integral"] += 1
+            else:
+                branches["split"] += 1
+    assert branches == COCYCLE_BRANCHES[(p, n, m)]
+    if m > 1:
+        return  # the per-state graph below is compared at the m = 1 levels
     moves = sl2.identification_moves(p, n, unit_level)
-    states = [
-        sl2.GFlowPoint(k, c)
-        for k in sl2.k_level_group(p, m)
-        for c in build_group(p, n).elements
-    ]
+    states = [sl2.GFlowPoint(k, c) for k in ks for c in classes]
     plain, closed = {}, {}
     for state in states:
         outs = [reference_act(g, state) for g in gens]
-        assert [sl2.act(g, state) for g in gens] == outs
         plain[state] = outs
         closed[state] = outs + [
             sl2.GFlowPoint(
@@ -437,13 +558,9 @@ def test_minimal_flow_connected_even_without_identifications():
     # the dilation edges already twist classes by cl(5)*cl(unit), which
     # spans the level together with the compact Cayley edges; the
     # identification moves are definitional, not load-bearing here
-    gens = sl2.flow_generators(P, M + DEFAULT_LADDER.window_w)
-    states = [
-        sl2.GFlowPoint(k, c)
-        for k in sl2.k_level_group(P, M)
-        for c in build_group(P, N).elements
-    ]
-    edges = {state: [sl2.act(g, state) for g in gens] for state in states}
+    flow = sl2.skew_product(P, N, M, M + DEFAULT_LADDER.window_w)
+    states = range(len(sl2.k_level_group(P, M)) * flow.width)
+    edges = {s: [sl2.act(flow, g, s) for g in range(len(flow.cocycle))] for s in states}
     assert len(strongly_connected_components(states, edges.__getitem__)) == 1
 
 
