@@ -262,7 +262,7 @@ def check_iwasawa_and_rewrite(seed: int = DEFAULT_SEED) -> dict:
     min_corner_valuation = None
     compact = k_level_group(p, 1)
     for block in (0, 1, 2):
-        h = borel_witness(ident, DEFAULT_LADDER, block).to_matrix(p)
+        h = borel_witness(ident, DEFAULT_LADDER, block)
         a, c = h.a, h.b
         for k in compact:
             tmat = KLevelElem(p, 1, k).lift()
@@ -279,8 +279,8 @@ def check_iwasawa_and_rewrite(seed: int = DEFAULT_SEED) -> dict:
                 continue
             formula_cases += 1
             lead = a * u1 + c * u3
-            want_t2 = PadicMatrix2.of(((1, 0), (u3 / (a * lead), 1)), p)
-            want_h2 = PadicMatrix2.of(((lead, a * u2 + c * u4), (0, 1 / lead)), p)
+            want_t2 = PadicMatrix2.padic(((1, 0), (u3 / (a * lead), 1)), p)
+            want_h2 = PadicMatrix2.padic(((lead, a * u2 + c * u4), (0, 1 / lead)), p)
             if t2.rows() != want_t2.rows() or h2.rows() != want_h2.rows():
                 formula_failures += 1
                 continue

@@ -1,76 +1,37 @@
-"""Invertible upper-triangular pairs and their truncated-type flow group.
+"""The triangular group B and its truncated-type flow group.
 
-An element is a pair (a, c) with a != 0, multiplying like the matrix
-[[a, c], [0, 1/a]].  At residue level n the truncated type of such a pair
-is determined by the power-residue class of `a` alone: the additive
-coordinate ranges over a connected group and carries no level-n data.
-A triangular type is therefore its class, a `ResidueClass`, and
-`sl2.GFlowPoint` pairs a K element with one.
+An element of B is a det-1 upper-triangular matrix [[a, c], [0, 1/a]]
+with a != 0, a `PadicMatrix2` whose products are its `@`.  At residue
+level n the truncated type of such an element is determined by the
+power-residue class of `a` alone: the additive coordinate ranges over a
+connected group and carries no level-n data.  A triangular type is
+therefore its class, a `ResidueClass`, and `sl2.GFlowPoint` pairs a K
+element with one.
 
-The distinguished family of types is witnessed by pairs whose diagonal
-part sits near 0 and whose off-diagonal part sits near infinity, the
-infinite coordinate realized on a strictly higher ladder rung so that it
-dominates every scale derivable from the diagonal one.  The `star`
-product realizes the left factor low on the ladder and the right factor
-on rungs separated from everything the left factor can reach, multiplies
-the concrete pairs, and classifies the result.
+The distinguished family of types is witnessed by elements whose
+diagonal entry sits near 0 and whose off-diagonal entry sits near
+infinity, the infinite coordinate realized on a strictly higher ladder
+rung so that it dominates every scale derivable from the diagonal one.
+The `star` product realizes the left factor low on the ladder and the
+right factor on rungs separated from everything the left factor can
+reach, multiplies the concrete witness matrices, and classifies the
+result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .padic import PadicMatrix2, PadicRational, RationalLike, _require, mat_mul
+from .padic import PadicMatrix2, _require
 from .residues import ResidueClass, build_group, class_of
 from .types1 import DEFAULT_LADDER, ScaleLadder, TruncType1, realize
 
 
-@dataclass(frozen=True)
-class BorelElem:
-    """Pair (a, c), a != 0, with the upper-triangular product law.
-
-    Both coordinates are PadicRationals for one prime: ladder witnesses
-    carry exponents in the tens of thousands, and the pair law and the
-    diagonal class only ever need their valuations and unit residues.
-    """
-
-    a: PadicRational
-    c: PadicRational
-
-    def __post_init__(self) -> None:
-        if not self.a:
-            raise ValueError("diagonal part must be invertible")
-
-    @classmethod
-    def of(cls, a: RationalLike, c: RationalLike, p: int) -> "BorelElem":
-        return cls(PadicRational.of(a, p), PadicRational.of(c, p))
-
-    def _rows(self) -> tuple:
-        return ((self.a, self.c), (PadicRational.of(0, self.a.p), self.a.inverse()))
-
-    def mul(self, other: "BorelElem") -> "BorelElem":
-        pair = BorelElem(self.a * other.a, self.a * other.c + self.c / other.a)
-        # self-test: the closed pair law must match generic 2x2 multiplication
-        if pair._rows() != mat_mul(self._rows(), other._rows()):
-            raise ArithmeticError("pair law diverged from the matrix law")
-        return pair
-
-    def inverse(self) -> "BorelElem":
-        return BorelElem(self.a.inverse(), -self.c)
-
-    def to_matrix(self, p: int) -> PadicMatrix2:
-        return PadicMatrix2.of(self._rows(), p)
-
-    def matrix(self) -> PadicMatrix2:
-        """The pair as a matrix over its own `PadicRational` entries."""
-        return PadicMatrix2.padic(self._rows(), self.a.p)
-
-
 @lru_cache(maxsize=256)
-def witness(t: ResidueClass, ladder: ScaleLadder, rung_index: int = 0) -> BorelElem:
-    """Concrete pair realizing t: diagonal part near 0 in t's class at the
-    given rung, off-diagonal part at infinity in the same class one rung up.
+def witness(t: ResidueClass, ladder: ScaleLadder, rung_index: int = 0) -> PadicMatrix2:
+    """Concrete element [[alpha, beta], [0, 1/alpha]] realizing t: the
+    diagonal alpha near 0 in t's class at the given rung, the off-diagonal
+    beta at infinity in the same class one rung up.
 
     The off-diagonal coordinate takes the higher rung: downstream
     factorizations divide scales derived from the diagonal part by it and
@@ -80,7 +41,7 @@ def witness(t: ResidueClass, ladder: ScaleLadder, rung_index: int = 0) -> BorelE
         raise ValueError("ladder exhausted: a witness needs two free rungs")
     alpha = realize(TruncType1.near(0, t), rung_index, ladder)
     beta = realize(TruncType1.at_infinity(t), rung_index + 1, ladder)
-    return BorelElem(alpha, beta)
+    return PadicMatrix2.padic(((alpha, beta), (0, alpha.inverse())), t.prime)
 
 
 def star(s: ResidueClass, t: ResidueClass, ladder: ScaleLadder) -> ResidueClass:
@@ -88,9 +49,8 @@ def star(s: ResidueClass, t: ResidueClass, ladder: ScaleLadder) -> ResidueClass:
     above everything derivable from the left factor's block."""
     if (s.prime, s.level_n) != (t.prime, t.level_n):
         raise ValueError("mixed residue levels")
-    left = witness(s, ladder, 0)
-    right = witness(t, ladder, 2)
-    return class_of(left.mul(right).a, s.level_n, s.prime)
+    product = witness(s, ladder, 0) @ witness(t, ladder, 2)
+    return class_of(product.a, s.level_n, s.prime)
 
 
 class FlowGroup:

@@ -39,7 +39,9 @@ class GlobalConfig:
         matrix_level_m: matrices are tracked modulo p^m.
         valuation_window_w: classification window; differences with
             valuation beyond the window count as infinitesimal.
-        ladder_gap: multiplicative separation factor between ladder rungs.
+        ladder_gap: multiplicative separation factor between ladder rungs;
+            at least 2, since at gap 1 the witness blocks overlap and the
+            projective and SL(2) flow checks give wrong answers.
     """
 
     prime: int = 5
@@ -59,5 +61,5 @@ class GlobalConfig:
             raise ValueError("matrix_level_m must be >= 1")
         if self.valuation_window_w < 1:
             raise ValueError("valuation_window_w must be >= 1")
-        if self.ladder_gap < 1:
-            raise ValueError("ladder_gap must be >= 1")
+        if self.ladder_gap < 2:
+            raise ValueError("ladder_gap must be >= 2")

@@ -9,8 +9,8 @@ every unit and class read goes through the result: the valuation is
 residue of a p-integral value is that times p**e.  Ladder witnesses,
 whose exponents run to tens of thousands, are built and classified in
 this form and never pay for a gcd on numbers of that many digits.
-Stored values (matrix entries, type bases, projective points) are
-`fractions.Fraction`s; `_coerce_fraction` turns a `PadicRational` into
+Stored values (`PadicMatrix2.of` entries, type bases, projective
+points) are `fractions.Fraction`s; `_coerce_fraction` turns a `PadicRational` into
 the equal `Fraction` with one multiply by p**|e|.  `fraction_valuation`
 reads a `Fraction`'s valuation alone without building a `PadicRational`.
 
@@ -405,10 +405,13 @@ class PadicMatrix2:
     """Exact 2x2 rational matrix with p-adic helper predicates.
 
     The entries share one exact type: `Fraction`s from `of`, the stored
-    form, or `PadicRational`s for p from `padic`, which carry ladder
-    witnesses through products without a gcd on their huge numerators.
-    Products, inverses and the predicates work on either (`mat_mul` is
-    generic); a product of the two kinds has `PadicRational` entries.
+    form, or `PadicRational`s for p from `padic`.  Ladder witnesses are
+    `padic` matrices (`borel.witness` gives an element of the triangular
+    group B as one), and so is everything `sl2.borel_past_integral`
+    returns; they go through products without a gcd on their huge
+    numerators.  `@` (the generic `mat_mul`) is the one 2x2 product;
+    it, inverses and the predicates work on either kind, and a product
+    of the two kinds has `PadicRational` entries.
     """
 
     a: Fraction | PadicRational

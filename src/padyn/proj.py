@@ -233,12 +233,28 @@ def act_proj(g: PadicMatrix2, t: ProjTruncType) -> ProjTruncType:
 # that and the ladder, not on the input type, so each is built once
 @lru_cache(maxsize=256)
 def _flow_point_witness(source: GFlowPoint, ladder: ScaleLadder) -> PadicMatrix2:
-    return source.k.lift() @ borel_witness(source.j, ladder, 0).to_matrix(source.k.prime)
+    return source.k.lift() @ borel_witness(source.j, ladder, 0)
 
 
 @lru_cache(maxsize=256)
-def _fiber_corner(klass: ResidueClass, ladder: ScaleLadder) -> PadicRational:
-    return realize(TruncType1.near(0, klass), 0, ladder)
+def _fiber_witness(klass: ResidueClass, ladder: ScaleLadder) -> PadicMatrix2:
+    corner = realize(TruncType1.near(0, klass), 0, ladder)
+    return PadicMatrix2.padic(((1, 0), (corner, 1)), klass.prime)
+
+
+def _apply_witness(
+    left: PadicMatrix2, t: ProjTruncType, level: ProjLevel, ladder: ScaleLadder
+) -> ProjTruncType:
+    """Classify left·x, the input x realized on the block above everything
+    the first-block witness `left` spans (a realized point is itself)."""
+    if t.is_realized and t.point.is_infinity:
+        x0, x1 = left.a, left.c
+    else:
+        x = t.point.x0 if t.is_realized else _realize_type(t, level, ladder, 2)
+        x0, x1 = left.a * x + left.b, left.c * x + left.d
+    if not x1:
+        return ProjTruncType.realized(ProjPoint.infinity())
+    return classify_value(x0 / x1, level)
 
 
 def flow_star(
@@ -249,15 +265,7 @@ def flow_star(
     block, the input on the block above everything the witness spans."""
     if source.k.prime != level.prime or source.j.level_n != level.level_n:
         raise ValueError("mixed truncation levels")
-    left = _flow_point_witness(source, ladder)
-    if t.is_realized and t.point.is_infinity:
-        x0, x1 = left.a, left.c
-    else:
-        x = t.point.x0 if t.is_realized else _realize_type(t, level, ladder, 2)
-        x0, x1 = left.a * x + left.b, left.c * x + left.d
-    if not x1:
-        return ProjTruncType.realized(ProjPoint.infinity())
-    return classify_value(x0 / x1, level)
+    return _apply_witness(_flow_point_witness(source, ladder), t, level, ladder)
 
 
 def triangular_star(
@@ -282,21 +290,14 @@ def fiber_star(
 ) -> ProjTruncType:
     """Product with the near-identity integral family of a given class.
 
-    The witness is a lower-corner perturbation of the identity whose
+    The witness is the lower unipotent [[1, 0], [corner, 1]] whose
     corner realizes the class at the first rung; the input is realized
     two blocks above, so the corner dominates everything the input
     contributes below the window.  Sweeping the class over the level
     group walks the whole identity fiber of generic products, which is
     what the orbit closure contributes beyond single group elements.
     """
-    corner = _fiber_corner(klass, ladder)
-    if t.is_realized and t.point.is_infinity:
-        return classify_value(1 / corner, level)
-    value = t.point.x0 if t.is_realized else _realize_type(t, level, ladder, 2)
-    denom = corner * value + 1
-    if not denom:
-        return ProjTruncType.realized(ProjPoint.infinity())
-    return classify_value(value / denom, level)
+    return _apply_witness(_fiber_witness(klass, ladder), t, level, ladder)
 
 
 def compact_star(

@@ -6,8 +6,8 @@ Four layers, all exact:
   upper-triangular one, pivoting on the first column.
 - `borel_past_integral` rewrites (triangular)·(integral) as
   (integral)·(triangular), the engine that lets triangular data flow
-  through compact factors.  It keeps its input's entry type, so a
-  witness matrix of `PadicRational`s stays p-normalised throughout.
+  through compact factors.  It runs on `PadicRational` entries, so a
+  witness matrix stays p-normalised throughout.
 - K, the finite group of det-1 matrices mod p^m, is int-coded: an
   element is its entry tuple, numbered by its index in `k_level_group`.
   `KLevelElem` wraps one where `star` and `proj` need its exact det-1
@@ -15,8 +15,9 @@ Four layers, all exact:
 - `GFlowPoint` pairs a K element with a residue class: a triangular
   truncated type is the power-residue class of its diagonal, so the
   class is the type.  `star` multiplies two points by realizing
-  concrete witnesses on separated ladder blocks and refactoring the
-  product on their `PadicRational` entries; `ellis_group` tabulates the
+  concrete witnesses (`borel.witness` matrices) on separated ladder
+  blocks, refactoring the middle on their `PadicRational` entries and
+  multiplying the triangular parts with `@`; `ellis_group` tabulates the
   identity fiber under it.  `minimal_flow` builds the finite flow
   K x J on ints: `skew_product` tabulates iwasawa(g·lift(k)) in closed
   form for every (generator, K element), and `act` is table lookups.
@@ -30,7 +31,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from ._graph import strongly_connected_components
-from .borel import BorelElem, build_flow_group
+from .borel import build_flow_group
 from .borel import witness as borel_witness
 from .padic import PadicMatrix2, PadicRational, _require, fraction_valuation, int_valuation, mat_mul
 from .residues import (
@@ -88,15 +89,15 @@ def borel_past_integral(
     off-diagonal scales, which is what keeps compact parts clean when h
     witnesses a truncated type.
 
-    The rewrite runs in h's entry type, t converted to it, so a
-    `PadicRational` witness never passes through a `Fraction`.
+    The rewrite runs on `PadicRational` entries, both factors converted
+    to them, so a ladder witness never passes through a `Fraction`.
     """
     if not h.is_upper_triangular() or h.det() != 1:
         raise ValueError("left factor must be upper triangular with det 1")
     if not t.is_integral() or t.det() != 1:
         raise ValueError("right factor must be integral with det 1")
-    build = PadicMatrix2.padic if type(h.a) is PadicRational else PadicMatrix2.of
-    t = build(t.rows(), h.prime)
+    p = h.prime
+    h, t = PadicMatrix2.padic(h.rows(), p), PadicMatrix2.padic(t.rows(), p)
     a, c = h.a, h.b
     u1, u2, u3, u4 = t.entries()
     if u3 == 0:
@@ -105,8 +106,8 @@ def borel_past_integral(
         lead = a * u1 + c * u3
         if lead == 0:
             raise ValueError("degenerate product: leading entry vanished")
-        t2 = build(((1, 0), (u3 / (a * lead), 1)), h.prime)
-        h2 = build(((lead, a * u2 + c * u4), (0, 1 / lead)), h.prime)
+        t2 = PadicMatrix2.padic(((1, 0), (u3 / (a * lead), 1)), p)
+        h2 = PadicMatrix2.padic(((lead, a * u2 + c * u4), (0, 1 / lead)), p)
     if (t2 @ h2).rows() != (h @ t).rows():
         raise ArithmeticError("rewrite failed the exact product check")
     return t2, h2
@@ -175,10 +176,6 @@ class KLevelElem:
         entries = _k_mul(self.entries, other.entries, self.modulus)
         return KLevelElem(self.prime, self.level_m, entries)
 
-    def inverse(self) -> "KLevelElem":
-        a, b, c, d = self.entries
-        return KLevelElem.of((d, -b, -c, a), self.prime, self.level_m)
-
     def lift(self) -> PadicMatrix2:
         """Exact det-1 integral lift (see `_lift_scaled`)."""
         p = self.prime
@@ -187,10 +184,6 @@ class KLevelElem:
         _require(lifted.det() == 1, "lift: determinant is not one")
         _require(KLevelElem.reduce(lifted, self.level_m) == self, "lift: reduction differs")
         return lifted
-
-    def __str__(self) -> str:
-        a, b, c, d = self.entries
-        return f"[[{a},{b}],[{c},{d}]] mod {self.modulus}"
 
 
 def _k_mul(x: tuple, y: tuple, mod: int) -> tuple[int, int, int, int]:
@@ -266,7 +259,7 @@ def star(
     level_n = s.j.level_n
     if (p, level_m, level_n) != (t.k.prime, t.k.level_m, t.j.level_n):
         raise ValueError("mixed truncation levels")
-    h1 = borel_witness(s.j, ladder, 0).matrix()
+    h1 = borel_witness(s.j, ladder, 0)
     h2 = borel_witness(t.j, ladder, 2)
     mid, h1 = borel_past_integral(h1, t.k.lift())
     compact = KLevelElem.reduce(mid, level_m)
@@ -275,8 +268,7 @@ def star(
         tau2 = _lower_perturbation(p, ladder.gap * (ladder.rungs[1] + ladder.window_w))
         deep, h1 = borel_past_integral(h1, tau2)
         compact = KLevelElem.reduce(tau1, level_m) * compact * KLevelElem.reduce(deep, level_m)
-    product = BorelElem(h1.a, h1.b).mul(h2)
-    return GFlowPoint(s.k * compact, class_of(product.a, level_n, p))
+    return GFlowPoint(s.k * compact, class_of((h1 @ h2).a, level_n, p))
 
 
 # ------------------------------------------------------------- the flow
@@ -317,16 +309,14 @@ def flow_generators(p: int, unit_level: int) -> tuple[PadicMatrix2, ...]:
 def identification_moves(p: int, level_n: int, unit_level: int) -> tuple:
     """Triangular factors can slide between the coordinates of a flow
     point without changing the type it truncates: absorbing an integral
-    pair b multiplies the compact part by b-bar and the class by
-    class(b.a)^-1.  Returns (matrix, class multiplier) pairs for the
-    generating moves."""
+    element b = [[a, c], [0, 1/a]] multiplies the compact part by b-bar
+    and the class by class(a)^-1.  Returns (matrix, class multiplier)
+    pairs for the generating moves."""
     u = _unit_generator(p, unit_level)
-    moves = []
-    for b in (BorelElem.of(u, 0, p), BorelElem.of(1, 1, p), BorelElem.of(-1, 0, p)):
-        moves.append(
-            (b.to_matrix(p), class_of(b.a, level_n, p).inverse())
-        )
-    return tuple(moves)
+    return tuple(
+        (PadicMatrix2.of(((a, c), (0, Fraction(1, a))), p), class_of(a, level_n, p).inverse())
+        for a, c in ((u, 0), (1, 1), (-1, 0))
+    )
 
 
 def _scaled(g: PadicMatrix2) -> tuple[int, int, tuple]:

@@ -1,4 +1,4 @@
-"""Tests for the upper-triangular pair group and its truncated-type flow.
+"""Tests for the triangular group B and its truncated-type flow.
 
 The star oracle is the residue-class table from padyn.residues (verified
 independently in test_residues.py); star must reproduce it through honest
@@ -12,8 +12,7 @@ from fractions import Fraction
 import pytest
 
 from padyn import borel
-from padyn.borel import BorelElem
-from padyn.padic import _coerce_fraction, fraction_valuation, mat_mul
+from padyn.padic import PadicMatrix2, PadicRational, fraction_valuation
 from padyn.residues import ResidueClass, build_group, class_of, is_nth_power
 from padyn.types1 import ScaleLadder
 
@@ -27,48 +26,29 @@ def btype(rep: int, n: int = N, p: int = P) -> ResidueClass:
     return class_of(rep, n, p)
 
 
+def tri(a, c) -> PadicMatrix2:
+    """The element [[a, c], [0, 1/a]] of B."""
+    return PadicMatrix2.of(((a, c), (0, 1 / Fraction(a))), P)
+
+
 # ---------------------------------------------------------------- elements
 
 
 def test_pair_law_matches_matrix_product():
+    # B multiplies by the closed pair law (a, c)(a', c') = (aa', ac' + c/a')
     rng = random.Random(20210)
     for _ in range(200):
         a = Fraction(rng.randint(1, 40), rng.randint(1, 40))
         c = Fraction(rng.randint(-40, 40), rng.randint(1, 40))
         aa = Fraction(rng.randint(1, 40), rng.randint(1, 40))
         cc = Fraction(rng.randint(-40, 40), rng.randint(1, 40))
-        left = BorelElem.of(a, c, P)
-        right = BorelElem.of(aa, cc, P)
-        prod = left.mul(right)
-        assert prod.a == a * aa
-        assert prod.c == a * cc + c / aa
-        lm = left.to_matrix(P)
-        rm = right.to_matrix(P)
-        assert (lm @ rm).rows() == prod.to_matrix(P).rows()
-
-
-def test_mul_raises_when_pair_law_and_matrix_law_disagree(monkeypatch):
-    def skewed(left, right):
-        (a, b), (c, d) = mat_mul(left, right)
-        return ((a, b + 1), (c, d))
-
-    left, right = BorelElem.of(2, 3, P), BorelElem.of(Fraction(5, 7), 11, P)
-    assert left.mul(right) == BorelElem.of(Fraction(10, 7), 2 * 11 + Fraction(21, 5), P)
-    monkeypatch.setattr(borel, "mat_mul", skewed)
-    with pytest.raises(ArithmeticError):
-        left.mul(right)
-
-
-def test_pair_must_have_invertible_diagonal():
-    with pytest.raises(ValueError):
-        BorelElem.of(0, 3, P)
+        assert (tri(a, c) @ tri(aa, cc)).rows() == tri(a * aa, a * cc + c / aa).rows()
 
 
 def test_inverse_and_matrix_shape():
-    g = BorelElem.of(Fraction(2, 5), 7, P)
-    assert g.mul(g.inverse()) == BorelElem.of(1, 0, P)
-    assert g.inverse().mul(g) == BorelElem.of(1, 0, P)
-    m = g.to_matrix(P)
+    m = tri(Fraction(2, 5), 7)
+    assert m.inverse().rows() == tri(Fraction(5, 2), -7).rows()
+    assert (m @ m.inverse()).rows() == ((1, 0), (0, 1))
     assert m.det() == 1
     assert m.is_upper_triangular()
     assert m.rows()[1][1] == Fraction(5, 2)
@@ -82,13 +62,13 @@ def test_witness_scales_put_infinity_above_near():
     ladder = ScaleLadder(rungs=(5, 20), gap=2, window_w=2)
     w = borel.witness(btype(1), ladder)
     assert w.a == Fraction(5**6)  # exponent 6 = least even exponent >= 5
-    assert w.c == Fraction(1, 5**20)
+    assert w.b == Fraction(1, 5**20)
     # the mixing scale that downstream factorizations divide by
-    assert fraction_valuation(1 / w.a / w.c, P) == 14
+    assert fraction_valuation(1 / w.a / w.b, P) == 14
 
     w2 = borel.witness(btype(2), ladder)
     assert w2.a == 2 * Fraction(5**6)
-    assert w2.c == 2 * Fraction(1, 5**20)
+    assert w2.b == 2 * Fraction(1, 5**20)
 
 
 def test_witness_carries_the_class_on_both_coordinates():
@@ -96,16 +76,24 @@ def test_witness_carries_the_class_on_both_coordinates():
     for cls in group.elements:
         w = borel.witness(cls, LADDER)
         assert class_of(w.a, N, P) == cls
-        assert class_of(w.c, N, P) == cls
+        assert class_of(w.b, N, P) == cls
         assert fraction_valuation(w.a, P) >= LADDER.rungs[0]
-        assert fraction_valuation(w.c, P) <= -LADDER.rungs[1]
+        assert fraction_valuation(w.b, P) <= -LADDER.rungs[1]
+    # every witness is an element of B held on p-normalised entries
+    for n in (1, 2, 3):
+        for cls in build_group(P, n).elements:
+            for rung in (0, 2):
+                w = borel.witness(cls, LADDER, rung)
+                assert w.is_upper_triangular()
+                assert w.det() == 1
+                assert all(type(x) is PadicRational for x in w.entries())
 
 
 def test_witness_at_offset_rung_block():
     w = borel.witness(btype(10), LADDER, rung_index=2)
     # rep 10 has valuation 1, so the near exponent rounds 784 up to 784
     assert w.a == 10 * Fraction(5**784)
-    assert fraction_valuation(w.c, P) == 1 - 6290
+    assert fraction_valuation(w.b, P) == 1 - 6290
 
 
 def test_witness_needs_two_free_rungs():
@@ -129,9 +117,9 @@ def test_star_pinned_products():
 def test_star_witness_path_scales():
     left = borel.witness(btype(2), LADDER, 0)
     right = borel.witness(btype(5), LADDER, 2)
-    prod = left.mul(right)
+    prod = left @ right
     assert fraction_valuation(prod.a, P) == 10 + 785
-    assert fraction_valuation(prod.c, P) == -6279
+    assert fraction_valuation(prod.b, P) == -6279
     assert class_of(prod.a, N, P) == btype(10)
 
 
@@ -152,17 +140,17 @@ def test_star_rejects_mixed_levels():
 # ---------------------------------------------------------------- translation
 
 
-def translate(g: BorelElem, t: ResidueClass) -> ResidueClass:
+def translate(g: PadicMatrix2, t: ResidueClass) -> ResidueClass:
     """Left translation of t by g, read off a concrete witness."""
-    return class_of(g.mul(borel.witness(t, LADDER)).a, t.level_n, t.prime)
+    return class_of((g @ borel.witness(t, LADDER)).a, t.level_n, t.prime)
 
 
 def test_left_translate_pinned():
     ident = btype(1)
     for rep in (1, 2, 5, 10):
-        assert translate(BorelElem.of(1, 17, P), btype(rep)) == btype(rep)
-    assert translate(BorelElem.of(5, 0, P), ident) == btype(5)
-    assert translate(BorelElem.of(4, 0, P), ident) == ident
+        assert translate(tri(1, 17), btype(rep)) == btype(rep)
+    assert translate(tri(5, 0), ident) == btype(5)
+    assert translate(tri(4, 0), ident) == ident
 
 
 def test_left_translate_fixes_types_iff_nth_power_part():
@@ -170,7 +158,7 @@ def test_left_translate_fixes_types_iff_nth_power_part():
     for _ in range(200):
         a = Fraction(rng.randint(1, 60), rng.randint(1, 60))
         c = Fraction(rng.randint(-9, 9))
-        g = BorelElem.of(a, c, P)
+        g = tri(a, c)
         t = btype(rng.choice((1, 2, 5, 10)))
         moved = translate(g, t)
         if is_nth_power(a, N, P):
@@ -246,10 +234,8 @@ def test_star_tables_match_a_plain_fraction_pair_law(doubled):
                 a2, c2 = _fraction_witness(s, n, 2, ladder)
                 a, c = a1 * a2, a1 * c2 + c1 / a2
                 table[(r, s)] = class_of(a, n, P).representative
-                pair = borel.witness(btype(r, n), ladder, 0).mul(
-                    borel.witness(btype(s, n), ladder, 2)
-                )
-                assert (_coerce_fraction(pair.a), _coerce_fraction(pair.c)) == (a, c)
+                prod = borel.witness(btype(r, n), ladder, 0) @ borel.witness(btype(s, n), ladder, 2)
+                assert PadicMatrix2.of(prod.rows(), P).rows() == ((a, c), (0, 1 / a))
         assert borel.build_flow_group(P, n, ladder).table == table
 
 

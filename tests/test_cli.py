@@ -39,6 +39,12 @@ def test_non_prime_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "at most 12" in err
+    # at gap 1 the witness blocks overlap and the flow checks answer wrongly
+    for argv in (("minimal-flow", "--gap", "1"), ("proj", "collapse", "--gap", "1")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "ladder_gap must be >= 2" in err
 
 
 def test_a_crash_is_an_internal_error_not_a_failed_property(capsys, monkeypatch):
@@ -278,6 +284,12 @@ STDOUT_SHA256 = {
     "proj minimal": "9c07170058f50821d251ea8895351524b4ff56cbd63c796bf2f8c6e9f5ad0115",
     "proj minimal --w 3": "a74b5908c744b4844110d87826b34387673fb819403ba13161844b7346eaf2ab",
     "proj minimal --gap 16": "9c07170058f50821d251ea8895351524b4ff56cbd63c796bf2f8c6e9f5ad0115",
+    "borel --n 6": "bb4c46e9320e88497624a224f407e41fe236c93a95b1941f9717fc69fa2647fd",
+    "ellis --p 7 --n 6": "7341327e1c93ddacaa26967a0d0a7468616b762078d6a7ce10b2c8284f88cb86",
+    "minimal-flow --p 7 --n 6": "753db039445c58c4750bd6f74b34ebcb3e17fd50dc7b289fa7eae97f7447d134",
+    "verify --check iwasawa-rewrite --seed 20260814": (
+        "5a0fa78ff1398c15b12a0ef88b2f0a52885315e8d2c12b4b3b8bdeba54feba03"
+    ),
 }
 
 

@@ -480,7 +480,7 @@ def column_state(m, level):
 
 
 def flow_point_witness(point, block):
-    return point.k.lift() @ borel_witness(point.j, LADDER, block).to_matrix(P)
+    return point.k.lift() @ mat(borel_witness(point.j, LADDER, block).rows())
 
 
 def test_projection_commutes_with_star_products():
