@@ -1,18 +1,24 @@
 """Exact p-adic valuations on rationals and unimodular 2x2 matrices.
 
 Two exact representations of a rational live here, one for reading and
-one for storing.  `PadicRational` keeps a value as u * p**e for one
-fixed prime p: a p-free reduced fraction u = num/den and an exponent e.
-`PadicRational.of` is the one place that strips p from a rational, and
-every unit and class read goes through the result: the valuation is
-`e`, the unit residue is num * den**-1 modulo a power of p, and the
-residue of a p-integral value is that times p**e.  Ladder witnesses,
-whose exponents run to tens of thousands, are built and classified in
-this form and never pay for a gcd on numbers of that many digits.
+one for storing.  `PadicRational` keeps a value for one fixed prime p as
+an exact sparse sum of terms (n_i/d_i) * p**e_i: each coefficient a
+p-free reduced fraction, the exponents strictly increasing.  A one-term
+value u * p**e is the common case; `PadicRational.of` builds one and is
+the one place that strips p from a rational.  Sums at different
+exponents keep both terms, and sums at equal exponents merge them and
+strip p from the small merged coefficient, so a nonzero value's
+valuation is always its lowest exponent e.  The unit residue and the
+residue modulo p**k read only the terms within k digits of the bottom.
+A ladder witness base + rep * p**E, whose E runs to tens of thousands,
+is two small terms: it is built and classified without an integer of
+that many digits, and without stripping the digits a subtraction of
+its base cancels.  Division by a multi-term value, `numerator`,
+`denominator` and `to_fraction` collapse a value to its one-term form.
 Stored values (`PadicMatrix2.of` entries, type bases, projective
-points) are `fractions.Fraction`s; `_coerce_fraction` turns a `PadicRational` into
-the equal `Fraction` with one multiply by p**|e|.  `fraction_valuation`
-reads a `Fraction`'s valuation alone without building a `PadicRational`.
+points) are `fractions.Fraction`s; `_coerce_fraction` turns a
+`PadicRational` into the equal `Fraction`.  `fraction_valuation` reads
+a `Fraction`'s valuation alone without building a `PadicRational`.
 
 Valuations are Python integers, and the valuation of zero is a
 distinguished infinity object that compares above every integer.  No
@@ -25,6 +31,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Union
 
@@ -108,7 +115,7 @@ def int_valuation(num: int, p: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=256)
 def _p_power(p: int, k: int) -> int:
-    """p**k for k >= 0; witness arithmetic reuses a few huge exponents."""
+    """p**k for k >= 0; collapsing a witness reuses a few huge exponents."""
     return p**k
 
 
@@ -123,9 +130,8 @@ else:
 def _add_reduced(na: int, da: int, nb: int, db: int) -> tuple[int, int]:
     """na/da + nb/db for reduced fractions, as a reduced (num, den).
 
-    Every gcd has a denominator as one operand, so it stays cheap for
-    witnesses, whose numerators may be huge but whose denominators are
-    small.
+    Every gcd has a denominator as one operand, so it stays cheap when
+    the numerators are huge but the denominators small.
     """
     g = gcd(da, db)
     if g == 1:
@@ -138,24 +144,55 @@ def _add_reduced(na: int, da: int, nb: int, db: int) -> tuple[int, int]:
     return t // g2, s * (db // g2)
 
 
-class PadicRational:
-    """An exact rational u * p**e, normalised for one fixed prime p.
+def _mul_reduced(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
+    """(n1/d1) * (n2/d2) for reduced fractions, as a reduced (num, den)."""
+    g1 = gcd(n1, d2)
+    if g1 > 1:
+        n1, d2 = n1 // g1, d2 // g1
+    g2 = gcd(n2, d1)
+    if g2 > 1:
+        n2, d1 = n2 // g2, d1 // g2
+    return n1 * n2, d1 * d2
 
-    Fields (num, den, e, p) satisfy p ∤ num*den, den > 0 and
-    gcd(num, den) = 1; zero is the one value with num == 0, stored as
-    (0, 1, 0).  Values are never mutated after construction.  Products
-    add exponents and take gcds of the p-free parts only; sums align
-    exponents with one cached multiply by p**d and strip p only when the
-    exponents tie.  Equality and hashing agree with `Fraction` and `int`
-    on equal values.
+
+# A coefficient of more than this many bits holds a formed value: a
+# collapsed sum, or a quotient by one.  Sums and products that touch one
+# run in one-term form: distributed, its terms would cancel in later
+# merges only after p had been stripped from the thousands of digits
+# they share.
+_SPARSE_BITS = 256
+
+
+class PadicRational:
+    """An exact sparse sum of terms (num/den) * p**e for one fixed prime p.
+
+    The lowest term is held in the fields (num, den, e) and the higher
+    terms, as (num, den, e) triples, in `rest`, which is () for a
+    one-term value u * p**e.  Every coefficient is p-free and reduced
+    with den > 0, and the exponents strictly increase, so a nonzero value
+    has valuation e exactly; zero is the one value with num == 0, stored
+    as (0, 1, 0) with no rest.  Values are never mutated after
+    construction.
+
+    Sums keep terms at different exponents apart and merge equal ones,
+    stripping p from the small merged coefficient.  Products distribute
+    over the terms.  An operand with a coefficient of more than
+    `_SPARSE_BITS` bits is collapsed first, and the sum or product is
+    formed in one-term form.  Division by a multi-term value, `numerator`,
+    `denominator` and `to_fraction` collapse a value to its one-term form
+    u * p**e.  The same rational may have several sparse forms (6 and
+    1 + 1*5 at p = 5), so a multi-term value equals another exactly when
+    their difference has no terms.  Equality and hashing agree with
+    `Fraction` and `int` on equal values.
     """
 
-    __slots__ = ("num", "den", "e", "p")
+    __slots__ = ("num", "den", "e", "p", "rest")
 
     num: int
     den: int
     e: int
     p: int
+    rest: tuple[tuple[int, int, int], ...]
 
     @classmethod
     def of(cls, x: RationalLike, p: int) -> "PadicRational":
@@ -182,39 +219,77 @@ class PadicRational:
             e -= vd
         return _padic(num, den, e, p)
 
+    def _sparse(self) -> bool:
+        """No coefficient is a formed value (see `_SPARSE_BITS`)."""
+        if (abs(self.num) | self.den).bit_length() > _SPARSE_BITS:
+            return False
+        for n, d, _ in self.rest:
+            if (abs(n) | d).bit_length() > _SPARSE_BITS:
+                return False
+        return True
+
+    def terms(self) -> tuple[tuple[int, int, int], ...]:
+        """The (num, den, e) terms, lowest exponent first; () for zero."""
+        return ((self.num, self.den, self.e), *self.rest) if self.num else ()
+
     # --- exact reads --------------------------------------------------
 
     def valuation(self) -> Valuation:
         return self.e if self.num else INFINITY
 
     def unit_residue(self, modulus: int) -> int:
-        """num * den**-1 mod `modulus` (a power of p); nonzero values only."""
+        """value * p**-e mod `modulus` (a power of p); nonzero values only.
+        Only the terms with exponent below e + log_p(modulus) contribute."""
         if not self.num:
             raise ZeroDivisionError("zero has no unit residue")
-        return self.num % modulus * pow(self.den, -1, modulus) % modulus
+        r = self.num % modulus * pow(self.den, -1, modulus)
+        if self.rest:
+            r += _tail_residue(self.rest, self.p, -self.e, modulus)
+        return r % modulus
 
     def residue(self, modulus: int) -> int:
-        """The value mod `modulus` (a power of p); p-integral values only."""
+        """The value mod `modulus` (a power of p); p-integral values only.
+        Only the terms with exponent below log_p(modulus) contribute."""
         if self.e < 0:
             raise ValueError("only p-integral values have a residue")
-        scaled = self.num * pow(self.p, self.e, modulus)
-        return scaled * pow(self.den, -1, modulus) % modulus
+        r = self.num * pow(self.p, self.e, modulus) * pow(self.den, -1, modulus)
+        if self.rest:
+            r += _tail_residue(self.rest, self.p, 0, modulus)
+        return r % modulus
+
+    def collapsed(self) -> "PadicRational":
+        """The equal one-term value: the terms summed over a common
+        denominator, each shifted by one cached power of p.  The sum
+        stays p-free, since every term but the lowest is divisible by p."""
+        if not self.rest:
+            return self
+        p, e = self.p, self.e
+        num, den = self.num, self.den
+        for n, d, k in self.rest:
+            num, den = _add_reduced(num, den, n * _p_power(p, k - e), d)
+        return _padic(num, den, e, p)
 
     @property
     def numerator(self) -> int:
-        return self.num * _p_power(self.p, self.e) if self.e > 0 else self.num
+        x = self.collapsed()
+        return x.num * _p_power(x.p, x.e) if x.e > 0 else x.num
 
     @property
     def denominator(self) -> int:
-        return self.den * _p_power(self.p, -self.e) if self.e < 0 else self.den
+        x = self.collapsed()
+        return x.den * _p_power(x.p, -x.e) if x.e < 0 else x.den
 
     def to_fraction(self) -> Fraction:
-        """The equal Fraction: one multiply by p**|e|, no gcd."""
-        return _coprime_fraction(self.numerator, self.denominator)
+        """The equal Fraction: the one-term form times p**|e|, no gcd."""
+        x = self.collapsed()
+        return _coprime_fraction(x.numerator, x.denominator)
 
     def shifted(self, k: int) -> "PadicRational":
         """self * p**k."""
-        return _padic(self.num, self.den, self.e + k, self.p) if self.num else self
+        if not self.num:
+            return self
+        rest = tuple((n, d, e + k) for n, d, e in self.rest) if self.rest else ()
+        return _padic(self.num, self.den, self.e + k, self.p, rest)
 
     # --- field operations ---------------------------------------------
 
@@ -235,25 +310,29 @@ class PadicRational:
             return self
         if not self.num:
             return other
+        p = self.p
+        if self.rest or other.rest:
+            if self._sparse() and other._sparse():
+                return _normal_form(self.terms() + other.terms(), p)
+            self, other = self.collapsed(), other.collapsed()
         lo, hi = (self, other) if self.e <= other.e else (other, self)
-        e, p = lo.e, lo.p
-        if hi.e == e:
-            num, den = _add_reduced(lo.num, lo.den, hi.num, hi.den)
-            if not num:
-                return _padic(0, 1, 0, p)
-            if num % p == 0:
-                v, num = int_valuation(num, p)
-                e += v
-            return _padic(num, den, e, p)
-        # p divides only the shifted term, so the sum stays p-free
-        shifted = hi.num * _p_power(p, hi.e - e)
-        num, den = _add_reduced(lo.num, lo.den, shifted, hi.den)
+        e = lo.e
+        if hi.e != e:
+            two = _padic(lo.num, lo.den, e, p, ((hi.num, hi.den, hi.e),))
+            return two if two._sparse() else two.collapsed()
+        num, den = _add_reduced(lo.num, lo.den, hi.num, hi.den)
+        if not num:
+            return _padic(0, 1, 0, p)
+        if num % p == 0:
+            v, num = int_valuation(num, p)
+            e += v
         return _padic(num, den, e, p)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PadicRational":
-        return _padic(-self.num, self.den, self.e, self.p)
+        rest = tuple((-n, d, e) for n, d, e in self.rest) if self.rest else ()
+        return _padic(-self.num, self.den, self.e, self.p, rest)
 
     def __sub__(self, other) -> "PadicRational":
         other = self._coerce(other)
@@ -268,30 +347,40 @@ class PadicRational:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if not n1 or not n2:
-            return _padic(0, 1, 0, self.p)
-        g1 = gcd(n1, d2)
-        if g1 > 1:
-            n1, d2 = n1 // g1, d2 // g1
-        g2 = gcd(n2, d1)
-        if g2 > 1:
-            n2, d1 = n2 // g2, d1 // g2
-        return _padic(n1 * n2, d1 * d2, self.e + other.e, self.p)
+        p = self.p
+        if not self.num or not other.num:
+            return _padic(0, 1, 0, p)
+        if self.rest or other.rest:
+            if not (self._sparse() and other._sparse()):
+                return self.collapsed() * other.collapsed()
+            return _normal_form(
+                [
+                    (*_mul_reduced(n1, d1, n2, d2), e1 + e2)
+                    for n1, d1, e1 in self.terms()
+                    for n2, d2, e2 in other.terms()
+                ],
+                p,
+            )
+        num, den = _mul_reduced(self.num, self.den, other.num, other.den)
+        return _padic(num, den, self.e + other.e, p)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "PadicRational":
-        if not self.num:
+        """1 / self, in one-term form."""
+        x = self.collapsed()
+        if not x.num:
             raise ZeroDivisionError("zero has no inverse")
-        if self.num < 0:
-            return _padic(-self.den, -self.num, -self.e, self.p)
-        return _padic(self.den, self.num, -self.e, self.p)
+        if x.num < 0:
+            return _padic(-x.den, -x.num, -x.e, x.p)
+        return _padic(x.den, x.num, -x.e, x.p)
 
     def __truediv__(self, other) -> "PadicRational":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if other.rest:  # the quotient is formed: both sides collapse
+            return self.collapsed() * other.inverse()
         return self * other.inverse()
 
     def __rtruediv__(self, other) -> "PadicRational":
@@ -306,39 +395,101 @@ class PadicRational:
         if type(other) is PadicRational:
             if other.p != self.p:
                 return self.to_fraction() == other.to_fraction()
-            return self.e == other.e and self.den == other.den and self.num == other.num
-        if isinstance(other, (int, Fraction)):
-            return self == PadicRational.of(other, self.p)
-        return NotImplemented
+        elif isinstance(other, (int, Fraction)):
+            other = PadicRational.of(other, self.p)
+        else:
+            return NotImplemented
+        if self.e != other.e:  # nonzero normal forms have valuation e
+            return False
+        if self.rest or other.rest:
+            if self._sparse() and other._sparse():
+                return not self - other
+            # the one-term form is unique, and collapsing strips nothing
+            self, other = self.collapsed(), other.collapsed()
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
-        """hash(Fraction(self)), from residues mod the hash modulus."""
-        if not self.num:
+        """hash(Fraction(self)), from residues mod the hash modulus of
+        the one-term form."""
+        x = self.collapsed()
+        if not x.num:
             return 0
-        top, bottom = abs(self.num) % _HASH_MODULUS, self.den
-        if self.e >= 0:
-            top = top * pow(self.p, self.e, _HASH_MODULUS) % _HASH_MODULUS
+        top, bottom = abs(x.num) % _HASH_MODULUS, x.den
+        if x.e >= 0:
+            top = top * pow(x.p, x.e, _HASH_MODULUS) % _HASH_MODULUS
         else:
-            bottom = bottom * pow(self.p, -self.e, _HASH_MODULUS)
+            bottom = bottom * pow(x.p, -x.e, _HASH_MODULUS)
         try:
             value = top * pow(bottom, -1, _HASH_MODULUS) % _HASH_MODULUS
         except ValueError:  # the modulus divides the denominator
             value = sys.hash_info.inf
-        value = value if self.num > 0 else -value
+        value = value if x.num > 0 else -value
         return -2 if value == -1 else value
 
     def __repr__(self) -> str:
-        return f"PadicRational({self.num}/{self.den} * {self.p}**{self.e})"
+        body = " + ".join(f"{n}/{d} * {self.p}**{e}" for n, d, e in self.terms()) or "0"
+        return f"PadicRational({body})"
 
 
 _HASH_MODULUS = sys.hash_info.modulus
 
 
-def _padic(num: int, den: int, e: int, p: int) -> PadicRational:
+def _padic(num: int, den: int, e: int, p: int, rest: tuple = ()) -> PadicRational:
     """A PadicRational from fields that already meet its invariants."""
     x = object.__new__(PadicRational)
-    x.num, x.den, x.e, x.p = num, den, e, p
+    x.num, x.den, x.e, x.p, x.rest = num, den, e, p, rest
     return x
+
+
+def _normal_form(terms, p: int) -> PadicRational:
+    """The sparse sum of (num, den, e) terms with reduced coefficients and
+    p-free den > 0, in normal form.
+
+    Terms at equal exponents merge; a merged numerator that p divides is
+    stripped, and the term moves up by its valuation, where it may merge
+    again.  Exponents are taken lowest first, so each term is final when
+    it is taken with a p-free numerator.
+    """
+    heap = [(e, num, den) for num, den, e in terms]
+    heapify(heap)
+    out = []
+    while heap:
+        e, num, den = heappop(heap)
+        while heap and heap[0][0] == e:
+            _, n, d = heappop(heap)
+            num, den = _add_reduced(num, den, n, d)
+        if not num:
+            continue
+        if num % p == 0:
+            v, num = int_valuation(num, p)
+            heappush(heap, (e + v, num, den))
+            continue
+        out.append((num, den, e))
+    _require(
+        all(num % p and den % p for num, den, _ in out),
+        "sparse sum: a coefficient is not p-free",
+    )
+    _require(
+        all(a[2] < b[2] for a, b in zip(out, out[1:])),
+        "sparse sum: exponents do not increase",
+    )
+    if not out:
+        return _padic(0, 1, 0, p)
+    (num, den, e), *rest = out
+    return _padic(num, den, e, p, tuple(rest))
+
+
+def _tail_residue(terms, p: int, shift: int, modulus: int) -> int:
+    """The sum of num/den * p**(e + shift) mod `modulus` (a power of p)
+    over increasing-exponent terms with e + shift > 0, stopping at the
+    first whose power of p the modulus divides."""
+    r = 0
+    for num, den, e in terms:
+        power = pow(p, e + shift, modulus)
+        if not power:
+            break
+        r += num * power * pow(den, -1, modulus)
+    return r
 
 
 def _require(condition: bool, message: str) -> None:
@@ -408,8 +559,8 @@ class PadicMatrix2:
     form, or `PadicRational`s for p from `padic`.  Ladder witnesses are
     `padic` matrices (`borel.witness` gives an element of the triangular
     group B as one), and so is everything `sl2.borel_past_integral`
-    returns; they go through products without a gcd on their huge
-    numerators.  `@` (the generic `mat_mul`) is the one 2x2 product;
+    returns; their products keep the huge and the small scales as
+    separate sparse terms.  `@` (the generic `mat_mul`) is the one 2x2 product;
     it, inverses and the predicates work on either kind, and a product
     of the two kinds has `PadicRational` entries.
     """

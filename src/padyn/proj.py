@@ -12,9 +12,10 @@ is the honest truncation of an exact value (window residue plus the
 class of the deviation) and is total, since the deviation from a
 value's own residue always has valuation at least the window.
 `snap_type` truncates a Near type's deepest-rung witness y0 + scale the
-same way but reorders the sum: the residue r is read term by term and
-the deviation as (y0 - r) + scale, so the thousands of p-digits that
-forming the witness would multiply in, and r would cancel, never appear.
+same way, in the base point's chart.  The witness is a sparse
+`PadicRational` of two terms, so its residue reads y0 alone and the
+deviation (y0 - r) + scale never holds the thousands of p-digits that
+forming the witness would multiply in and r would cancel.
 
 Two product operators drive the collapse: `triangular_star` sends every
 type not based at infinity into the infinity family (the diagonal/corner
@@ -151,15 +152,13 @@ def _chart_coordinate(pt: ProjPoint, inverted: bool) -> Fraction:
     return 1 / pt.x0 if inverted else pt.x0
 
 
-def _chart_type(
-    y: PadicRational, scale: PadicRational, inverted: bool, level: ProjLevel
-) -> ProjTruncType:
-    """The type of the chart coordinate y + scale, read without forming the
-    sum: the window residue r term by term, the deviation as (y - r) + scale."""
+def _chart_type(y: PadicRational, inverted: bool, level: ProjLevel) -> ProjTruncType:
+    """The type of chart coordinate y: its window residue r, plus the class
+    of the deviation y - r unless that vanishes."""
     m = level.modulus
-    r = (y.residue(m) + scale.residue(m)) % m
+    r = y.residue(m)
     pt = ProjPoint.of(1, r) if inverted else ProjPoint.of(r, 1)
-    dev = (y - r) + scale
+    dev = y - r
     if not dev:
         return ProjTruncType.realized(pt)
     return ProjTruncType.near(pt, class_of(dev, level.level_n, level.prime))
@@ -168,10 +167,9 @@ def _chart_type(
 def classify_value(x: RationalLike, level: ProjLevel) -> ProjTruncType:
     """The truncated type of an exact value: its window residue plus the
     class of the deviation, realized when the deviation vanishes."""
-    p = level.prime
-    x = PadicRational.of(x, p)
+    x = PadicRational.of(x, level.prime)
     inverted = bool(x) and x.e < 0
-    return _chart_type(x.inverse() if inverted else x, PadicRational.of(0, p), inverted, level)
+    return _chart_type(x.inverse() if inverted else x, inverted, level)
 
 
 def _realize_type(
@@ -190,17 +188,16 @@ def _realize_type(
 def snap_type(t: ProjTruncType, level: ProjLevel, ladder: ScaleLadder) -> ProjTruncType:
     """Project a type onto the level's state space: realized finite points
     are reclassified, and a Near type is classified as its deepest-rung
-    witness y0 + scale in the base point's chart, without forming it."""
+    witness y0 + scale in the base point's chart, a two-term sparse sum."""
     if t.is_realized:
         if t.point.is_infinity:
             return t
         return classify_value(t.point.x0, level)
-    p = level.prime
-    inverted = _inverted_chart(t.point, p)
-    y0 = PadicRational.of(_chart_coordinate(t.point, inverted), p)
+    inverted = _inverted_chart(t.point, level.prime)
     scale = _witness_scale(t.near_class, ladder.rungs[-1], toward_infinity=False)
-    _require(y0 != -scale, "snap_type: the deepest-rung witness vanishes")
-    return _chart_type(y0, scale, inverted, level)
+    y = scale + _chart_coordinate(t.point, inverted)
+    _require(bool(y), "snap_type: the deepest-rung witness vanishes")
+    return _chart_type(y, inverted, level)
 
 
 def act_proj(g: PadicMatrix2, t: ProjTruncType) -> ProjTruncType:
@@ -250,7 +247,9 @@ def _apply_witness(
     if t.is_realized and t.point.is_infinity:
         x0, x1 = left.a, left.c
     else:
-        x = t.point.x0 if t.is_realized else _realize_type(t, level, ladder, 2)
+        # the quotient x0 / x1 is formed, so x is formed first and the rows
+        # multiply in one-term form
+        x = t.point.x0 if t.is_realized else _realize_type(t, level, ladder, 2).collapsed()
         x0, x1 = left.a * x + left.b, left.c * x + left.d
     if not x1:
         return ProjTruncType.realized(ProjPoint.infinity())
@@ -410,18 +409,17 @@ def minimality_proximality_report(
     only twist classes by squares, so the action alone cannot cross
     between class fibers away from collapsing boundary deviations."""
     states = nonalgebraic_states(level)
+    index = {s: i for i, s in enumerate(states)}
     gens = flow_generators(level.prime, level_m + level.window_w)
-    successors = {}
+    successors: list[list[int]] = []
     for s in states:
         outs = [snap_type(act_proj(g, s), level, ladder) for g in gens]
         outs.append(triangular_star(s, level, ladder))
         outs.extend(fiber_star(s, c, level, ladder) for c in level.classes())
-        successors[s] = outs
-    _require(
-        all(o in successors for outs in successors.values() for o in outs),
-        "projective flow: a successor left the state space",
-    )
-    components = strongly_connected_components(states, lambda s: successors[s])
+        codes = [index.get(o) for o in outs]
+        _require(None not in codes, "projective flow: a successor left the state space")
+        successors.append(codes)
+    components = strongly_connected_components(range(len(states)), successors.__getitem__)
     collapse = collapse_check(level, ladder, level_m)
     return ProjFlowReport(
         level=level,

@@ -178,12 +178,18 @@ class KLevelElem:
 
     def lift(self) -> PadicMatrix2:
         """Exact det-1 integral lift (see `_lift_scaled`)."""
-        p = self.prime
-        den, rows = _lift_scaled(self.entries, p)
-        lifted = PadicMatrix2.of(tuple(tuple(Fraction(x, den) for x in row) for row in rows), p)
-        _require(lifted.det() == 1, "lift: determinant is not one")
-        _require(KLevelElem.reduce(lifted, self.level_m) == self, "lift: reduction differs")
-        return lifted
+        return _exact_lift(self.entries, self.prime, self.level_m)
+
+
+# `star` lifts the same few compact parts over and over, so each lift is
+# built, and checked, once per entry tuple
+@lru_cache(maxsize=1024)
+def _exact_lift(entries: tuple[int, int, int, int], p: int, level_m: int) -> PadicMatrix2:
+    den, rows = _lift_scaled(entries, p)
+    lifted = PadicMatrix2.of(tuple(tuple(Fraction(x, den) for x in row) for row in rows), p)
+    _require(lifted.det() == 1, "lift: determinant is not one")
+    _require(KLevelElem.reduce(lifted, level_m).entries == entries, "lift: reduction differs")
+    return lifted
 
 
 def _k_mul(x: tuple, y: tuple, mod: int) -> tuple[int, int, int, int]:

@@ -173,16 +173,18 @@ def classify(
     base points inside the window mean the base set was not separated.
     """
     value = PadicRational.of(x, p)
-    bases = list(base_points)
-    if value in bases:
-        return TruncType1.realized(value)
+    deviations = [(a, value - a) for a in base_points]
+    for a, dev in deviations:
+        if not dev:
+            return TruncType1.realized(a)
     if value and value.e < -window_w:
         return TruncType1.at_infinity(class_of(value, level_n, p))
-    hits = [a for a in bases if (value - a).valuation() > window_w]
+    hits = [(a, dev) for a, dev in deviations if dev.e > window_w]
     if len(hits) > 1:
-        raise WindowTooCoarseError(f"window {window_w} cannot separate {hits}")
+        raise WindowTooCoarseError(f"window {window_w} cannot separate {[a for a, _ in hits]}")
     if hits:
-        return TruncType1.near(hits[0], class_of(value - hits[0], level_n, p))
+        a, dev = hits[0]
+        return TruncType1.near(a, class_of(dev, level_n, p))
     return TruncType1.realized(value)
 
 

@@ -261,7 +261,14 @@ def test_borel_flow_group_check_passes_with_asserts_stripped():
 
 @pytest.mark.parametrize(
     "check",
-    ["residue-oracle", "iwasawa-rewrite", "main-flow", "ellis-tower", "projective-collapse"],
+    [
+        "residue-oracle",
+        "type-roundtrip",
+        "iwasawa-rewrite",
+        "main-flow",
+        "ellis-tower",
+        "projective-collapse",
+    ],
 )
 def test_check_passes_with_asserts_stripped(check):
     verify_with_asserts_stripped(check)

@@ -3,10 +3,13 @@
 Field operations are checked against `Fraction` on the same values.
 Every read (valuation, unit residue, residue, power class, nth-power
 test) is checked against a reference that strips p one division at a
-time from the small parts a value was drawn from, and decides powers by
-enumerating unit nth powers, sharing no code with `padyn`.  Exponents
-run to +-50 000 (the size of the ladder witnesses); zero and tied
-exponents whose sum cancels low p-digits are covered.
+time from the small parts a value was drawn from, or, for a sparse sum
+of several terms, bisects on the power of p dividing its Fraction's
+numerator and denominator; powers are decided by enumerating unit nth
+powers.  The reference shares no code with `padyn`.  Exponents run to
++-50 000 (the size of the ladder witnesses); zero, tied exponents whose
+sum cancels low p-digits, and ties that carry upward through several
+terms are covered.
 """
 
 from fractions import Fraction
@@ -40,6 +43,22 @@ def naive_valuation(num: int, p: int) -> tuple[int, int]:
     return v, num
 
 
+def bisected_valuation(num: int, p: int) -> int:
+    """The largest k with p**k dividing nonzero num: double k until p**k
+    fails to divide, then bisect."""
+    hi = 1
+    while num % p**hi == 0:
+        hi *= 2
+    lo = hi // 2 if num % p == 0 else 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if num % p**mid == 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 _POWERS: dict[tuple[int, int], tuple[int, frozenset]] = {}
 
 
@@ -63,6 +82,17 @@ class Naive:
             vn, self.un = naive_valuation(num, p)
             vd, self.ud = naive_valuation(den, p)
             self.v = e + vn - vd
+
+    @classmethod
+    def of_fraction(cls, p: int, x: Fraction) -> "Naive":
+        """The reference for any rational, however large its parts."""
+        ref = cls(p, 0, 1, 0)
+        ref.value = x
+        if x:
+            vn, vd = bisected_valuation(x.numerator, p), bisected_valuation(x.denominator, p)
+            ref.un, ref.ud = x.numerator // p**vn, x.denominator // p**vd
+            ref.v = vn - vd
+        return ref
 
     def unit_residue(self, modulus: int) -> int:
         return self.un * pow(self.ud, -1, modulus) % modulus
@@ -112,12 +142,20 @@ def cancelling_pairs(draw):
 
 
 def assert_normalised(x: PadicRational) -> None:
+    """Every term p-free and reduced, exponents strictly increasing, the
+    lowest term in the fields; zero alone has no terms."""
     if x.num == 0:
-        assert (x.num, x.den, x.e) == (0, 1, 0)
+        assert (x.num, x.den, x.e, x.rest) == (0, 1, 0, ())
+        assert x.terms() == ()
         return
-    assert x.den > 0
-    assert x.num % x.p and x.den % x.p
-    assert gcd(x.num, x.den) == 1
+    terms = x.terms()
+    assert terms[0] == (x.num, x.den, x.e)
+    for num, den, _ in terms:
+        assert den > 0
+        assert num % x.p and den % x.p
+        assert gcd(num, den) == 1
+    exps = [e for _, _, e in terms]
+    assert all(a < b for a, b in zip(exps, exps[1:]))
 
 
 def assert_same(x: PadicRational, expected: Fraction) -> None:
@@ -227,3 +265,177 @@ def test_other_primes_fall_back_to_the_fraction_path():
     assert x == PadicRational.of(Fraction(50, 3), 3)
     with pytest.raises(ValueError):
         x * PadicRational.of(1, 3)
+
+
+# --- sparse sums of several terms -------------------------------------
+
+SPARSE_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+def term(p: int, c: Fraction, e: int) -> PadicRational:
+    return PadicRational.of(c, p).shifted(e)
+
+
+@st.composite
+def sparse_values(draw, p):
+    """A sum of 2-4 terms c * p**e, c small (zero and multiples of p
+    included), each exponent a drawn anchor plus 0-3, so that ties and
+    carries are common; returned with its Fraction value."""
+    anchors = draw(st.lists(exponents, min_size=1, max_size=3))
+    terms = draw(
+        st.lists(
+            st.tuples(
+                st.integers(-10**6, 10**6),
+                st.integers(1, 10**4),
+                st.sampled_from(anchors),
+                st.integers(0, 3),
+            ),
+            min_size=2,
+            max_size=4,
+        )
+    )
+    x, xf = PadicRational.of(0, p), Fraction(0)
+    for num, den, anchor, offset in terms:
+        c = Fraction(num, den)
+        x = x + term(p, c, anchor + offset)
+        xf += c * Fraction(p) ** (anchor + offset)
+    return x, xf
+
+
+@st.composite
+def sparse_pairs(draw):
+    p = draw(st.sampled_from(PRIMES))
+    return p, draw(sparse_values(p)), draw(sparse_values(p))
+
+
+@SPARSE_SETTINGS
+@given(sparse_pairs())
+def test_sparse_sums_match_fraction(case):
+    p, (x, xf), (y, yf) = case
+    assert_same(x, xf)
+    assert_same(y, yf)
+    assert_same(x + y, xf + yf)
+    assert_same(x - y, xf - yf)
+    assert_same(-x, -xf)
+    assert_same(x + yf, xf + yf)
+    assert_same(x - x, Fraction(0))
+    assert_same(x.collapsed(), xf)
+    assert not x.collapsed().rest
+
+
+@SPARSE_SETTINGS
+@given(sparse_pairs())
+def test_products_and_quotients_by_sparse_values_match_fraction(case):
+    p, (x, xf), (y, yf) = case
+    assert_same(x * y, xf * yf)
+    assert_same(yf * x, xf * yf)
+    if not yf:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+        with pytest.raises(ZeroDivisionError):
+            y.inverse()
+        return
+    q = x / y
+    assert_same(q, xf / yf)
+    assert_same(y.inverse(), 1 / yf)
+    assert_same(1 / y, 1 / yf)
+    # a quotient is formed; sums and products with it stay exact
+    assert_same(q * y, xf)
+    assert q * y == x
+    assert_same(q + y, xf / yf + yf)
+    assert_same(q * x, xf * xf / yf)
+
+
+@SPARSE_SETTINGS
+@given(st.sampled_from(PRIMES).flatmap(sparse_values))
+def test_sparse_reads_match_fraction(case):
+    x, xf = case
+    p = x.p
+    ref = Naive.of_fraction(p, xf)
+    assert hash(x) == hash(xf)
+    assert x == xf and xf == x
+    assert (x.numerator, x.denominator) == (xf.numerator, xf.denominator)
+    assert type(_coerce_fraction(x)) is Fraction
+    if not xf:
+        assert x.valuation() is INFINITY
+        assert x.residue(p**3) == 0
+        with pytest.raises(ZeroDivisionError):
+            x.unit_residue(p)
+        return
+    assert x.valuation() == fraction_valuation(x, p) == fraction_valuation(xf, p) == ref.v
+    for r in (1, 2, 5):
+        modulus = p**r
+        assert x.unit_residue(modulus) == ref.unit_residue(modulus)
+        if ref.v >= 0:
+            assert x.residue(modulus) == xf.numerator * pow(xf.denominator, -1, modulus) % modulus
+        else:
+            with pytest.raises(ValueError):
+                x.residue(modulus)
+    for n in LEVELS:
+        assert class_of(x, n, p).representative == ref.class_rep(n)
+        assert is_nth_power(x, n, p) == ref.is_nth_power(n)
+    other = next(q for q in PRIMES if q != p)
+    assert fraction_valuation(x, other) == Naive.of_fraction(other, xf).v
+
+
+@SPARSE_SETTINGS
+@given(st.sampled_from(PRIMES).flatmap(sparse_values), st.data())
+def test_sparse_forms_of_one_value_are_equal(case, data):
+    x, xf = case
+    p = x.p
+    one_term = PadicRational.of(xf, p)
+    assert not one_term.rest
+    assert x == one_term and one_term == x
+    assert hash(x) == hash(one_term) == hash(xf)
+    # add and take away a term that ties with one of x's: another form
+    e = data.draw(st.sampled_from([k for _, _, k in x.terms()] or [0]))
+    t = term(p, Fraction(data.draw(st.integers(1, 10**6))), e)
+    other = (x + t) - t
+    assert_same(other, xf)
+    assert other == x and other == one_term
+    assert hash(other) == hash(x)
+    bumped = x + term(p, Fraction(1), data.draw(exponents))
+    assert bumped != x and x != bumped
+    assert (bumped == one_term) == (bumped.to_fraction() == xf)
+
+
+@SETTINGS
+@given(
+    st.sampled_from(PRIMES),
+    exponents,
+    st.integers(1, 6),
+    st.randoms(use_true_random=False),
+)
+def test_cascading_ties_carry_upward(p, k, length, rng):
+    # (p-1)·p^k + (p-1)·p^(k+1) + ... + (p-1)·p^(k+L-1) + 1·p^k = p^(k+L),
+    # summed in any order; each merge strips p and carries into the next
+    parts = [term(p, Fraction(p - 1), k + i) for i in range(length)] + [term(p, Fraction(1), k)]
+    rng.shuffle(parts)
+    total = PadicRational.of(0, p)
+    for part in parts:
+        total = total + part
+    assert_same(total, Fraction(p) ** (k + length))
+    assert total.terms() == ((1, 1, k + length),)
+    # one sum of two sparse values carries the same way
+    half = len(parts) // 2
+    left, right = sum(parts[:half], PadicRational.of(0, p)), sum(parts[half:], PadicRational.of(0, p))
+    assert (left + right).terms() == ((1, 1, k + length),)
+    # a carry that lands on a term above it keeps going, or cancels it
+    top = k + length
+    assert (total + term(p, Fraction(p - 1), top)).terms() == ((1, 1, top + 1),)
+    assert not total + term(p, Fraction(-1), top)
+    rest = term(p, Fraction(p + 1), top + 2)
+    assert (left + rest + right + term(p, Fraction(-1), top)).terms() == ((p + 1, 1, top + 2),)
+
+
+def test_one_term_and_sparse_forms_of_six_are_equal():
+    five, six = PadicRational.of(5, 5), PadicRational.of(6, 5)
+    sparse = PadicRational.of(1, 5) + five
+    assert sparse.terms() == ((1, 1, 0), (1, 1, 1))
+    assert six.terms() == ((6, 1, 0),)
+    assert sparse == six and six == sparse and sparse == 6 and sparse == Fraction(6)
+    assert hash(sparse) == hash(six) == hash(6)
+    assert sparse != PadicRational.of(1, 5) + 2 * five
+    assert sparse.residue(25) == six.residue(25) == 6
+    assert sparse.unit_residue(5) == 1
+    assert (sparse - six).valuation() is INFINITY

@@ -228,9 +228,11 @@ def formed_witness_snap(t, level, ladder):
     return classify_value(proj._realize_type(t, level, ladder, len(ladder.rungs) - 1), level)
 
 
-# (ladder, stride): the formed doubled-gap witness has ~115 000 bits, and
-# stripping each costs the oracle ~20 ms, so that ladder takes every 31st
-# input (the full sweep, about 165 s, passes as well)
+# (ladder, stride): the formed doubled-gap witness has ~115 000 bits.  In
+# the standard chart the oracle classifies it as a sparse two-term sum, in
+# about 0.03 ms, but in the reciprocal chart it forms 1/y and strips the
+# deviation from it, about 14 ms per input; so that ladder takes every
+# 31st input (the full sweep of 7 608 inputs, about 20 s, passes as well)
 @pytest.mark.parametrize(
     "ladder, stride",
     [(LADDER, 1), (ScaleLadder.build(gap=1, window_w=2, length=4), 1), (LADDER.doubled_gap(), 31)],
