@@ -31,7 +31,7 @@ from padyn.borel import (
 )
 from padyn.config import GlobalConfig
 from padyn.flows import act_add, minimal_subflows
-from padyn.padic import PadicMatrix2, fraction_valuation
+from padyn.padic import PadicMatrix2, PadicRational
 from padyn.proj import (
     ProjLevel,
     all_states,
@@ -287,7 +287,7 @@ def check_iwasawa_and_rewrite(seed: int = DEFAULT_SEED) -> dict:
             if not t2.congruent_to_identity(1):
                 formula_failures += 1
                 continue
-            depth = fraction_valuation(t2.c, p)
+            depth = PadicRational.of(t2.c, p).e
             if min_corner_valuation is None or depth < min_corner_valuation:
                 min_corner_valuation = depth
     return {

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from padyn._graph import strongly_connected_components, terminal_components
 from padyn.config import GlobalConfig
-from padyn.padic import RationalLike, _require, fraction_valuation
+from padyn.padic import PadicRational, RationalLike, _require
 from padyn.residues import build_group, class_of
 from padyn.types1 import AT_INFINITY, NEAR, REALIZED, TruncType1
 
@@ -74,6 +74,11 @@ def default_base_points(config: GlobalConfig) -> tuple[Fraction, ...]:
     )
 
 
+def _units(bases, p: int) -> list[Fraction]:
+    """The bases of valuation 0; zero is not a unit."""
+    return [a for a in bases if a and PadicRational.of(a, p).e == 0]
+
+
 def state_space(group_tag: str, config: GlobalConfig) -> list[TruncType1]:
     """Truncated types concentrated on the acting group's domain."""
     tag = normalize_group_tag(group_tag)
@@ -83,7 +88,7 @@ def state_space(group_tag: str, config: GlobalConfig) -> list[TruncType1]:
         realized_bases = [a for a in bases if a != 0]
         near_bases = bases
     elif tag == ZP_MUL:
-        realized_bases = [a for a in bases if fraction_valuation(a, config.prime) == 0]
+        realized_bases = _units(bases, config.prime)
         near_bases = realized_bases
     else:
         realized_bases = list(bases)
@@ -135,9 +140,8 @@ def closure_transitions(
         return frozenset()
     # ZP_MUL
     if t.kind == REALIZED and t.base != 0:
-        unit_bases = [a for a in bases if fraction_valuation(a, config.prime) == 0]
         return frozenset(
-            TruncType1.near(a, c) for a in unit_bases for c in group.elements
+            TruncType1.near(a, c) for a in _units(bases, config.prime) for c in group.elements
         )
     return frozenset()
 

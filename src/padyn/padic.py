@@ -17,12 +17,12 @@ its base cancels.  Division by a multi-term value, `numerator`,
 `denominator` and `to_fraction` collapse a value to its one-term form.
 Stored values (`PadicMatrix2.of` entries, type bases, projective
 points) are `fractions.Fraction`s; `_coerce_fraction` turns a
-`PadicRational` into the equal `Fraction`.  `fraction_valuation` reads
-a `Fraction`'s valuation alone without building a `PadicRational`.
+`PadicRational` into the equal `Fraction`.
 
-Valuations are Python integers, and the valuation of zero is a
-distinguished infinity object that compares above every integer.  No
-floating point is used anywhere in this module.
+`PadicRational.of(x, p).e` is the one valuation read.  Valuations are
+Python integers; zero has none and reads as e = 0, so a caller that
+may meet zero tests the value's truth first.  No floating point is used
+anywhere in this module.
 """
 
 from __future__ import annotations
@@ -36,87 +36,44 @@ from math import gcd
 from typing import Union
 
 
-class _ValuationInfinity:
-    """Singleton valuation of zero; greater than every integer."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "INFINITY"
-
-    def __eq__(self, other) -> bool:
-        return other is self
-
-    def __hash__(self) -> int:
-        return hash("padyn-valuation-infinity")
-
-    def __lt__(self, other) -> bool:
-        return False
-
-    def __le__(self, other) -> bool:
-        return other is self
-
-    def __gt__(self, other) -> bool:
-        return other is not self
-
-    def __ge__(self, other) -> bool:
-        return True
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        raise ArithmeticError("cannot negate the infinite valuation")
-
-
-INFINITY = _ValuationInfinity()
-
-Valuation = Union[int, _ValuationInfinity]
-
 RationalLike = Union[int, Fraction, "PadicRational"]
 
 
-_POWER_LADDERS: dict[int, list[int]] = {}
+@lru_cache(maxsize=256)
+def _p_power(p: int, k: int) -> int:
+    """p**k for k >= 0: `int_valuation`'s rungs, and the few huge
+    exponents that collapsing a witness reuses."""
+    return p**k
 
 
 def int_valuation(num: int, p: int) -> tuple[int, int]:
     """Return (v, u) with num = u * p**v and p not dividing u.
 
-    Uses repeated squaring of the divisor so very large powers of p are
-    stripped in O(log v) big divisions rather than v of them; the
-    [p, p**2, p**4, ...] ladder is cached per prime because witness
-    realizations hit the same prime with huge exponents over and over.
+    Strips p in O(log v) big divisions rather than v of them.  The climb
+    strips p, p**2, p**4, ... while each divides, so what is left has a
+    valuation below the first rung that failed; the descent then strips
+    each lower rung at most once.  Every call builds its own ladder,
+    from the `_p_power` cache, only as far as its input needs.
     """
     if num == 0:
         raise ValueError("valuation of zero is infinite; handle separately")
     if num % p:
         return 0, num
-    powers = _POWER_LADDERS.setdefault(p, [p])
-    # grow the ladder until its top square no longer divides, so the
-    # remaining exponent is below twice the top entry; the cheap
-    # top-divides guard keeps small inputs from ever squaring the top
-    while num % powers[-1] == 0 and num % (powers[-1] * powers[-1]) == 0:
-        powers.append(powers[-1] * powers[-1])
-    # binary descent: strip each power at most once, top down
-    v = 0
-    for k in range(len(powers) - 1, -1, -1):
-        if num % powers[k] == 0:
-            num //= powers[k]
-            v += 1 << k
+    num //= p
+    if num % p:
+        return 1, num
+    v, k = 1, 0
+    while True:
+        q, r = divmod(num, _p_power(p, 1 << k))
+        if r:
+            break
+        num, v, k = q, v + (1 << k), k + 1
+    while k:
+        k -= 1
+        q, r = divmod(num, _p_power(p, 1 << k))
+        if not r:
+            num, v = q, v + (1 << k)
     return v, num
-
-
-@lru_cache(maxsize=256)
-def _p_power(p: int, k: int) -> int:
-    """p**k for k >= 0; collapsing a witness reuses a few huge exponents."""
-    return p**k
 
 
 if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12+
@@ -203,10 +160,10 @@ class PadicRational:
             x = x.to_fraction()
         if p < 2:
             raise ValueError(f"p-adic normalisation needs a prime, got {p}")
-        if isinstance(x, int):
+        if isinstance(x, Fraction):
+            num, den = x.as_integer_ratio()
+        elif isinstance(x, int):
             num, den = x, 1
-        elif isinstance(x, Fraction):
-            num, den = x.numerator, x.denominator
         else:
             raise TypeError(f"expected a rational value, got {type(x).__name__}")
         if num == 0:
@@ -233,9 +190,6 @@ class PadicRational:
         return ((self.num, self.den, self.e), *self.rest) if self.num else ()
 
     # --- exact reads --------------------------------------------------
-
-    def valuation(self) -> Valuation:
-        return self.e if self.num else INFINITY
 
     def unit_residue(self, modulus: int) -> int:
         """value * p**-e mod `modulus` (a power of p); nonzero values only.
@@ -509,21 +463,6 @@ def _coerce_fraction(x: RationalLike) -> Fraction:
     raise TypeError(f"expected a rational value, got {type(x).__name__}")
 
 
-def fraction_valuation(x: RationalLike, p: int) -> Valuation:
-    """p-adic valuation of an exact rational; INFINITY for zero."""
-    if type(x) is PadicRational:
-        if x.p == p:
-            return x.valuation()
-        x = x.to_fraction()
-    if x == 0:
-        return INFINITY
-    vn, _ = int_valuation(x.numerator, p)
-    if vn > 0:
-        return vn
-    vd, _ = int_valuation(x.denominator, p)
-    return -vd
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse 'num' or 'num/den' decimal strings into an exact rational."""
     body = text.strip()
@@ -622,7 +561,7 @@ class PadicMatrix2:
     def is_integral(self) -> bool:
         """All entries lie in Z_p (no p in any denominator)."""
         p = self.prime
-        return all(e == 0 or fraction_valuation(e, p) >= 0 for e in self.entries())
+        return all(PadicRational.of(x, p).e >= 0 for x in (self.a, self.b, self.c, self.d))
 
     def is_unimodular_integral(self) -> bool:
         return self.is_integral() and self.det() == 1
@@ -631,7 +570,7 @@ class PadicMatrix2:
         return self.c == 0
 
     def congruent_to_identity(self, k: int) -> bool:
-        """Entrywise valuation of (self - I) is at least k."""
+        """Entrywise valuation of (self - I) is at least k; zero meets every k."""
         p = self.prime
-        diffs = (self.a - 1, self.b, self.c, self.d - 1)
-        return all(e == 0 or fraction_valuation(e, p) >= k for e in diffs)
+        diffs = (PadicRational.of(x, p) for x in (self.a - 1, self.b, self.c, self.d - 1))
+        return all(not x or x.e >= k for x in diffs)

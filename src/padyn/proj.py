@@ -40,7 +40,6 @@ from .padic import (
     RationalLike,
     _coerce_fraction,
     _require,
-    fraction_valuation,
 )
 from .residues import ResidueClass, build_group, class_of
 from .sl2 import GFlowPoint, KLevelElem, flow_generators
@@ -143,7 +142,7 @@ class ProjLevel:
 
 
 def _inverted_chart(pt: ProjPoint, p: int) -> bool:
-    return pt.is_infinity or fraction_valuation(pt.x0, p) < 0
+    return pt.is_infinity or PadicRational.of(pt.x0, p).e < 0
 
 
 def _chart_coordinate(pt: ProjPoint, inverted: bool) -> Fraction:
@@ -315,7 +314,7 @@ def compact_star(
     """
     if t.point.is_infinity and not t.is_realized:
         c_value = _realize_type(t, level, ladder, 2)
-        _require(c_value.valuation() <= -level_m, "witness not absorbed at level m")
+        _require(c_value and c_value.e <= -level_m, "witness not absorbed at level m")
     return fiber_star(t, class_of(1, level.level_n, level.prime), level, ladder)
 
 
@@ -337,7 +336,7 @@ def boundary_flagged(level: ProjLevel) -> tuple[str, ...]:
         u = _chart_coordinate(pt, _inverted_chart(pt, level.prime))
         if u == 0:
             continue
-        if abs(fraction_valuation(u, level.prime)) >= level.window_w - 1:
+        if abs(PadicRational.of(u, level.prime).e) >= level.window_w - 1:
             flagged.append(str(pt))
     return tuple(sorted(flagged))
 

@@ -17,18 +17,16 @@ from functools import lru_cache
 
 from padyn.config import RESIDUE_LEVEL_MAX
 from padyn.padic import (
-    INFINITY,
     PadicRational,
     RationalLike,
     _require,
-    fraction_valuation,
     int_valuation,
 )
 
 
 def hensel_modulus(p: int, n: int) -> int:
     """Modulus p**(2*v_p(n)+1) at which unit nth powers are decided."""
-    e, _ = int_valuation(n, p) if n % p == 0 else (0, n)
+    e, _ = int_valuation(n, p)
     return p ** (2 * e + 1)
 
 
@@ -246,9 +244,8 @@ def induced_valuation_map(group: ResidueGroup) -> ValuationMapReport:
     p = group.prime
     mapping = {}
     for c in group.elements:
-        v = fraction_valuation(c.representative, p)
-        _require(v is not INFINITY, "a class representative is zero")
-        mapping[c.representative] = v % n
+        _require(c.representative > 0, "a class representative is not positive")
+        mapping[c.representative] = PadicRational.of(c.representative, p).e % n
     kernel = tuple(sorted(r for r, img in mapping.items() if img == 0))
     injective = len(kernel) == 1
     return ValuationMapReport(mapping=mapping, kernel=kernel, injective=injective)

@@ -33,7 +33,7 @@ from math import gcd, lcm
 from ._graph import strongly_connected_components
 from .borel import build_flow_group
 from .borel import witness as borel_witness
-from .padic import PadicMatrix2, PadicRational, _require, fraction_valuation, int_valuation, mat_mul
+from .padic import PadicMatrix2, PadicRational, _require, int_valuation, mat_mul
 from .residues import (
     ResidueClass,
     build_group,
@@ -63,10 +63,11 @@ def iwasawa(g: PadicMatrix2) -> tuple[PadicMatrix2, PadicMatrix2]:
     if g.is_integral():
         return g, ident
     p = g.prime
-    v_top, v_bot = fraction_valuation(g.a, p), fraction_valuation(g.c, p)
-    scale = Fraction(p) ** min(v_top, v_bot)
+    top, bot = PadicRational.of(g.a, p), PadicRational.of(g.c, p)
+    pivot_top = bool(top) and top.e <= bot.e  # g.c != 0 here; a zero g.a pivots on it
+    scale = Fraction(p) ** (top.e if pivot_top else bot.e)
     u0, u1 = g.a / scale, g.c / scale
-    if v_top <= v_bot:
+    if pivot_top:
         t = PadicMatrix2.of(((u0, 0), (u1, 1 / u0)), p)
     else:
         t = PadicMatrix2.of(((u0, -1 / u1), (u1, 0)), p)

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from padyn import borel
-from padyn.padic import PadicMatrix2, PadicRational, fraction_valuation
+from padyn.padic import PadicMatrix2, PadicRational
 from padyn.residues import ResidueClass, build_group, class_of, is_nth_power
 from padyn.types1 import ScaleLadder
 
@@ -64,7 +64,7 @@ def test_witness_scales_put_infinity_above_near():
     assert w.a == Fraction(5**6)  # exponent 6 = least even exponent >= 5
     assert w.b == Fraction(1, 5**20)
     # the mixing scale that downstream factorizations divide by
-    assert fraction_valuation(1 / w.a / w.b, P) == 14
+    assert PadicRational.of(1 / w.a / w.b, P).e == 14
 
     w2 = borel.witness(btype(2), ladder)
     assert w2.a == 2 * Fraction(5**6)
@@ -77,8 +77,8 @@ def test_witness_carries_the_class_on_both_coordinates():
         w = borel.witness(cls, LADDER)
         assert class_of(w.a, N, P) == cls
         assert class_of(w.b, N, P) == cls
-        assert fraction_valuation(w.a, P) >= LADDER.rungs[0]
-        assert fraction_valuation(w.b, P) <= -LADDER.rungs[1]
+        assert PadicRational.of(w.a, P).e >= LADDER.rungs[0]
+        assert PadicRational.of(w.b, P).e <= -LADDER.rungs[1]
     # every witness is an element of B held on p-normalised entries
     for n in (1, 2, 3):
         for cls in build_group(P, n).elements:
@@ -93,7 +93,7 @@ def test_witness_at_offset_rung_block():
     w = borel.witness(btype(10), LADDER, rung_index=2)
     # rep 10 has valuation 1, so the near exponent rounds 784 up to 784
     assert w.a == 10 * Fraction(5**784)
-    assert fraction_valuation(w.b, P) == 1 - 6290
+    assert PadicRational.of(w.b, P).e == 1 - 6290
 
 
 def test_witness_needs_two_free_rungs():
@@ -118,8 +118,8 @@ def test_star_witness_path_scales():
     left = borel.witness(btype(2), LADDER, 0)
     right = borel.witness(btype(5), LADDER, 2)
     prod = left @ right
-    assert fraction_valuation(prod.a, P) == 10 + 785
-    assert fraction_valuation(prod.b, P) == -6279
+    assert PadicRational.of(prod.a, P).e == 10 + 785
+    assert PadicRational.of(prod.b, P).e == -6279
     assert class_of(prod.a, N, P) == btype(10)
 
 

@@ -264,10 +264,13 @@ def test_borel_flow_group_check_passes_with_asserts_stripped():
     [
         "residue-oracle",
         "type-roundtrip",
+        "affine-flows",
         "iwasawa-rewrite",
         "main-flow",
         "ellis-tower",
         "projective-collapse",
+        "projective-minimality",
+        "ladder-stability",
     ],
 )
 def test_check_passes_with_asserts_stripped(check):

@@ -23,7 +23,7 @@ from padyn.flows import (
     normalize_group_tag,
     state_space,
 )
-from padyn.padic import fraction_valuation
+from padyn.padic import PadicRational
 from padyn.residues import build_group, class_of
 from padyn.types1 import ScaleLadder, TruncType1, classify, enumerate_types, realize
 
@@ -94,7 +94,7 @@ def test_action_tables_agree_with_realization_oracle():
             if (
                 expected.kind == "near"
                 and expected.base != 0
-                and fraction_valuation(expected.base, 5) < -2
+                and PadicRational.of(expected.base, 5).e < -2
             ):
                 continue  # base fell out of the window; see coarsening test
             back = classify(moved, expected.base_points(), 2, 2, 5)

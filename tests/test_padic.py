@@ -6,14 +6,13 @@ from fractions import Fraction
 import pytest
 
 from padyn.padic import (
-    INFINITY,
     PadicMatrix2,
     PadicRational,
     SingularMatrixError,
     format_rational,
+    _p_power,
     int_valuation,
     parse_rational,
-    fraction_valuation,
 )
 
 
@@ -26,16 +25,27 @@ def naive_valuation(num: int, p: int) -> tuple[int, int]:
     return v, num
 
 
-def test_int_valuation_matches_naive():
-    rng = random.Random(20260814)
+def check_int_valuation_against_naive(seed: int) -> None:
+    rng = random.Random(seed)
     for p in (2, 3, 5, 7):
         for _ in range(200):
             unit = rng.randrange(1, 10**6)
             while unit % p == 0:
                 unit += 1
-            k = rng.choice((0, 1, 2, 3, 7, 19, 64, 257))
+            k = rng.choice((0, 1, 2, 3, 7, 8, 19, 63, 64, 255, 256, 257, 1000))
             num = unit * p**k
             assert int_valuation(num, p) == naive_valuation(num, p) == (k, unit)
+
+
+def test_int_valuation_matches_naive():
+    check_int_valuation_against_naive(20260814)
+    # no earlier call changes a result: not a 120 000-digit strip, nor
+    # the power cache evicted by more keys than it holds
+    assert int_valuation(7 * 5**120000, 5) == (120000, 7)
+    check_int_valuation_against_naive(20260815)
+    for k in range(_p_power.cache_info().maxsize + 44):
+        _p_power(5, 3 * k + 1)
+    check_int_valuation_against_naive(20260816)
 
 
 def test_int_valuation_huge_exponent():
@@ -44,21 +54,17 @@ def test_int_valuation_huge_exponent():
     assert (v, u) == (120000, 7)
 
 
-def test_valuation_of_zero_is_infinity():
-    assert fraction_valuation(0, 5) is INFINITY
-    assert INFINITY > 10**12
-    assert INFINITY >= INFINITY
-    assert not INFINITY < -(10**12)
-    assert INFINITY + 5 is INFINITY
-    with pytest.raises(ArithmeticError):
-        -INFINITY
+def valuation(x, p: int) -> int:
+    return PadicRational.of(x, p).e
 
 
 def test_valuation_examples():
-    assert fraction_valuation(Fraction(50), 5) == 2
-    assert fraction_valuation(Fraction(1, 125), 5) == -3
-    assert fraction_valuation(Fraction(3, 7), 5) == 0
-    assert fraction_valuation(Fraction(-75, 8), 5) == 2
+    assert valuation(Fraction(50), 5) == 2
+    assert valuation(Fraction(1, 125), 5) == -3
+    assert valuation(Fraction(3, 7), 5) == 0
+    assert valuation(Fraction(-75, 8), 5) == 2
+    # zero has no valuation: it reads as e = 0 and is told apart by truth
+    assert not PadicRational.of(0, 5) and valuation(0, 5) == 0
 
 
 def test_valuation_is_additive_on_products():
@@ -66,7 +72,7 @@ def test_valuation_is_additive_on_products():
     for _ in range(300):
         x = Fraction(rng.randrange(1, 5000), rng.randrange(1, 5000))
         y = Fraction(rng.randrange(1, 5000), rng.randrange(1, 5000))
-        assert fraction_valuation(x * y, 5) == fraction_valuation(x, 5) + fraction_valuation(y, 5)
+        assert valuation(x * y, 5) == valuation(x, 5) + valuation(y, 5)
 
 
 def test_ultrametric_inequality():
@@ -76,18 +82,18 @@ def test_ultrametric_inequality():
         y = Fraction(rng.randrange(-4000, 4000), rng.randrange(1, 4000))
         if x + y == 0:
             continue
-        vx, vy = fraction_valuation(x, 3), fraction_valuation(y, 3)
-        lo = min((v for v in (vx, vy) if v is not INFINITY), default=INFINITY)
-        assert fraction_valuation(x + y, 3) >= lo
-        if vx is not INFINITY and vy is not INFINITY and vx != vy:
-            assert fraction_valuation(x + y, 3) == lo
+        # x + y is nonzero, so x or y is
+        lo = min(valuation(v, 3) for v in (x, y) if v)
+        assert valuation(x + y, 3) >= lo
+        if x and y and valuation(x, 3) != valuation(y, 3):
+            assert valuation(x + y, 3) == lo
 
 
 def test_unit_part_small_oracle():
     for num in range(1, 60):
         for den in range(1, 60):
             x = Fraction(num, den)
-            v = fraction_valuation(x, 5)
+            v = valuation(x, 5)
             y = PadicRational.of(x, 5)
             assert y.e == v
             assert Fraction(y.num, y.den) * Fraction(5) ** v == x
@@ -126,9 +132,9 @@ def test_padic_rational_arithmetic():
     assert a * b == Fraction(3, 16)
     assert a / b == 3
     assert -a == Fraction(-3, 4)
-    assert a.valuation() == 0
-    assert PadicRational.of(50, 5).valuation() == 2
-    assert PadicRational.of(0, 5).valuation() is INFINITY
+    assert a.e == 0
+    assert PadicRational.of(50, 5).e == 2
+    assert not PadicRational.of(0, 5)
     with pytest.raises(ValueError):
         a + PadicRational.of(1, 7)
 

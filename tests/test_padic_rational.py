@@ -19,12 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padyn.padic import (
-    INFINITY,
-    PadicRational,
-    _coerce_fraction,
-    fraction_valuation,
-)
+from padyn.padic import PadicMatrix2, PadicRational, _coerce_fraction
 from padyn.residues import class_of, is_nth_power
 
 PRIMES = (2, 3, 5, 7)
@@ -129,7 +124,7 @@ def pairs(draw):
 @st.composite
 def cancelling_pairs(draw):
     """x and y with the same valuation whose sum cancels k >= 1 p-digits,
-    and the valuation of that sum."""
+    and the valuation of that sum (None when the sum is zero)."""
     p = draw(st.sampled_from(PRIMES))
     e = draw(exponents)
     u = draw(st.integers(1, 10**6).filter(lambda k: k % p))
@@ -137,7 +132,7 @@ def cancelling_pairs(draw):
     w = draw(st.integers(-10**3, 10**3))
     den = draw(st.integers(1, 10**4).filter(lambda d: d % p))
     scale = Fraction(p) ** e / den
-    v = e + k + naive_valuation(w, p)[0] if w else INFINITY
+    v = e + k + naive_valuation(w, p)[0] if w else None
     return p, u * scale, (-u + w * p**k) * scale, v
 
 
@@ -193,8 +188,11 @@ def test_tied_exponents_strip_cancelled_digits(case):
     assert x.e == y.e
     total = x + y
     assert_same(total, xf + yf)
-    assert total.valuation() == v
-    assert total.valuation() > x.e
+    if v is None:
+        assert not total
+    else:
+        assert total.e == v
+        assert total.e > x.e
 
 
 @SETTINGS
@@ -204,8 +202,7 @@ def test_reads_match_fraction(ref):
     x = PadicRational.of(xf, p)
     assert hash(x) == hash(xf)
     if not xf:
-        assert x.valuation() is INFINITY
-        assert fraction_valuation(xf, p) is INFINITY
+        assert not x
         assert x.residue(p**3) == 0
         with pytest.raises(ZeroDivisionError):
             x.unit_residue(p)
@@ -215,7 +212,7 @@ def test_reads_match_fraction(ref):
             with pytest.raises(ValueError):
                 is_nth_power(xf, n, p)
         return
-    assert x.valuation() == fraction_valuation(xf, p) == ref.v
+    assert x.e == ref.v
     for r in (1, 3):
         modulus = p**r
         assert x.unit_residue(modulus) == ref.unit_residue(modulus)
@@ -259,7 +256,7 @@ def test_small_values_hash_like_ints():
 def test_other_primes_fall_back_to_the_fraction_path():
     x = PadicRational.of(Fraction(50, 3), 5)
     ref = Naive(3, 50, 3, 0)
-    assert fraction_valuation(x, 3) == -1
+    assert PadicRational.of(x, 3).e == -1
     assert PadicRational.of(x, 3).unit_residue(9) == ref.unit_residue(9)
     assert class_of(x, 2, 3).representative == ref.class_rep(2)
     assert x == PadicRational.of(Fraction(50, 3), 3)
@@ -357,12 +354,12 @@ def test_sparse_reads_match_fraction(case):
     assert (x.numerator, x.denominator) == (xf.numerator, xf.denominator)
     assert type(_coerce_fraction(x)) is Fraction
     if not xf:
-        assert x.valuation() is INFINITY
+        assert not x
         assert x.residue(p**3) == 0
         with pytest.raises(ZeroDivisionError):
             x.unit_residue(p)
         return
-    assert x.valuation() == fraction_valuation(x, p) == fraction_valuation(xf, p) == ref.v
+    assert x.e == PadicRational.of(x, p).e == PadicRational.of(xf, p).e == ref.v
     for r in (1, 2, 5):
         modulus = p**r
         assert x.unit_residue(modulus) == ref.unit_residue(modulus)
@@ -375,7 +372,7 @@ def test_sparse_reads_match_fraction(case):
         assert class_of(x, n, p).representative == ref.class_rep(n)
         assert is_nth_power(x, n, p) == ref.is_nth_power(n)
     other = next(q for q in PRIMES if q != p)
-    assert fraction_valuation(x, other) == Naive.of_fraction(other, xf).v
+    assert PadicRational.of(x, other).e == Naive.of_fraction(other, xf).v
 
 
 @SPARSE_SETTINGS
@@ -397,6 +394,49 @@ def test_sparse_forms_of_one_value_are_equal(case, data):
     bumped = x + term(p, Fraction(1), data.draw(exponents))
     assert bumped != x and x != bumped
     assert (bumped == one_term) == (bumped.to_fraction() == xf)
+
+
+@st.composite
+def small_sparse_values(draw, p):
+    """A sum of 0-3 terms c * p**e with small c and e (so that a naive
+    strip is cheap), zero and multiples of p included; returned with its
+    Fraction value."""
+    x, xf = PadicRational.of(0, p), Fraction(0)
+    parts = st.tuples(st.integers(-50, 50), st.integers(1, 50), st.integers(-2, 8))
+    for num, den, e in draw(st.lists(parts, max_size=3)):
+        c = Fraction(num, den)
+        x = x + term(p, c, e)
+        xf += c * Fraction(p) ** e
+    return x, xf
+
+
+def naive_at_least(xf: Fraction, p: int, k: int) -> bool:
+    """v_p(xf) >= k, stripping p one division at a time; zero meets every k."""
+    if not xf:
+        return True
+    return naive_valuation(xf.numerator, p)[0] - naive_valuation(xf.denominator, p)[0] >= k
+
+
+@SETTINGS
+@given(
+    st.sampled_from(PRIMES).flatmap(
+        lambda p: st.lists(small_sparse_values(p), min_size=4, max_size=4)
+    ),
+    st.integers(0, 4),
+)
+def test_matrix_predicates_match_a_naive_strip(entries, k):
+    # the diagonal is 1 + x, so congruence to the identity is common
+    p = entries[0][0].p
+    xs = [x + 1 if i in (0, 3) else x for i, (x, _) in enumerate(entries)]
+    fs = [xf + 1 if i in (0, 3) else xf for i, (_, xf) in enumerate(entries)]
+    diffs = (fs[0] - 1, fs[1], fs[2], fs[3] - 1)
+    integral = all(naive_at_least(f, p, 0) for f in fs)
+    congruent = all(naive_at_least(f, p, k) for f in diffs)
+    sparse = PadicMatrix2.padic(((xs[0], xs[1]), (xs[2], xs[3])), p)
+    plain = PadicMatrix2.of(((fs[0], fs[1]), (fs[2], fs[3])), p)
+    for g in (sparse, plain):
+        assert g.is_integral() == integral
+        assert g.congruent_to_identity(k) == congruent
 
 
 @SETTINGS
@@ -438,4 +478,4 @@ def test_one_term_and_sparse_forms_of_six_are_equal():
     assert sparse != PadicRational.of(1, 5) + 2 * five
     assert sparse.residue(25) == six.residue(25) == 6
     assert sparse.unit_residue(5) == 1
-    assert (sparse - six).valuation() is INFINITY
+    assert not sparse - six

@@ -9,7 +9,7 @@ import pytest
 from padyn import sl2
 from padyn._graph import strongly_connected_components
 from padyn.borel import build_flow_group, witness
-from padyn.padic import PadicMatrix2, PadicRational, fraction_valuation
+from padyn.padic import PadicMatrix2, PadicRational
 from padyn.residues import build_group, class_of
 from padyn.sl2 import GFlowPoint
 from padyn.types1 import DEFAULT_LADDER, ScaleLadder
@@ -99,6 +99,10 @@ def test_iwasawa_pinned_vanishing_corner():
     t, h = sl2.iwasawa(mat(((0, 5), (Fraction(-1, 5), 3))))
     assert t.rows() == ((0, 1), (-1, 0))
     assert h.rows() == ((Fraction(1, 5), -3), (0, 5))
+    # a zero corner over a lower-left entry of positive valuation
+    t, h = sl2.iwasawa(mat(((0, Fraction(-1, 5)), (5, 0))))
+    assert t.rows() == ((0, -1), (1, 0))
+    assert h.rows() == ((5, 0), (0, Fraction(1, 5)))
 
 
 def test_iwasawa_rejects_other_determinants():
@@ -149,7 +153,7 @@ def test_rewrite_witness_corner_depth_frozen():
         h = witness(btype(rep), LADDER, 0)
         for t in rights:
             t2, h2 = sl2.borel_past_integral(h, t)
-            assert fraction_valuation(t2.c, P) == LADDER.rungs[1] - LADDER.rungs[0] == 86
+            assert PadicRational.of(t2.c, P).e == LADDER.rungs[1] - LADDER.rungs[0] == 86
             assert t2.congruent_to_identity(2)
             assert class_of(h2.a, N, P) == class_of(rep, N, P) * class_of(t.c, N, P)
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padyn.config import GlobalConfig
-from padyn.padic import fraction_valuation
+from padyn.padic import PadicRational
 from padyn.residues import build_group, class_of
 from padyn.types1 import (
     ScaleLadder,
@@ -69,11 +69,11 @@ def test_realize_respects_scale_and_class():
             magnitude = ladder.magnitude(rung_index)
             witness = realize(t, rung_index, ladder)
             if t.kind == "near":
-                gap_val = fraction_valuation(witness - t.base, 5)
+                gap_val = PadicRational.of(witness - t.base, 5).e
                 assert gap_val >= magnitude
                 assert class_of(witness - t.base, 2, 5) == t.klass
             else:
-                assert fraction_valuation(witness, 5) <= -magnitude
+                assert PadicRational.of(witness, 5).e <= -magnitude
                 assert class_of(witness, 2, 5) == t.klass
 
 
@@ -81,7 +81,7 @@ def test_realize_at_a_deep_rung():
     ladder = default_ladder()
     c10 = class_of(10, 2, 5)
     witness = realize(TruncType1.near(3, c10), 4, ladder)
-    assert fraction_valuation(witness - 3, 5) == 50321  # rep 10 adds 1 to the even scale
+    assert PadicRational.of(witness - 3, 5).e == 50321  # rep 10 adds 1 to the even scale
     assert classify(witness, [Fraction(3)], 2, 2, 5) == TruncType1.near(3, c10)
 
 
