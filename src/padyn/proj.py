@@ -6,24 +6,22 @@ with class data measured in the reciprocal chart beyond the integral
 window so the family at infinity behaves like any other.
 
 The action moves Near types symbolically: the class picks up the class
-of the exact chart-to-chart derivative, which makes the action an exact
-group action on exact-point types and O(1) per step.  `classify_value`
-is the honest truncation of an exact value (window residue plus the
-class of the deviation) and is total, since the deviation from a
-value's own residue always has valuation at least the window.
-`snap_type` truncates a Near type's deepest-rung witness y0 + scale the
-same way, in the base point's chart.  The witness is a sparse
-`PadicRational` of two terms, so its residue reads y0 alone and the
-deviation (y0 - r) + scale never holds the thousands of p-digits that
-forming the witness would multiply in and r would cancel.
+of the exact chart-to-chart derivative, an exact group action on
+exact-point types.  `classify_value` truncates an exact value (window
+residue plus the class of the deviation); `snap_type` truncates a Near
+type's deepest-rung witness y0 + scale the same way, as a two-term
+sparse `PadicRational` that never forms the witness's p-digits.
 
-Two product operators drive the collapse: `triangular_star` sends every
-type not based at infinity into the infinity family (the diagonal/corner
-mix of the triangular witness dominates), and `compact_star` sends the
-whole infinity family to one distinguished type (the input's own witness
-is congruent to the identity at the compact level, so it is absorbed).
-Their composite is a constant map on all truncated types, which is both
-the collapse check and the proximality witness of the flow report.
+The flow report is a skew product over the base points, tabulated on
+int states: per (move, base point) one `_chart_step` gives the output
+point and a class map, either the derivative twist or a constant
+certified against the rung the input is realized at.  The products stay
+explicit for the collapse check and as the table's oracle:
+`triangular_star` sends every type not based at infinity into the
+infinity family, and `compact_star` sends that family to one type (the
+input's own witness is absorbed at the compact level).  Their composite
+is constant on all truncated types, which is both the collapse check
+and the proximality witness of the flow report.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from .padic import (
     _coerce_fraction,
     _require,
 )
-from .residues import ResidueClass, build_group, class_of
+from .residues import ResidueClass, build_group, class_of, hensel_modulus
 from .sl2 import GFlowPoint, KLevelElem, flow_generators
 from .types1 import DEFAULT_LADDER, ScaleLadder, TruncType1, _witness_scale, realize
 
@@ -73,11 +71,6 @@ class ProjPoint:
     @property
     def is_infinity(self) -> bool:
         return self.x1 == 0
-
-    def apply(self, g: PadicMatrix2) -> "ProjPoint":
-        return ProjPoint.of(
-            g.a * self.x0 + g.b * self.x1, g.c * self.x0 + g.d * self.x1
-        )
 
     def __str__(self) -> str:
         return "inf" if self.is_infinity else str(self.x0)
@@ -189,14 +182,34 @@ def snap_type(t: ProjTruncType, level: ProjLevel, ladder: ScaleLadder) -> ProjTr
     are reclassified, and a Near type is classified as its deepest-rung
     witness y0 + scale in the base point's chart, a two-term sparse sum."""
     if t.is_realized:
-        if t.point.is_infinity:
-            return t
-        return classify_value(t.point.x0, level)
+        return t if t.point.is_infinity else classify_value(t.point.x0, level)
     inverted = _inverted_chart(t.point, level.prime)
     scale = _witness_scale(t.near_class, ladder.rungs[-1], toward_infinity=False)
     y = scale + _chart_coordinate(t.point, inverted)
     _require(bool(y), "snap_type: the deepest-rung witness vanishes")
     return _chart_type(y, inverted, level)
+
+
+def _chart_step(g: PadicMatrix2, point: ProjPoint) -> tuple:
+    """g at a point in the charts of the point and its image: the image,
+    whether its chart is inverted, its chart coordinate z, the derivative
+    and q, so that the input moved by s lands at z + derivative·s/(1 + q·s)."""
+    if g.det() != 1:
+        raise ValueError("need determinant one")
+    p = g.prime
+    image = ProjPoint.of(g.a * point.x0 + g.b * point.x1, g.c * point.x0 + g.d * point.x1)
+    flip_in, flip_out = _inverted_chart(point, p), _inverted_chart(image, p)
+    # in the two charts g only permutes its entries: the bottom row is a row
+    # of g, reversed by a flipped input chart, and det is -1 iff one flips
+    lo, hi = (g.a, g.b) if flip_out else (g.c, g.d)
+    if flip_in:
+        lo, hi = hi, lo
+    denom = lo * _chart_coordinate(point, flip_in) + hi
+    if denom == 0:
+        raise ArithmeticError("chart selection failed to keep the image finite")
+    derivative = (-1 if flip_in != flip_out else 1) / (denom * denom)
+    z = PadicRational.of(_chart_coordinate(image, flip_out), p)
+    return image, flip_out, z, derivative, lo / denom
 
 
 def act_proj(g: PadicMatrix2, t: ProjTruncType) -> ProjTruncType:
@@ -206,22 +219,10 @@ def act_proj(g: PadicMatrix2, t: ProjTruncType) -> ProjTruncType:
     at the base point; the chain rule is exact on rationals, so this is a
     genuine group action on exact-point types.
     """
-    if g.det() != 1:
-        raise ValueError("need determinant one")
-    image = t.point.apply(g)
+    image, _, _, derivative, _ = _chart_step(g, t.point)
     if t.is_realized:
         return ProjTruncType.realized(image)
-    p = g.prime
-    flip_in, flip_out = _inverted_chart(t.point, p), _inverted_chart(image, p)
-    # in the two charts g only permutes its entries: the bottom row is a row
-    # of g, reversed by a flipped input chart, and det is -1 iff one flips
-    lo, hi = (g.a, g.b) if flip_out else (g.c, g.d)
-    if flip_in:
-        lo, hi = hi, lo
-    denom = lo * _chart_coordinate(t.point, flip_in) + hi
-    if denom == 0:
-        raise ArithmeticError("chart selection failed to keep the image finite")
-    twist = class_of((-1 if flip_in != flip_out else 1) / denom**2, t.near_class.level_n, p)
+    twist = class_of(derivative, t.near_class.level_n, g.prime)
     return ProjTruncType.near(image, twist * t.near_class)
 
 
@@ -334,16 +335,13 @@ def boundary_flagged(level: ProjLevel) -> tuple[str, ...]:
     flagged = []
     for pt in level.base_points():
         u = _chart_coordinate(pt, _inverted_chart(pt, level.prime))
-        if u == 0:
-            continue
-        if abs(PadicRational.of(u, level.prime).e) >= level.window_w - 1:
+        if u and abs(PadicRational.of(u, level.prime).e) >= level.window_w - 1:
             flagged.append(str(pt))
     return tuple(sorted(flagged))
 
 
 @dataclass(frozen=True)
 class CollapseReport:
-    level: ProjLevel
     states_checked: int
     collapsed: bool
     collapsed_type: ProjTruncType | None
@@ -366,18 +364,51 @@ def collapse_check(
     """Apply the composite product operator to every truncated type at
     the level and confirm a single output value."""
     states = all_states(level)
-    outputs = {
-        compact_star(triangular_star(t, level, ladder), level, ladder, level_m)
-        for t in states
-    }
+    images = {triangular_star(t, level, ladder) for t in states}
+    outputs = {compact_star(t, level, ladder, level_m) for t in images}
     collapsed = len(outputs) <= 1
     value = outputs.pop() if len(outputs) == 1 else None
-    return CollapseReport(level, len(states), collapsed, value, boundary_flagged(level))
+    return CollapseReport(len(states), collapsed, value, boundary_flagged(level))
+
+
+def _flow_table(level: ProjLevel, level_m: int, ladder: ScaleLadder) -> list[tuple[int, ...]]:
+    """Successor codes (point_index·|J| + class_index) of the nonalgebraic
+    states under the generators, the triangular and each fiber product.
+
+    Per (move, base point) an input realized at the move's rung lands at
+    z + dev with v(dev) >= depth: the class map is the derivative twist if
+    z is a window residue r, else the constant class of z - r, certified
+    by the depth.  A snapped generator image's dev is the deepest-rung
+    scale; a witness moves the rung-2 realization s of `_apply_witness`,
+    whose twisted class holds while v(q·s) reaches the Hensel exponent."""
+    p, n, m = level.prime, level.level_n, level.modulus
+    classes, points = level.classes(), level.base_points()
+    slot = {c: k for k, c in enumerate(classes)}
+    hensel = PadicRational.of(hensel_modulus(p, n), p).e
+    identity = GFlowPoint(KLevelElem.identity(p, 1), class_of(1, n, p))
+    witnesses = [_flow_point_witness(identity, ladder), *(_fiber_witness(c, ladder) for c in classes)]
+    moves = [(g, ladder.rungs[-1], False) for g in flow_generators(p, level_m + level.window_w)]
+    moves += [(w, ladder.rungs[2], True) for w in witnesses]
+    columns = [[] for _ in moves]
+    for (g, rung, through), column in zip(moves, columns):
+        for point in points:
+            _, inverted, z, derivative, q = _chart_step(g, point)
+            r = z.residue(m)
+            dev = z - r
+            depth = rung + PadicRational.of(derivative, p).e if through else rung
+            exact = not (through and q) or PadicRational.of(q, p).e + rung >= hensel
+            bound = dev.e + hensel if dev else level.window_w
+            _require(exact and depth >= bound, "projective flow: a class map is not certified")
+            _require(not inverted or r % p == 0, "projective flow: a successor left the state space")
+            base = len(classes) * (m + r // p if inverted else r)
+            # the class map: constant at class(z - r), or the derivative's twist
+            k = class_of(dev if dev else derivative, n, p)
+            column += [base + slot[k if dev else k * c] for c in classes]
+    return list(zip(*columns))
 
 
 @dataclass(frozen=True)
 class ProjFlowReport:
-    level: ProjLevel
     size: int
     strongly_connected: bool
     proximal: bool
@@ -407,22 +438,11 @@ def minimality_proximality_report(
     The fiber transitions are load-bearing: determinant-one derivatives
     only twist classes by squares, so the action alone cannot cross
     between class fibers away from collapsing boundary deviations."""
-    states = nonalgebraic_states(level)
-    index = {s: i for i, s in enumerate(states)}
-    gens = flow_generators(level.prime, level_m + level.window_w)
-    successors: list[list[int]] = []
-    for s in states:
-        outs = [snap_type(act_proj(g, s), level, ladder) for g in gens]
-        outs.append(triangular_star(s, level, ladder))
-        outs.extend(fiber_star(s, c, level, ladder) for c in level.classes())
-        codes = [index.get(o) for o in outs]
-        _require(None not in codes, "projective flow: a successor left the state space")
-        successors.append(codes)
-    components = strongly_connected_components(range(len(states)), successors.__getitem__)
+    successors = _flow_table(level, level_m, ladder)
+    components = strongly_connected_components(range(len(successors)), successors.__getitem__)
     collapse = collapse_check(level, ladder, level_m)
     return ProjFlowReport(
-        level=level,
-        size=len(states),
+        size=len(successors),
         strongly_connected=len(components) == 1,
         proximal=collapse.collapsed,
         collapsed_type=collapse.collapsed_type,

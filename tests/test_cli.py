@@ -235,16 +235,20 @@ def test_verify_all_fails_with_exit_one(capsys, monkeypatch):
     assert "main-flow: FAIL" in err
 
 
-def verify_with_asserts_stripped(check):
-    # python -O strips every assert, so the check's verdict must rest on
-    # explicit errors and comparisons alone
+def run_with_asserts_stripped(*argv):
+    # python -O strips every assert, so a verdict must rest on explicit
+    # errors and comparisons alone
     src = str(Path(padyn.__file__).resolve().parents[1])
     path = [src, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    argv = [sys.executable, "-O", "-m", "padyn.cli", "verify", "--check", check]
+    argv = [sys.executable, "-O", "-m", "padyn.cli", *argv]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["passed"] is True
+    return proc.stdout
+
+
+def verify_with_asserts_stripped(check):
+    assert json.loads(run_with_asserts_stripped("verify", "--check", check))["passed"] is True
 
 
 def test_no_assert_in_the_package():
@@ -294,6 +298,11 @@ STDOUT_SHA256 = {
     "proj minimal": "9c07170058f50821d251ea8895351524b4ff56cbd63c796bf2f8c6e9f5ad0115",
     "proj minimal --w 3": "a74b5908c744b4844110d87826b34387673fb819403ba13161844b7346eaf2ab",
     "proj minimal --gap 16": "9c07170058f50821d251ea8895351524b4ff56cbd63c796bf2f8c6e9f5ad0115",
+    "proj minimal --w 4": "5837ea4b293e3922601dd565e04196139ae86e6bf11b949a7cad56da699f070c",
+    "proj minimal --p 3 --n 3 --w 3": "14a4edc0ef262acd63b4cf6a6aa7b05c4627291165e4e5314c095f0e873f5958",
+    "proj minimal --p 7 --n 3": "a5fb04b2debe7edd07204a4af48110f9bf21007409b450c271b477e1d566cd92",
+    "proj minimal --n 4": "d628f2233ba8b501930b0b2a1767d7b6062ddb0ae7a436b7db07449d6dee108f",
+    "proj collapse --w 3": "9f065dd6ae740baf86eba735aa0cf997798faa92124eb29557eb888b27bdeba4",
     "borel --n 6": "bb4c46e9320e88497624a224f407e41fe236c93a95b1941f9717fc69fa2647fd",
     "ellis --p 7 --n 6": "7341327e1c93ddacaa26967a0d0a7468616b762078d6a7ce10b2c8284f88cb86",
     "minimal-flow --p 7 --n 6": "753db039445c58c4750bd6f74b34ebcb3e17fd50dc7b289fa7eae97f7447d134",
@@ -308,3 +317,10 @@ def test_default_stdout_matches_the_pinned_digest(capsys, command):
     code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command]
+
+
+def test_proj_minimal_stdout_matches_the_pinned_digest_with_asserts_stripped():
+    # the flow table's certification and state-space checks are _require
+    # calls, so the report is the same under python -O
+    out = run_with_asserts_stripped("proj", "minimal", "--w", "3")
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256["proj minimal --w 3"]

@@ -450,13 +450,25 @@ def test_fiber_transitions_are_load_bearing():
 
 
 def test_a_successor_outside_the_state_space_is_an_error(monkeypatch):
-    # realized types are not states of the nonalgebraic flow
-    def escaping(t, level, ladder):
-        return ProjTruncType.realized(INF)
+    # a unit chart coordinate in the reciprocal chart names no base point
+    chart_step = proj._chart_step
 
-    monkeypatch.setattr(proj, "triangular_star", escaping)
+    def escaping(g, point):
+        _, _, _, derivative, q = chart_step(g, point)
+        return ProjPoint.of(1, 1), True, PadicRational.of(1, g.prime), derivative, q
+
+    monkeypatch.setattr(proj, "_chart_step", escaping)
     with pytest.raises(ArithmeticError, match="left the state space"):
         minimality_proximality_report(L11, level_m=1, ladder=LADDER)
+
+
+def test_an_uncertified_class_map_is_an_error():
+    # at gap 1 the rungs overlap: at infinity the table would read the
+    # triangular product as the twist translation, but the explicit product
+    # sends all four classes to class 1; the certificate refuses the entry
+    ladder = ScaleLadder.build(gap=1, window_w=2, length=4)
+    with pytest.raises(ArithmeticError, match="not certified"):
+        minimality_proximality_report(L22, level_m=1, ladder=ladder)
 
 
 def test_flow_report_json_shape():
@@ -500,3 +512,46 @@ def test_projection_commutes_with_star_products():
         left = flow_star(p1, column_state(w2, L22), L22, LADDER)
         right = column_state(w1 @ w2, L22)
         assert left == right
+
+
+# ------------------------------------------------------------ flow table
+
+def explicit_successors(s, level, ladder):
+    gens = flow_generators(level.prime, 1 + level.window_w)
+    outs = [snap_type(act_proj(g, s), level, ladder) for g in gens]
+    outs.append(triangular_star(s, level, ladder))
+    outs += [fiber_star(s, k, level, ladder) for k in level.classes()]
+    return outs
+
+
+@pytest.mark.parametrize("ladder", [LADDER, LADDER.doubled_gap()], ids=["default", "doubled-gap"])
+@pytest.mark.parametrize(
+    "level",
+    [ProjLevel(*pnw) for pnw in ((5, 2, 3), (5, 2, 2), (3, 2, 3), (7, 3, 2), (5, 4, 2), (3, 3, 2))],
+    ids=lambda lev: f"p{lev.prime}-n{lev.level_n}-w{lev.window_w}",
+)
+def test_flow_table_matches_the_explicit_moves(level, ladder):
+    # every (move, base point, class) entry of the table against the
+    # snapped action and the two witness products on the formed input
+    states = nonalgebraic_states(level)
+    table = proj._flow_table(level, 1, ladder)
+    assert len(table) == len(states)
+    for s, codes in zip(states, table):
+        assert [states[code] for code in codes] == explicit_successors(s, level, ladder), s
+
+
+def test_flow_table_class_map_kinds():
+    # per (move, base point) the class map is a translation (every class
+    # moves to its own target) or a constant (one target for all); counts
+    # of (translations, constants) per move at (5, 2, 3)
+    level = ProjLevel(5, 2, 3)
+    order = len(level.classes())
+    table = proj._flow_table(level, 1, LADDER)
+    kinds = []
+    for move in range(len(table[0])):
+        targets = [{table[i + j][move] for j in range(order)} for i in range(0, len(table), order)]
+        assert {len(t) for t in targets} <= {1, order}
+        kinds.append((sum(len(t) == order for t in targets), sum(len(t) == 1 for t in targets)))
+    assert kinds[0] == (125, 25)
+    assert kinds[5] == (1, 149)
+    assert kinds[6:] == [(1, 149)] * order
