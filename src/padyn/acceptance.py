@@ -42,11 +42,11 @@ from padyn.proj import (
 )
 from padyn.residues import brute_force_order, build_group, class_of, hensel_modulus, is_nth_power
 from padyn.sl2 import (
-    KLevelElem,
     borel_past_integral,
     ellis_group,
     iwasawa,
     k_level_group,
+    k_lift,
     minimal_flow,
 )
 from padyn.types1 import (
@@ -265,7 +265,7 @@ def check_iwasawa_and_rewrite(seed: int = DEFAULT_SEED) -> dict:
         h = borel_witness(ident, DEFAULT_LADDER, block)
         a, c = h.a, h.b
         for k in compact:
-            tmat = KLevelElem(p, 1, k).lift()
+            tmat = k_lift(k, p, 1)
             t2, h2 = borel_past_integral(h, tmat)
             if (t2 @ h2).rows() != (h @ tmat).rows() or not h2.is_upper_triangular():
                 formula_failures += 1

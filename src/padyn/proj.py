@@ -40,7 +40,7 @@ from .padic import (
     _require,
 )
 from .residues import ResidueClass, build_group, class_of, hensel_modulus
-from .sl2 import GFlowPoint, KLevelElem, flow_generators
+from .sl2 import GFlowPoint, flow_generators, k_lift
 from .types1 import DEFAULT_LADDER, ScaleLadder, TruncType1, _witness_scale, realize
 
 
@@ -230,7 +230,7 @@ def act_proj(g: PadicMatrix2, t: ProjTruncType) -> ProjTruncType:
 # that and the ladder, not on the input type, so each is built once
 @lru_cache(maxsize=256)
 def _flow_point_witness(source: GFlowPoint, ladder: ScaleLadder) -> PadicMatrix2:
-    return source.k.lift() @ borel_witness(source.j, ladder, 0)
+    return k_lift(source.k, source.j.prime, source.level_m) @ borel_witness(source.j, ladder, 0)
 
 
 @lru_cache(maxsize=256)
@@ -262,7 +262,7 @@ def flow_star(
     """Product of a paired flow point with a projective type through
     concrete witnesses: the flow point is realized on the first rung
     block, the input on the block above everything the witness spans."""
-    if source.k.prime != level.prime or source.j.level_n != level.level_n:
+    if source.j.prime != level.prime or source.j.level_n != level.level_n:
         raise ValueError("mixed truncation levels")
     return _apply_witness(_flow_point_witness(source, ladder), t, level, ladder)
 
@@ -277,8 +277,8 @@ def triangular_star(
     exact valuation comparison picks the dominant term.  Infinity itself
     is fixed, and infinity-based families stay within the family.
     """
-    p, n = level.prime, level.level_n
-    return flow_star(GFlowPoint(KLevelElem.identity(p, 1), class_of(1, n, p)), t, level, ladder)
+    identity = GFlowPoint.identity(level.prime, level.level_n, 1)
+    return flow_star(identity, t, level, ladder)
 
 
 def fiber_star(
@@ -385,7 +385,7 @@ def _flow_table(level: ProjLevel, level_m: int, ladder: ScaleLadder) -> list[tup
     classes, points = level.classes(), level.base_points()
     slot = {c: k for k, c in enumerate(classes)}
     hensel = PadicRational.of(hensel_modulus(p, n), p).e
-    identity = GFlowPoint(KLevelElem.identity(p, 1), class_of(1, n, p))
+    identity = GFlowPoint.identity(p, n, 1)
     witnesses = [_flow_point_witness(identity, ladder), *(_fiber_witness(c, ladder) for c in classes)]
     moves = [(g, ladder.rungs[-1], False) for g in flow_generators(p, level_m + level.window_w)]
     moves += [(w, ladder.rungs[2], True) for w in witnesses]

@@ -9,9 +9,8 @@ Four layers, all exact:
   through compact factors.  It runs on `PadicRational` entries, so a
   witness matrix stays p-normalised throughout.
 - K, the finite group of det-1 matrices mod p^m, is int-coded: an
-  element is its entry tuple, numbered by its index in `k_level_group`.
-  `KLevelElem` wraps one where `star` and `proj` need its exact det-1
-  lift back to rationals.
+  element is its entry tuple, numbered by its index in `k_level_group`,
+  with `k_mul`, `k_reduce` and the cached exact det-1 lift `k_lift`.
 - `GFlowPoint` pairs a K element with a residue class: a triangular
   truncated type is the power-residue class of its diagonal, so the
   class is the type.  `star` multiplies two points by realizing
@@ -131,69 +130,29 @@ def _lift_scaled(entries: tuple[int, int, int, int], p: int) -> tuple[int, tuple
     return c, ((a * c, a * d - 1), (c * c, c * d))
 
 
-@dataclass(frozen=True)
-class KLevelElem:
-    """Det-1 matrix over Z/p^m, entries stored reduced in [0, p^m)."""
-
-    prime: int
-    level_m: int
-    entries: tuple[int, int, int, int]
-
-    def __post_init__(self) -> None:
-        mod = self.modulus
-        if any(not 0 <= e < mod for e in self.entries):
-            raise ValueError("entries must be reduced")
-        a, b, c, d = self.entries
-        if (a * d - b * c) % mod != 1 % mod:
-            raise ValueError("determinant must be 1 at this level")
-
-    @property
-    def modulus(self) -> int:
-        return self.prime**self.level_m
-
-    @classmethod
-    def of(cls, entries, p: int, level_m: int) -> "KLevelElem":
-        mod = p**level_m
-        return cls(p, level_m, tuple(int(e) % mod for e in entries))
-
-    @classmethod
-    def identity(cls, p: int, level_m: int) -> "KLevelElem":
-        return cls.of((1, 0, 0, 1), p, level_m)
-
-    @classmethod
-    def reduce(cls, g: PadicMatrix2, level_m: int) -> "KLevelElem":
-        if not g.is_integral():
-            raise ValueError("only integral matrices reduce")
-        mod = g.prime**level_m
-        reduced = tuple(
-            e.numerator % mod * pow(e.denominator % mod, -1, mod) % mod
-            for e in g.entries()
-        )
-        return cls(g.prime, level_m, reduced)
-
-    def __mul__(self, other: "KLevelElem") -> "KLevelElem":
-        if (self.prime, self.level_m) != (other.prime, other.level_m):
-            raise ValueError("mixed compact levels")
-        entries = _k_mul(self.entries, other.entries, self.modulus)
-        return KLevelElem(self.prime, self.level_m, entries)
-
-    def lift(self) -> PadicMatrix2:
-        """Exact det-1 integral lift (see `_lift_scaled`)."""
-        return _exact_lift(self.entries, self.prime, self.level_m)
+def k_reduce(g: PadicMatrix2, level_m: int) -> tuple[int, int, int, int]:
+    """The entry tuple of integral g mod p^m."""
+    if not g.is_integral():
+        raise ValueError("only integral matrices reduce")
+    mod = g.prime**level_m
+    return tuple(
+        e.numerator % mod * pow(e.denominator % mod, -1, mod) % mod for e in g.entries()
+    )
 
 
 # `star` lifts the same few compact parts over and over, so each lift is
 # built, and checked, once per entry tuple
 @lru_cache(maxsize=1024)
-def _exact_lift(entries: tuple[int, int, int, int], p: int, level_m: int) -> PadicMatrix2:
-    den, rows = _lift_scaled(entries, p)
+def k_lift(k: tuple[int, int, int, int], p: int, level_m: int) -> PadicMatrix2:
+    """The exact det-1 integral lift of K element k (see `_lift_scaled`)."""
+    den, rows = _lift_scaled(k, p)
     lifted = PadicMatrix2.of(tuple(tuple(Fraction(x, den) for x in row) for row in rows), p)
     _require(lifted.det() == 1, "lift: determinant is not one")
-    _require(KLevelElem.reduce(lifted, level_m).entries == entries, "lift: reduction differs")
+    _require(k_reduce(lifted, level_m) == k, "lift: reduction differs")
     return lifted
 
 
-def _k_mul(x: tuple, y: tuple, mod: int) -> tuple[int, int, int, int]:
+def k_mul(x: tuple, y: tuple, mod: int) -> tuple[int, int, int, int]:
     a, b, c, d = x
     e, f, g, h = y
     return (
@@ -234,10 +193,22 @@ def k_level_group(p: int, level_m: int) -> tuple[tuple[int, int, int, int], ...]
 
 @dataclass(frozen=True)
 class GFlowPoint:
-    """A compact level element paired with a triangular type's class."""
+    """A K element's entry tuple, reduced mod p^m, paired with a
+    triangular type's class."""
 
-    k: KLevelElem
+    k: tuple[int, int, int, int]
     j: ResidueClass
+    level_m: int
+
+    def __post_init__(self) -> None:
+        mod = self.j.prime**self.level_m
+        a, b, c, d = self.k
+        if any(not 0 <= e < mod for e in self.k) or (a * d - b * c) % mod != 1 % mod:
+            raise ValueError("k must be det-1 entries reduced mod p^m")
+
+    @classmethod
+    def identity(cls, p: int, level_n: int, level_m: int) -> "GFlowPoint":
+        return cls((1, 0, 0, 1), class_of(1, level_n, p), level_m)
 
 
 def _lower_perturbation(p: int, exponent: int) -> PadicMatrix2:
@@ -254,28 +225,27 @@ def star(
     it; the middle factors are refactored with `borel_past_integral` so
     the product splits back into a compact part (reduced mod p^m) and a
     triangular part (classified at level n).  The witnesses stay
-    `PadicRational`s throughout; only `lift()` builds `Fraction`s.
+    `PadicRational`s throughout; only `k_lift` builds `Fraction`s.
 
     With `perturbed=True` the compact parts carry explicit deep
     identity perturbations the way generic realizations would; they must
     wash out of both coordinates, so this path is the expensive
     self-check of the plain one.
     """
-    p = s.k.prime
-    level_m = s.k.level_m
-    level_n = s.j.level_n
-    if (p, level_m, level_n) != (t.k.prime, t.k.level_m, t.j.level_n):
+    p, level_n, level_m = s.j.prime, s.j.level_n, s.level_m
+    if (p, level_n, level_m) != (t.j.prime, t.j.level_n, t.level_m):
         raise ValueError("mixed truncation levels")
+    mod = p**level_m
     h1 = borel_witness(s.j, ladder, 0)
     h2 = borel_witness(t.j, ladder, 2)
-    mid, h1 = borel_past_integral(h1, t.k.lift())
-    compact = KLevelElem.reduce(mid, level_m)
+    mid, h1 = borel_past_integral(h1, k_lift(t.k, p, level_m))
+    compact = k_reduce(mid, level_m)
     if perturbed:
         tau1 = _lower_perturbation(p, level_m + ladder.window_w)
         tau2 = _lower_perturbation(p, ladder.gap * (ladder.rungs[1] + ladder.window_w))
         deep, h1 = borel_past_integral(h1, tau2)
-        compact = KLevelElem.reduce(tau1, level_m) * compact * KLevelElem.reduce(deep, level_m)
-    return GFlowPoint(s.k * compact, class_of((h1 @ h2).a, level_n, p))
+        compact = k_mul(k_mul(k_reduce(tau1, level_m), compact, mod), k_reduce(deep, level_m), mod)
+    return GFlowPoint(k_mul(s.k, compact, mod), class_of((h1 @ h2).a, level_n, p), level_m)
 
 
 # ------------------------------------------------------------- the flow
@@ -415,8 +385,8 @@ def skew_product(p: int, level_n: int, level_m: int, unit_level: int) -> SkewPro
         cocycle.append(tuple(row))
     slides = []
     for bmat, mult in identification_moves(p, level_n, unit_level):
-        kb = KLevelElem.reduce(bmat, level_m).entries
-        slides.append(tuple((index(_k_mul(k, kb, mod)), j_index[mult.representative]) for k in ks))
+        kb = k_reduce(bmat, level_m)
+        slides.append(tuple((index(k_mul(k, kb, mod)), j_index[mult.representative]) for k in ks))
     return SkewProduct(len(reps), products, tuple(cocycle), tuple(slides))
 
 
@@ -434,7 +404,6 @@ class EllisReport:
 
     prime: int
     level_n: int
-    level_m: int
     order: int
     levels: tuple[int, ...]
     tables: dict
@@ -477,13 +446,13 @@ def ellis_group(
     separate the classes.
     """
     levels = tuple(d for d in range(1, level_n + 1) if level_n % d == 0)
-    ident_k = KLevelElem.identity(p, level_m)
+    ident_k = GFlowPoint.identity(p, level_n, level_m).k
     tables: dict[int, dict] = {}
     iso: dict[int, bool] = {}
     vinj: dict[int, bool] = {}
     for lev in levels:
         flow = build_flow_group(p, lev, ladder)
-        points = [GFlowPoint(ident_k, j) for j in flow.elements]
+        points = [GFlowPoint(ident_k, j, level_m) for j in flow.elements]
         table = {}
         for a in points:
             for b in points:
@@ -509,7 +478,6 @@ def ellis_group(
     return EllisReport(
         prime=p,
         level_n=level_n,
-        level_m=level_m,
         order=build_group(p, level_n).order,
         levels=levels,
         tables=tables,
@@ -521,9 +489,6 @@ def ellis_group(
 
 @dataclass(frozen=True)
 class MinimalFlowReport:
-    prime: int
-    level_n: int
-    level_m: int
     size: int
     strongly_connected: bool
     idempotent: bool
@@ -559,15 +524,12 @@ def minimal_flow(
                 + [k_out * width + products[twist][j] for k_out, twist in slid]
             )
     components = strongly_connected_components(range(len(successors)), successors.__getitem__)
-    base = GFlowPoint(KLevelElem.identity(p, level_m), class_of(1, level_n, p))
+    base = GFlowPoint.identity(p, level_n, level_m)
     idempotent = (
         star(base, base, ladder) == base
         and star(base, base, ladder, perturbed=True) == base
     )
     return MinimalFlowReport(
-        prime=p,
-        level_n=level_n,
-        level_m=level_m,
         size=len(successors),
         strongly_connected=len(components) == 1,
         idempotent=idempotent,

@@ -281,8 +281,9 @@ def test_check_passes_with_asserts_stripped(check):
     verify_with_asserts_stripped(check)
 
 
-# sha256 of the stdout of each command at default flags, and of the
-# scaled proj runs (a wider window, a doubled ladder gap); any change to
+# sha256 of the stdout of each command at default flags, of the scaled
+# proj runs (a wider window, a doubled ladder gap) and of the level-2
+# compact runs of `star` and `ellis_group`; any change to
 # these bytes is a change to the CLI's output contract
 STDOUT_SHA256 = {
     "residues": "3fcdf32e7a51a534fa73030d26e6813c2ae1afed3b3681f3624745b1f8a62d65",
@@ -306,6 +307,8 @@ STDOUT_SHA256 = {
     "borel --n 6": "bb4c46e9320e88497624a224f407e41fe236c93a95b1941f9717fc69fa2647fd",
     "ellis --p 7 --n 6": "7341327e1c93ddacaa26967a0d0a7468616b762078d6a7ce10b2c8284f88cb86",
     "minimal-flow --p 7 --n 6": "753db039445c58c4750bd6f74b34ebcb3e17fd50dc7b289fa7eae97f7447d134",
+    "minimal-flow --p 3 --m 2": "61243b6209281ec89cf6bb41c0c0cff34b51d0e74e9499faf9972f48597c0a6b",
+    "ellis --p 3 --n 6 --m 2": "c6330af60f054e1e75dad78d57e1f858997bbbe77b213ece1d3972e9fe015fd3",
     "verify --check iwasawa-rewrite --seed 20260814": (
         "5a0fa78ff1398c15b12a0ef88b2f0a52885315e8d2c12b4b3b8bdeba54feba03"
     ),
@@ -324,3 +327,10 @@ def test_proj_minimal_stdout_matches_the_pinned_digest_with_asserts_stripped():
     # calls, so the report is the same under python -O
     out = run_with_asserts_stripped("proj", "minimal", "--w", "3")
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256["proj minimal --w 3"]
+
+
+def test_level_two_minimal_flow_stdout_matches_the_pinned_digest_with_asserts_stripped():
+    # the flow-point check and the lift's checks at m = 2 are explicit
+    # errors and _require calls, so the report is the same under python -O
+    out = run_with_asserts_stripped("minimal-flow", "--p", "3", "--m", "2")
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256["minimal-flow --p 3 --m 2"]

@@ -28,7 +28,7 @@ from padyn._graph import strongly_connected_components
 from padyn.borel import witness as borel_witness
 from padyn.padic import PadicMatrix2, PadicRational
 from padyn.residues import build_group, class_of
-from padyn.sl2 import GFlowPoint, KLevelElem, flow_generators, k_level_group
+from padyn.sl2 import GFlowPoint, flow_generators, k_level_group, k_lift
 from padyn.types1 import ScaleLadder, TruncType1, _witness_scale, realize
 
 P = 5
@@ -381,7 +381,7 @@ def test_fiber_star_walks_the_whole_fiber():
 
 
 def test_flow_star_rejects_mixed_levels():
-    point = GFlowPoint(KLevelElem.identity(3, 1), class_of(1, 2, 3))
+    point = GFlowPoint.identity(3, 2, 1)
     with pytest.raises(ValueError):
         flow_star(point, ProjTruncType.realized(pt(0)), L22, LADDER)
 
@@ -494,7 +494,8 @@ def column_state(m, level):
 
 
 def flow_point_witness(point, block):
-    return point.k.lift() @ mat(borel_witness(point.j, LADDER, block).rows())
+    lifted = k_lift(point.k, point.j.prime, point.level_m)
+    return lifted @ mat(borel_witness(point.j, LADDER, block).rows())
 
 
 def test_projection_commutes_with_star_products():
@@ -502,11 +503,11 @@ def test_projection_commutes_with_star_products():
     # the star product on tested samples: star first, project after,
     # equals project first, star after
     rng = random.Random(4417)
-    compact = [KLevelElem(P, 1, k) for k in k_level_group(P, 1)]
+    compact = k_level_group(P, 1)
     classes = build_group(P, 2).elements
     for _ in range(40):
-        p1 = GFlowPoint(rng.choice(compact), rng.choice(classes))
-        p2 = GFlowPoint(rng.choice(compact), rng.choice(classes))
+        p1 = GFlowPoint(rng.choice(compact), rng.choice(classes), 1)
+        p2 = GFlowPoint(rng.choice(compact), rng.choice(classes), 1)
         w1 = flow_point_witness(p1, 0)
         w2 = flow_point_witness(p2, 2)
         left = flow_star(p1, column_state(w2, L22), L22, LADDER)

@@ -33,9 +33,14 @@ def unit_fraction(rng, p=P):
     return Fraction(rng.choice(picks), rng.choice(picks))
 
 
-def k_group(p, m):
-    """K at level m as KLevelElems, in k_level_group order."""
-    return [sl2.KLevelElem(p, m, k) for k in sl2.k_level_group(p, m)]
+# the K layer is checked on every element at the first three levels and
+# on a seeded sample at (5, 2), where K has 15 000 elements
+K_LAYER_LEVELS = [(3, 2), (5, 1), (7, 1), (5, 2)]
+
+
+def k_sample(p, m):
+    ks = sl2.k_level_group(p, m)
+    return random.Random(37).sample(ks, 300) if (p, m) == (5, 2) else ks
 
 
 def random_det_one(rng, p=P):
@@ -222,48 +227,53 @@ def test_level_group_is_every_det_one_matrix_in_order(p, m):
     assert list(sl2.k_level_group(p, m)) == brute
 
 
-def test_level_one_lifts_roundtrip():
-    for k in k_group(5, 1):
-        lifted = k.lift()
+@pytest.mark.parametrize("p, m", K_LAYER_LEVELS)
+def test_lifts_roundtrip(p, m):
+    for k in k_sample(p, m):
+        lifted = sl2.k_lift(k, p, m)
         assert lifted.is_integral()
         assert lifted.det() == 1
-        assert sl2.KLevelElem.reduce(lifted, 1) == k
+        assert sl2.k_reduce(lifted, m) == k
 
 
 def test_lift_pinned_antidiagonal():
-    k = sl2.KLevelElem.of((0, 1, 4, 0), 5, 1)
-    assert k.lift().rows() == ((0, Fraction(-1, 4)), (4, 0))
+    assert sl2.k_lift((0, 1, 4, 0), 5, 1).rows() == ((0, Fraction(-1, 4)), (4, 0))
 
 
-def test_level_product_matches_matrix_product():
+@pytest.mark.parametrize("p, m", K_LAYER_LEVELS)
+def test_level_product_matches_matrix_product(p, m):
+    # each element once on either side of a random partner
     rng = random.Random(41)
-    group = k_group(5, 1)
-    for _ in range(80):
-        k1, k2 = rng.choice(group), rng.choice(group)
-        assert sl2.KLevelElem.reduce(k1.lift() @ k2.lift(), 1) == k1 * k2
+    group = sl2.k_level_group(p, m)
+    for k1 in k_sample(p, m):
+        k2 = rng.choice(group)
+        for x, y in ((k1, k2), (k2, k1)):
+            product = sl2.k_lift(x, p, m) @ sl2.k_lift(y, p, m)
+            assert sl2.k_reduce(product, m) == sl2.k_mul(x, y, p**m)
 
 
 def test_level_elem_validation():
+    j = btype(1)
     with pytest.raises(ValueError):
-        sl2.KLevelElem(5, 1, (1, 0, 0, 6))
+        GFlowPoint((1, 0, 0, 6), j, 1)  # not reduced mod 5
     with pytest.raises(ValueError):
-        sl2.KLevelElem.of((1, 1, 1, 1), 5, 1)
+        GFlowPoint((1, 1, 1, 1), j, 1)  # det 0
     with pytest.raises(ValueError):
-        sl2.KLevelElem.reduce(mat(((Fraction(1, 5), 0), (0, 5))), 1)
+        GFlowPoint((6, 0, 0, 21), j, 1)  # det 1 mod 25, but not reduced mod 5
+    assert GFlowPoint((6, 0, 0, 21), j, 2).k == (6, 0, 0, 21)
     with pytest.raises(ValueError):
-        sl2.KLevelElem.identity(5, 1) * sl2.KLevelElem.identity(5, 2)
+        sl2.k_reduce(mat(((Fraction(1, 5), 0), (0, 5))), 1)
 
 
 def test_reduce_handles_prime_free_denominators():
-    k = sl2.KLevelElem.reduce(mat(((Fraction(1, 2), 0), (0, 2))), 1)
-    assert k.entries == (3, 0, 0, 2)
+    assert sl2.k_reduce(mat(((Fraction(1, 2), 0), (0, 2))), 1) == (3, 0, 0, 2)
 
 
 # ------------------------------------------------------------ the product
 
 
 def ident_point(m=M, n=N, p=P):
-    return sl2.GFlowPoint(sl2.KLevelElem.identity(p, m), class_of(1, n, p))
+    return GFlowPoint.identity(p, n, m)
 
 
 def test_star_identity_is_idempotent_both_paths():
@@ -273,35 +283,33 @@ def test_star_identity_is_idempotent_both_paths():
 
 
 def test_star_multiplies_classes_on_the_identity_fiber():
-    ident = sl2.KLevelElem.identity(P, M)
-    s = sl2.GFlowPoint(ident, btype(2))
-    t = sl2.GFlowPoint(ident, btype(5))
-    assert sl2.star(s, t, LADDER) == sl2.GFlowPoint(ident, btype(10))
+    ident = (1, 0, 0, 1)
+    s = GFlowPoint(ident, btype(2), M)
+    t = GFlowPoint(ident, btype(5), M)
+    assert sl2.star(s, t, LADDER) == GFlowPoint(ident, btype(10), M)
 
 
 def test_star_left_compact_part_rides_along():
-    k = sl2.KLevelElem.of((1, 0, 1, 1), P, M)
-    out = sl2.star(sl2.GFlowPoint(k, btype(1)), ident_point(), LADDER)
-    assert out == sl2.GFlowPoint(k, btype(1))
+    k = (1, 0, 1, 1)
+    out = sl2.star(GFlowPoint(k, btype(1), M), ident_point(), LADDER)
+    assert out == GFlowPoint(k, btype(1), M)
 
 
 def test_star_lower_corner_twists_the_class():
     # a right compact part with unit lower corner c never reaches the
     # compact output; it feeds cl(c) into the type instead
-    k = sl2.KLevelElem.of((1, 0, 2, 1), P, M)
-    out = sl2.star(ident_point(), sl2.GFlowPoint(k, btype(1)), LADDER)
-    assert out == sl2.GFlowPoint(sl2.KLevelElem.identity(P, M), btype(2))
-    perturbed = sl2.star(
-        ident_point(), sl2.GFlowPoint(k, btype(1)), LADDER, perturbed=True
-    )
+    k = (1, 0, 2, 1)
+    out = sl2.star(ident_point(), GFlowPoint(k, btype(1), M), LADDER)
+    assert out == GFlowPoint((1, 0, 0, 1), btype(2), M)
+    perturbed = sl2.star(ident_point(), GFlowPoint(k, btype(1), M), LADDER, perturbed=True)
     assert perturbed == out
 
 
 def test_star_upper_compact_part_multiplies_through():
-    k = sl2.KLevelElem.of((2, 1, 0, 3), P, M)
-    s = sl2.GFlowPoint(sl2.KLevelElem.identity(P, M), btype(2))
-    out = sl2.star(s, sl2.GFlowPoint(k, btype(5)), LADDER)
-    assert out == sl2.GFlowPoint(k, btype(10))
+    k = (2, 1, 0, 3)
+    s = GFlowPoint((1, 0, 0, 1), btype(2), M)
+    out = sl2.star(s, GFlowPoint(k, btype(5), M), LADDER)
+    assert out == GFlowPoint(k, btype(10), M)
 
 
 def test_star_rejects_mixed_levels():
@@ -315,23 +323,21 @@ def star_shortcut(s: GFlowPoint, t: GFlowPoint) -> GFlowPoint:
     """Symbolic form of `star`: a right factor whose lift is upper
     triangular passes into the compact part, any other is absorbed into
     the triangular class through its lower-left corner."""
-    p = s.k.prime
-    level_n = s.j.level_n
-    lifted = t.k.lift()
+    p, level_n, m = s.j.prime, s.j.level_n, s.level_m
+    lifted = sl2.k_lift(t.k, p, m)
     if lifted.c == 0:
-        return GFlowPoint(s.k * t.k, s.j * t.j)
+        return GFlowPoint(sl2.k_mul(s.k, t.k, p**m), s.j * t.j, m)
     corner_class = class_of(lifted.c, level_n, p)
-    return GFlowPoint(s.k, s.j * corner_class * t.j)
+    return GFlowPoint(s.k, s.j * corner_class * t.j, m)
 
 
 def test_star_agrees_with_shortcut_exhaustively():
-    ident = sl2.KLevelElem.identity(P, M)
     types = [btype(r) for r in (1, 2, 5, 10)]
     for j1 in types:
-        for k2 in k_group(P, M):
+        for k2 in sl2.k_level_group(P, M):
             for j2 in types:
-                s = sl2.GFlowPoint(ident, j1)
-                t = sl2.GFlowPoint(k2, j2)
+                s = GFlowPoint((1, 0, 0, 1), j1, M)
+                t = GFlowPoint(k2, j2, M)
                 assert sl2.star(s, t, LADDER) == star_shortcut(s, t)
 
 
@@ -339,31 +345,31 @@ def test_star_agrees_with_shortcut_random_left_compact():
     # the left compact part only multiplies from the outside, so random
     # k1 discharges the remaining quantifier of the exhaustive check
     rng = random.Random(53)
-    group = k_group(P, M)
+    group = sl2.k_level_group(P, M)
     types = [btype(r) for r in (1, 2, 5, 10)]
     for _ in range(300):
-        s = sl2.GFlowPoint(rng.choice(group), rng.choice(types))
-        t = sl2.GFlowPoint(rng.choice(group), rng.choice(types))
+        s = GFlowPoint(rng.choice(group), rng.choice(types), M)
+        t = GFlowPoint(rng.choice(group), rng.choice(types), M)
         assert sl2.star(s, t, LADDER) == star_shortcut(s, t)
 
 
 def test_star_agrees_with_shortcut_at_deeper_truncation():
     rng = random.Random(59)
-    group = k_group(5, 2)
+    group = sl2.k_level_group(5, 2)
     types = build_group(5, 4).elements
     for _ in range(30):
-        s = sl2.GFlowPoint(rng.choice(group), rng.choice(types))
-        t = sl2.GFlowPoint(rng.choice(group), rng.choice(types))
+        s = GFlowPoint(rng.choice(group), rng.choice(types), 2)
+        t = GFlowPoint(rng.choice(group), rng.choice(types), 2)
         assert sl2.star(s, t, LADDER) == star_shortcut(s, t)
 
 
 def test_star_perturbed_path_matches_plain():
     rng = random.Random(61)
-    group = k_group(P, M)
+    group = sl2.k_level_group(P, M)
     types = [btype(r) for r in (1, 2, 5, 10)]
     for _ in range(12):
-        s = sl2.GFlowPoint(rng.choice(group), rng.choice(types))
-        t = sl2.GFlowPoint(rng.choice(group), rng.choice(types))
+        s = GFlowPoint(rng.choice(group), rng.choice(types), M)
+        t = GFlowPoint(rng.choice(group), rng.choice(types), M)
         assert sl2.star(s, t, LADDER, perturbed=True) == sl2.star(s, t, LADDER)
 
 
@@ -390,29 +396,30 @@ def fraction_star(s, t, ladder, *, perturbed=False):
     """`star` on Fraction matrices: both witnesses through
     `PadicMatrix2.of`, the rewrite from its closed form, and a Fraction
     product of the triangular parts."""
-    p = s.k.prime
-    level_m = s.k.level_m
-    level_n = s.j.level_n
+    p, level_n, level_m = s.j.prime, s.j.level_n, s.level_m
+    mod = p**level_m
     h1 = mat(witness(s.j, ladder, 0).rows(), p)
     h2 = mat(witness(t.j, ladder, 2).rows(), p)
-    mid, h1 = fraction_rewrite(h1, t.k.lift())
-    k_out = s.k * sl2.KLevelElem.reduce(mid, level_m)
+    mid, h1 = fraction_rewrite(h1, sl2.k_lift(t.k, p, level_m))
+    k_out = sl2.k_mul(s.k, sl2.k_reduce(mid, level_m), mod)
     if perturbed:
         tau1 = fraction_lower_perturbation(p, level_m + ladder.window_w)
-        k_out = s.k * sl2.KLevelElem.reduce(tau1, level_m) * sl2.KLevelElem.reduce(mid, level_m)
+        k_out = sl2.k_mul(s.k, sl2.k_reduce(tau1, level_m), mod)
+        k_out = sl2.k_mul(k_out, sl2.k_reduce(mid, level_m), mod)
         tau2 = fraction_lower_perturbation(p, ladder.gap * (ladder.rungs[1] + ladder.window_w))
         deep, h1 = fraction_rewrite(h1, tau2)
-        k_out = k_out * sl2.KLevelElem.reduce(deep, level_m)
-    return sl2.GFlowPoint(k_out, class_of((h1 @ h2).a, level_n, p))
+        k_out = sl2.k_mul(k_out, sl2.k_reduce(deep, level_m), mod)
+    return GFlowPoint(k_out, class_of((h1 @ h2).a, level_n, p), level_m)
 
 
 def test_rewrite_keeps_padic_witness_entries():
     for block in (0, 1, 2):
         h = witness(btype(2), LADDER, block)
-        for k in k_group(P, M):
-            t2, h2 = sl2.borel_past_integral(h, k.lift())
+        for k in sl2.k_level_group(P, M):
+            lifted = sl2.k_lift(k, P, M)
+            t2, h2 = sl2.borel_past_integral(h, lifted)
             assert all(type(x) is PadicRational for x in t2.entries() + h2.entries())
-            assert (t2, h2) == sl2.borel_past_integral(mat(h.rows()), k.lift())
+            assert (t2, h2) == sl2.borel_past_integral(mat(h.rows()), lifted)
 
 
 @pytest.mark.parametrize("p, n", [(5, 1), (5, 2), (5, 3), (5, 4), (7, 6)])
@@ -434,11 +441,11 @@ def test_star_matches_the_fraction_oracle_on_every_ellis_product(p, n, monkeypat
 @pytest.mark.parametrize("perturbed", [False, True])
 def test_star_matches_the_fraction_oracle_on_random_pairs(perturbed):
     rng = random.Random(71)
-    group = k_group(P, M)
+    group = sl2.k_level_group(P, M)
     classes = build_group(P, N).elements
     for _ in range(60):
-        s = sl2.GFlowPoint(rng.choice(group), rng.choice(classes))
-        t = sl2.GFlowPoint(rng.choice(group), rng.choice(classes))
+        s = GFlowPoint(rng.choice(group), rng.choice(classes), M)
+        t = GFlowPoint(rng.choice(group), rng.choice(classes), M)
         out = sl2.star(s, t, LADDER, perturbed=perturbed)
         assert out == fraction_star(s, t, LADDER, perturbed=perturbed)
 
@@ -483,12 +490,9 @@ def test_act_dilation_twists_the_class():
 
 def reference_act(g, state):
     # the exact per-state path: no table, no cached class product
-    t, h = sl2.iwasawa(g @ state.k.lift())
-    n, p = state.j.level_n, g.prime
-    return sl2.GFlowPoint(
-        sl2.KLevelElem.reduce(t, state.k.level_m),
-        class_of(h.a * state.j.representative, n, p),
-    )
+    n, p, m = state.j.level_n, g.prime, state.level_m
+    t, h = sl2.iwasawa(g @ sl2.k_lift(state.k, p, m))
+    return GFlowPoint(sl2.k_reduce(t, m), class_of(h.a * state.j.representative, n, p), m)
 
 
 # iwasawa(g·lift(k)) over every (generator, K element): G upper triangular,
@@ -510,16 +514,20 @@ def test_every_cocycle_branch_occurs():
 def test_tabulated_flow_matches_the_per_state_path(p, n, m, monkeypatch):
     unit_level = m + DEFAULT_LADDER.window_w
     gens = sl2.flow_generators(p, unit_level)
-    ks = k_group(p, m)
+    ks = sl2.k_level_group(p, m)
     classes = build_group(p, n).elements
-    # the int cocycle against the Fraction path on every (g, k), no sampling
+    # the int cocycle against the Fraction path on every (g, k), no
+    # sampling; k outermost, so each K element is lifted once
+    cocycle = sl2.skew_product(p, n, m, unit_level).cocycle
+    assert len(cocycle) == len(gens)
+    assert all(len(row) == len(ks) for row in cocycle)
     branches = Counter()
-    for g, row in zip(gens, sl2.skew_product(p, n, m, unit_level).cocycle):
-        assert len(row) == len(ks)
-        for k, (k_out, twist) in zip(ks, row):
-            big = g @ k.lift()
+    for k, outs in zip(ks, zip(*cocycle)):
+        lifted = sl2.k_lift(k, p, m)
+        for g, (k_out, twist) in zip(gens, outs):
+            big = g @ lifted
             t, h = sl2.iwasawa(big)
-            assert ks[k_out] == sl2.KLevelElem.reduce(t, m)
+            assert ks[k_out] == sl2.k_reduce(t, m)
             assert classes[twist] == class_of(h.a, n, p)
             if big.is_upper_triangular():
                 branches["triangular"] += 1
@@ -531,15 +539,16 @@ def test_tabulated_flow_matches_the_per_state_path(p, n, m, monkeypatch):
     if m > 1:
         return  # the per-state graph below is compared at the m = 1 levels
     moves = sl2.identification_moves(p, n, unit_level)
-    states = [sl2.GFlowPoint(k, c) for k in ks for c in classes]
+    states = [GFlowPoint(k, c, m) for k in ks for c in classes]
     plain, closed = {}, {}
     for state in states:
         outs = [reference_act(g, state) for g in gens]
         plain[state] = outs
         closed[state] = outs + [
-            sl2.GFlowPoint(
-                state.k * sl2.KLevelElem.reduce(bmat, m),
+            GFlowPoint(
+                sl2.k_mul(state.k, sl2.k_reduce(bmat, m), p**m),
                 class_of(mult.representative * state.j.representative, n, p),
+                m,
             )
             for bmat, mult in moves
         ]
