@@ -312,6 +312,17 @@ STDOUT_SHA256 = {
     "verify --check iwasawa-rewrite --seed 20260814": (
         "5a0fa78ff1398c15b12a0ef88b2f0a52885315e8d2c12b4b3b8bdeba54feba03"
     ),
+    "verify --check borel-flow-group --seed 20260814": (
+        "698cdd43c7d1c0e8840aaef5cd2466430bca11cec24706ad8a5ee1f0b84a18a5"
+    ),
+    "verify --check ellis-tower --seed 20260814": (
+        "0705510f6c2f81ab39fceae55278710603d86675dca54c651d38a3279eb4e5b4"
+    ),
+    "verify --check ladder-stability --seed 20260814": (
+        "e3914774dd3fb6dab987a5b194926ed521a505cdd726bf233e3927c413b7eeaf"
+    ),
+    "residues --p 3 --n 6": "98e97907d9ced10007cf78f979cc69ad26409ca3b890dafa09d9731689e7eb3d",
+    "borel --p 3 --n 4": "4ecc7d96e79844750866b1576eeb9b6ae2db401686a34db5e999df39592e93ee",
 }
 
 
