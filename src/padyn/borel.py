@@ -15,14 +15,17 @@ rung so that it dominates every scale derivable from the diagonal one.
 The `star` product realizes the left factor low on the ladder and the
 right factor on rungs separated from everything the left factor can
 reach, multiplies the concrete witness matrices, and classifies the
-result.
+result.  `build_flow_group` tabulates `star` over every type at one
+level; the flow group is the residue group exactly when that table is
+`build_group(p, n).table`, and the `borel` report and check compare the
+two.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .padic import PadicMatrix2, _require
+from .padic import PadicMatrix2
 from .residues import ResidueClass, build_group, class_of
 from .types1 import DEFAULT_LADDER, ScaleLadder, TruncType1, realize
 
@@ -53,58 +56,14 @@ def star(s: ResidueClass, t: ResidueClass, ladder: ScaleLadder) -> ResidueClass:
     return class_of(product.a, s.level_n, s.prime)
 
 
-class FlowGroup:
-    """All truncated types at one level under `star`, fully tabulated.
-
-    Built exhaustively through witness realization; construction verifies
-    the idempotent basepoint and that the table equals the residue-class
-    group's via the diagonal class, which carries the group axioms over.
-    """
-
-    def __init__(self, p: int, n: int, ladder: ScaleLadder):
-        self.prime = p
-        self.level_n = n
-        self.ladder = ladder
-        self.residue_group = build_group(p, n)
-        self.elements = self.residue_group.elements
-        self.identity = self.residue_group.identity
-        self.table: dict[tuple[int, int], int] = {}
-        for s in self.elements:
-            for t in self.elements:
-                self.table[(s.representative, t.representative)] = star(s, t, ladder).representative
-        self._verify()
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def idempotent_check(self) -> bool:
-        one = self.identity.representative
-        return self.table[(one, one)] == one
-
-    def isomorphic_to_residue_group(self) -> bool:
-        return self.table == self.residue_group.table
-
-    def _verify(self) -> None:
-        """The table equals the residue group's, whose construction
-        verified the group axioms exhaustively, so they hold here too."""
-        _require(self.idempotent_check(), "flow group: basepoint is not idempotent")
-        _require(
-            self.isomorphic_to_residue_group(),
-            "flow group: table differs from the residue group",
-        )
-
-    def to_json(self) -> dict:
-        reps = [t.representative for t in self.elements]
-        return {
-            "order": self.order,
-            "representatives": [str(r) for r in reps],
-            "table": [[str(self.table[(r, s)]) for s in reps] for r in reps],
-            "idempotent_check": self.idempotent_check(),
-            "iso_to_residue_group": self.isomorphic_to_residue_group(),
-        }
-
-
 @lru_cache(maxsize=None)
-def build_flow_group(p: int, n: int, ladder: ScaleLadder = DEFAULT_LADDER) -> FlowGroup:
-    return FlowGroup(p, n, ladder)
+def build_flow_group(p: int, n: int, ladder: ScaleLadder = DEFAULT_LADDER) -> dict:
+    """The `star` table of every level-n type, keyed by class
+    representatives.  The types form the triangular flow group exactly
+    when this table equals `build_group(p, n).table`, whose construction
+    verified the group axioms; callers compare, none mutates."""
+    elements = build_group(p, n).elements
+    return {
+        (s.representative, t.representative): star(s, t, ladder).representative
+        for s in elements for t in elements
+    }

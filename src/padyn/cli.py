@@ -129,10 +129,19 @@ def _cmd_flows(args, config):
 
 def _cmd_borel(args, config):
     ladder = ScaleLadder.from_config(config, LADDER_LENGTH)
-    fg = build_flow_group(config.prime, config.residue_level_n, ladder)
-    payload = {"p": config.prime, "n": config.residue_level_n, **fg.to_json()}
-    ok = fg.idempotent_check() and fg.isomorphic_to_residue_group()
-    lines = [f"flow group of order {fg.order}; matches residue group: {ok}"]
+    group = build_group(config.prime, config.residue_level_n)
+    table = build_flow_group(config.prime, config.residue_level_n, ladder)
+    ok = table == group.table
+    payload = {
+        "p": config.prime,
+        "n": config.residue_level_n,
+        "order": group.order,
+        "representatives": [str(c.representative) for c in group.elements],
+        "table": group.rows(table),
+        "idempotent_check": table[(1, 1)] == 1,
+        "iso_to_residue_group": ok,
+    }
+    lines = [f"flow group of order {group.order}; matches residue group: {ok}"]
     return (0 if ok else 1), payload, lines
 
 
@@ -192,6 +201,13 @@ def _cmd_ellis(args, config):
 def _cmd_proj(args, config):
     level = ProjLevel(config.prime, config.residue_level_n, config.valuation_window_w)
     ladder = ScaleLadder.from_config(config, LADDER_LENGTH)
+    # the compact product absorbs a witness only if level m is no deeper
+    # than the identity class's rung-2 witness at infinity
+    n = config.residue_level_n
+    deepest_m = -(-ladder.rungs[2] // n) * n
+    if config.matrix_level_m > deepest_m:
+        m, gap = config.matrix_level_m, config.ladder_gap
+        raise UsageError(f"--m {m} is deeper than --gap {gap} reaches (at most {deepest_m})")
     if args.report == "collapse":
         report = collapse_check(level, ladder=ladder, level_m=config.matrix_level_m)
         ok = report.collapsed

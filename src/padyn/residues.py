@@ -163,17 +163,18 @@ class ResidueGroup:
             "residue group: associativity failed",
         )
 
+    def rows(self, table: dict[tuple[int, int], int]) -> list[list[str]]:
+        """A product table on this group's representatives as rows of
+        strings, in element order."""
+        reps = list(self._index)
+        return [[str(table[(r, s)]) for s in reps] for r in reps]
+
     def to_json(self) -> dict:
-        reps = [str(c.representative) for c in self.elements]
-        table = [
-            [str(self.table[(s.representative, t.representative)]) for t in self.elements]
-            for s in self.elements
-        ]
         vmap = induced_valuation_map(self)
         return {
             "order": self.order,
-            "representatives": reps,
-            "table": table,
+            "representatives": [str(r) for r in self._index],
+            "table": self.rows(self.table),
             "v_map": {str(k): v for k, v in vmap.mapping.items()},
             "v_map_injective": vmap.injective,
         }

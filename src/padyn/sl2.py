@@ -30,7 +30,6 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from ._graph import strongly_connected_components
-from .borel import build_flow_group
 from .borel import witness as borel_witness
 from .padic import PadicMatrix2, PadicRational, _require, int_valuation, mat_mul
 from .residues import (
@@ -412,12 +411,9 @@ class EllisReport:
     tower: tuple[tuple[int, int, bool], ...]
 
     def to_json(self) -> dict:
-        group = build_group(self.prime, self.level_n)
-        reps = [c.representative for c in group.elements]
-        table = self.tables[self.level_n]
         return {
             "order": self.order,
-            "table": [[str(table[(r, s)]) for s in reps] for r in reps],
+            "table": build_group(self.prime, self.level_n).rows(self.tables[self.level_n]),
             "iso_checks": [
                 {
                     "level_n": lev,
@@ -440,10 +436,12 @@ def ellis_group(
     down the divisor tower of level_n.
 
     Every product is computed through the witness path; the report
-    records whether j -> (I, j) is an isomorphism onto the fiber at each
-    level, whether the reductions between levels commute with the
-    products, and (reported, never asserted) whether valuations alone
-    separate the classes.
+    records whether the fiber's table equals the residue group's at each
+    level (that group is the triangular flow group, which the `borel`
+    report and check verify, hence the JSON key `iso_to_flow_group`),
+    whether the reductions between levels commute with the products, and
+    (reported, never asserted) whether valuations alone separate the
+    classes.
     """
     levels = tuple(d for d in range(1, level_n + 1) if level_n % d == 0)
     ident_k = GFlowPoint.identity(p, level_n, level_m).k
@@ -451,8 +449,8 @@ def ellis_group(
     iso: dict[int, bool] = {}
     vinj: dict[int, bool] = {}
     for lev in levels:
-        flow = build_flow_group(p, lev, ladder)
-        points = [GFlowPoint(ident_k, j, level_m) for j in flow.elements]
+        group = build_group(p, lev)
+        points = [GFlowPoint(ident_k, j, level_m) for j in group.elements]
         table = {}
         for a in points:
             for b in points:
@@ -460,8 +458,8 @@ def ellis_group(
                 _require(out.k == ident_k, "identity fiber not closed")
                 table[(a.j.representative, b.j.representative)] = out.j.representative
         tables[lev] = table
-        iso[lev] = table == flow.table
-        vinj[lev] = induced_valuation_map(flow.residue_group).injective
+        iso[lev] = table == group.table
+        vinj[lev] = induced_valuation_map(group).injective
     tower = []
     for big in levels:
         for small in levels:

@@ -5,13 +5,13 @@ independently in test_residues.py); star must reproduce it through honest
 witness realization and classification, never by multiplying classes.
 """
 
-import copy
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from padyn import borel
+from padyn import borel, cli
 from padyn.padic import PadicMatrix2, PadicRational
 from padyn.residues import ResidueClass, build_group, class_of, is_nth_power
 from padyn.types1 import ScaleLadder
@@ -174,40 +174,39 @@ def test_left_translate_fixes_types_iff_nth_power_part():
 
 def test_flow_group_orders_frozen():
     for n, order in ((1, 1), (2, 4), (3, 3), (4, 16), (5, 25), (6, 12)):
-        fg = borel.build_flow_group(P, n, LADDER)
-        assert fg.order == order
-        assert fg.idempotent_check()
-        assert fg.isomorphic_to_residue_group()
+        table = borel.build_flow_group(P, n, LADDER)
+        assert len(table) == order**2
+        assert table[(1, 1)] == 1
+        assert table == build_group(P, n).table
 
 
 def test_flow_group_identity_is_idempotent():
-    fg = borel.build_flow_group(P, N, LADDER)
-    one = fg.identity.representative
-    assert fg.table[(one, one)] == one
+    table = borel.build_flow_group(P, N, LADDER)
+    one = build_group(P, N).identity.representative
+    assert table[(one, one)] == one
 
 
 def test_flow_group_klein_structure_at_level_two():
-    fg = borel.build_flow_group(P, N, LADDER)
-    for t in fg.elements:
-        assert fg.table[(t.representative, t.representative)] == fg.identity.representative
+    table = borel.build_flow_group(P, N, LADDER)
+    group = build_group(P, N)
+    for t in group.elements:
+        assert table[(t.representative, t.representative)] == group.identity.representative
 
 
 def test_flow_group_cyclic_at_level_three():
-    fg = borel.build_flow_group(P, 3, LADDER)
-    gen = fg.elements[1].representative
-    cubed = fg.table[(gen, fg.table[(gen, gen)])]
-    assert fg.order == 3
-    assert cubed == fg.identity.representative
+    table = borel.build_flow_group(P, 3, LADDER)
+    group = build_group(P, 3)
+    gen = group.elements[1].representative
+    cubed = table[(gen, table[(gen, gen)])]
+    assert len(table) == 3**2
+    assert cubed == group.identity.representative
 
 
 def test_flow_group_stable_under_gap_doubling():
     doubled = LADDER.doubled_gap()
     assert doubled.rungs == (10, 192, 3104, 49696)
     for n in (2, 6):
-        assert (
-            borel.build_flow_group(P, n, LADDER).table
-            == borel.build_flow_group(P, n, doubled).table
-        )
+        assert borel.build_flow_group(P, n, LADDER) == borel.build_flow_group(P, n, doubled)
 
 
 def _fraction_witness(rep: int, n: int, rung_index: int, ladder: ScaleLadder) -> tuple:
@@ -236,23 +235,40 @@ def test_star_tables_match_a_plain_fraction_pair_law(doubled):
                 table[(r, s)] = class_of(a, n, P).representative
                 prod = borel.witness(btype(r, n), ladder, 0) @ borel.witness(btype(s, n), ladder, 2)
                 assert PadicMatrix2.of(prod.rows(), P).rows() == ((a, c), (0, 1 / a))
-        assert borel.build_flow_group(P, n, ladder).table == table
+        assert borel.build_flow_group(P, n, ladder) == table
 
 
-def test_flow_group_verify_raises_on_a_broken_table():
-    broken = copy.copy(borel.build_flow_group(P, N, LADDER))
-    broken.table = dict(broken.table)
-    broken.table[(2, 5)] = 2
-    with pytest.raises(ArithmeticError):
-        broken._verify()
+def test_a_broken_flow_table_is_a_failed_property(capsys, monkeypatch):
+    # a wrong witness product is a reported `false` with exit 1, not a crash
+    honest = borel.star
+
+    def broken(s, t, ladder):
+        return s if (s.representative, t.representative) == (2, 5) else honest(s, t, ladder)
+
+    monkeypatch.setattr(borel, "star", broken)
+    borel.build_flow_group.cache_clear()
+    try:
+        assert cli.run(["borel", "--p", "5", "--n", "2"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["table"][1][2] == "2"
+        assert report["idempotent_check"] is True
+        assert report["iso_to_residue_group"] is False
+        assert cli.run(["verify", "--check", "borel-flow-group"]) == 1
+        assert json.loads(capsys.readouterr().out)["passed"] is False
+    finally:
+        # the cached broken tables must not reach later tests
+        borel.build_flow_group.cache_clear()
 
 
-def test_flow_group_json_shape():
-    report = borel.build_flow_group(P, N, LADDER).to_json()
+def test_flow_group_json_shape(capsys):
+    assert cli.run(["borel", "--p", "5", "--n", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
     assert sorted(report) == [
         "idempotent_check",
         "iso_to_residue_group",
+        "n",
         "order",
+        "p",
         "representatives",
         "table",
     ]

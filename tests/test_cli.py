@@ -175,6 +175,31 @@ def test_proj_report_shapes(capsys):
     assert payload["strongly_connected"] and payload["proximal"]
 
 
+@pytest.mark.parametrize(
+    "argv, deepest",
+    [
+        (("collapse", "--n", "2"), 784),
+        (("minimal", "--n", "2"), 784),
+        (("collapse", "--n", "3"), 786),
+        (("minimal", "--n", "3"), 786),
+        (("collapse", "--n", "4"), 784),
+        (("collapse", "--n", "3", "--w", "3"), 921),
+        (("collapse", "--n", "2", "--gap", "16"), 3104),
+    ],
+)
+def test_proj_m_deeper_than_the_ladder_is_a_usage_error(capsys, argv, deepest):
+    # the compact product absorbs a witness only down to the identity
+    # class's rung-2 witness, n * ceil(rungs[2] / n); deeper is refused
+    # before any work
+    code, out, _ = run_cli(capsys, "proj", *argv, "--m", str(deepest))
+    assert code == 0
+    assert json.loads(out)["collapsed_type"] == "Near(inf, class 1)"
+    code, out, err = run_cli(capsys, "proj", *argv, "--m", str(deepest + 1))
+    assert code == 2
+    assert out == ""
+    assert "--m" in err and "--gap" in err
+
+
 def test_verify_single_check_reports_without_timings(capsys, monkeypatch):
     monkeypatch.setenv("PADYN_SEED", "12345")
     code, out, err = run_cli(capsys, "verify", "--check", "affine-flows")

@@ -615,7 +615,7 @@ def test_ellis_group_level_six():
 
 def test_ellis_table_matches_flow_group():
     report = sl2.ellis_group(5, 2, 1)
-    assert report.tables[2] == build_flow_group(5, 2, LADDER).table
+    assert report.tables[2] == build_flow_group(5, 2, LADDER)
 
 
 def test_report_json_shapes():
