@@ -16,10 +16,13 @@ Four layers, all exact:
   class is the type.  `star` multiplies two points by realizing
   concrete witnesses (`borel.witness` matrices) on separated ladder
   blocks, refactoring the middle on their `PadicRational` entries and
-  multiplying the triangular parts with `@`; `ellis_group` tabulates the
-  identity fiber under it.  `minimal_flow` builds the finite flow
-  K x J on ints: `skew_product` tabulates iwasawa(g·lift(k)) in closed
-  form for every (generator, K element), and `act` is table lookups.
+  multiplying the triangular parts with `@`.  The rewrite past the right
+  factor's lift runs once per (left class, right compact part, m,
+  ladder); every product still multiplies its own witnesses.
+  `ellis_group` tabulates the identity fiber under it.  `minimal_flow`
+  builds the finite flow K x J on ints: `skew_product` tabulates
+  iwasawa(g·lift(k)) in closed form for every (generator, K element),
+  and `act` is table lookups.
 """
 
 from __future__ import annotations
@@ -214,6 +217,18 @@ def _lower_perturbation(p: int, exponent: int) -> PadicMatrix2:
     return PadicMatrix2.padic(((1, 0), (PadicRational.of(1, p).shifted(exponent), 1)), p)
 
 
+# `ellis_group` multiplies every class by every class, so the rewrite of
+# a left witness past a right compact part is built, and checked, once
+# per (class, compact part, m, ladder)
+@lru_cache(maxsize=1024)
+def _left_slide(
+    j: ResidueClass, k: tuple[int, int, int, int], level_m: int, ladder: ScaleLadder
+) -> tuple[tuple[int, int, int, int], PadicMatrix2]:
+    """(mid mod p^m, h1) with mid @ h1 = witness(j, rung 0) @ lift(k)."""
+    mid, h1 = borel_past_integral(borel_witness(j, ladder, 0), k_lift(k, j.prime, level_m))
+    return k_reduce(mid, level_m), h1
+
+
 def star(
     s: GFlowPoint, t: GFlowPoint, ladder: ScaleLadder, *, perturbed: bool = False
 ) -> GFlowPoint:
@@ -226,6 +241,11 @@ def star(
     triangular part (classified at level n).  The witnesses stay
     `PadicRational`s throughout; only `k_lift` builds `Fraction`s.
 
+    The left rewrite depends only on (s.j, t.k, m, ladder), so
+    `_left_slide` caches it, checked once when built; the right
+    witness, the compact product and the classification of h1 @ h2 run
+    on every call.
+
     With `perturbed=True` the compact parts carry explicit deep
     identity perturbations the way generic realizations would; they must
     wash out of both coordinates, so this path is the expensive
@@ -235,10 +255,8 @@ def star(
     if (p, level_n, level_m) != (t.j.prime, t.j.level_n, t.level_m):
         raise ValueError("mixed truncation levels")
     mod = p**level_m
-    h1 = borel_witness(s.j, ladder, 0)
+    compact, h1 = _left_slide(s.j, t.k, level_m, ladder)
     h2 = borel_witness(t.j, ladder, 2)
-    mid, h1 = borel_past_integral(h1, k_lift(t.k, p, level_m))
-    compact = k_reduce(mid, level_m)
     if perturbed:
         tau1 = _lower_perturbation(p, level_m + ladder.window_w)
         tau2 = _lower_perturbation(p, ladder.gap * (ladder.rungs[1] + ladder.window_w))
@@ -435,13 +453,15 @@ def ellis_group(
     """The identity-fiber points under `star`, tabulated level by level
     down the divisor tower of level_n.
 
-    Every product is computed through the witness path; the report
-    records whether the fiber's table equals the residue group's at each
-    level (that group is the triangular flow group, which the `borel`
-    report and check verify, hence the JSON key `iso_to_flow_group`),
-    whether the reductions between levels commute with the products, and
-    (reported, never asserted) whether valuations alone separate the
-    classes.
+    Every product is computed through the witness path: the rewrite
+    past the right factor's lift once per (left class, right compact
+    part, m, ladder), the triangular product h1 @ h2 once per pair.  The
+    report records whether the fiber's table equals the residue group's
+    at each level (that group is the triangular flow group, which the
+    `borel` report and check verify, hence the JSON key
+    `iso_to_flow_group`), whether the reductions between levels commute
+    with the products, and (reported, never asserted) whether valuations
+    alone separate the classes.
     """
     levels = tuple(d for d in range(1, level_n + 1) if level_n % d == 0)
     ident_k = GFlowPoint.identity(p, level_n, level_m).k

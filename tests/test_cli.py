@@ -348,6 +348,7 @@ STDOUT_SHA256 = {
     ),
     "residues --p 3 --n 6": "98e97907d9ced10007cf78f979cc69ad26409ca3b890dafa09d9731689e7eb3d",
     "borel --p 3 --n 4": "4ecc7d96e79844750866b1576eeb9b6ae2db401686a34db5e999df39592e93ee",
+    "ellis --n 12": "a6cf294814db5490718ebb2105c7b89c805f55e8d558d008ca73c8096770ceb1",
 }
 
 

@@ -373,6 +373,40 @@ def test_star_perturbed_path_matches_plain():
         assert sl2.star(s, t, LADDER, perturbed=True) == sl2.star(s, t, LADDER)
 
 
+def test_left_slide_matches_the_uncached_rewrite():
+    # both ladders back to back on each key, so a cache key without the
+    # ladder would hand the second ladder the first one's rewrite
+    ladders = (DEFAULT_LADDER, DEFAULT_LADDER.doubled_gap())
+    cases = [(j, k, 1) for j in build_group(5, 2).elements for k in sl2.k_level_group(5, 1)]
+    cases += [(class_of(1, 2, 3), k, 2) for k in sl2.k_level_group(3, 2)]
+    sl2._left_slide.cache_clear()
+    for j, k, m in cases:
+        for ladder in ladders:
+            mid, h1 = sl2.borel_past_integral(witness(j, ladder, 0), sl2.k_lift(k, j.prime, m))
+            assert sl2._left_slide(j, k, m, ladder) == (sl2.k_reduce(mid, m), h1)
+    # (1, 1, 0, 1) is a K element at m = 1 and at m = 2: two keys, not one
+    sl2._left_slide.cache_clear()
+    for m in (2, 1, 2):
+        sl2._left_slide(class_of(1, 2, 3), (1, 1, 0, 1), m, DEFAULT_LADDER)
+    assert sl2._left_slide.cache_info()[:2] == (1, 2)  # (hits, misses)
+
+
+def test_ellis_group_rewrites_once_per_class(monkeypatch):
+    calls = []
+    rewrite = sl2.borel_past_integral
+
+    def counted(h, t):
+        calls.append(t)
+        return rewrite(h, t)
+
+    sl2._left_slide.cache_clear()
+    monkeypatch.setattr(sl2, "borel_past_integral", counted)
+    sl2.ellis_group(7, 6, 1)
+    # one rewrite per class over the levels d | 6, 1 + 4 + 9 + 36, where
+    # one per product would be 1 + 16 + 81 + 1 296 = 1 394
+    assert len(calls) == 50
+
+
 def fraction_lower_perturbation(p, exponent):
     return mat(((1, 0), (Fraction(p) ** exponent, 1)), p)
 
