@@ -13,15 +13,17 @@ type's deepest-rung witness y0 + scale the same way, as a two-term
 sparse `PadicRational` that never forms the witness's p-digits.
 
 The flow report is a skew product over the base points, tabulated on
-int states: per (move, base point) one `_chart_step` gives the output
-point and a class map, either the derivative twist or a constant
-certified against the rung the input is realized at.  The products stay
-explicit for the collapse check and as the table's oracle:
-`triangular_star` sends every type not based at infinity into the
-infinity family, and `compact_star` sends that family to one type (the
-input's own witness is absorbed at the compact level).  Their composite
-is constant on all truncated types, which is both the collapse check
-and the proximality witness of the flow report.
+int states, one column per move: per base point one `_chart_step` on
+p-adic entries gives the output point and a class map, either the
+derivative twist or a constant certified against the rung the input is
+realized at.  `triangular_star` sends every type not based at infinity
+into the infinity family, and `compact_star` sends that family to one
+type (the input's own witness is absorbed at the compact level).  Their
+composite is constant on all truncated types, which is both the collapse
+check and the proximality witness of the flow report.  The collapse
+check reads the nonalgebraic states' triangular images from the
+certified triangular column and computes only the realized states'
+explicitly; the explicit products stay as the table's oracle.
 """
 
 from __future__ import annotations
@@ -119,29 +121,29 @@ class ProjLevel:
         return self.prime**self.window_w
 
     def base_points(self) -> tuple[ProjPoint, ...]:
-        """The residues of the integral projective line at resolution w:
-        the window residues in the standard chart, then infinity and the
-        points whose reciprocal is divisible by p."""
-        std = [ProjPoint.of(a, 1) for a in range(self.modulus)]
-        inverted = [ProjPoint.infinity()]
-        inverted += [
-            ProjPoint.of(1, self.prime * b)
-            for b in range(1, self.modulus // self.prime)
-        ]
-        return tuple(std + inverted)
+        """The residues of the integral projective line at resolution w,
+        in the order of `_charts`."""
+        return tuple(ProjPoint.of(1, y) if inv else ProjPoint.of(y, 1) for inv, y in _charts(self))
 
     def classes(self) -> tuple[ResidueClass, ...]:
         return build_group(self.prime, self.level_n).elements
 
 
-def _inverted_chart(pt: ProjPoint, p: int) -> bool:
-    return pt.is_infinity or PadicRational.of(pt.x0, p).e < 0
+@lru_cache(maxsize=16)
+def _charts(level: ProjLevel) -> tuple[tuple[bool, PadicRational], ...]:
+    """The base points as (inverted, chart coordinate): the window residues,
+    then infinity and the points whose reciprocal p divides."""
+    p, m = level.prime, level.modulus
+    coords = [(False, a) for a in range(m)] + [(True, p * b) for b in range(m // p)]
+    return tuple((inverted, PadicRational.of(y, p)) for inverted, y in coords)
 
 
-def _chart_coordinate(pt: ProjPoint, inverted: bool) -> Fraction:
+def _chart(pt: ProjPoint, p: int) -> tuple[bool, Fraction]:
+    """Whether the point's chart is inverted, and its chart coordinate."""
     if pt.is_infinity:
-        return Fraction(0)
-    return 1 / pt.x0 if inverted else pt.x0
+        return True, Fraction(0)
+    inverted = PadicRational.of(pt.x0, p).e < 0
+    return inverted, 1 / pt.x0 if inverted else pt.x0
 
 
 def _chart_type(y: PadicRational, inverted: bool, level: ProjLevel) -> ProjTruncType:
@@ -171,8 +173,7 @@ def _realize_type(
     produced in the base point's own chart."""
     if t.is_realized:
         raise ValueError("realized types need no witnesses")
-    inverted = _inverted_chart(t.point, level.prime)
-    y0 = _chart_coordinate(t.point, inverted)
+    inverted, y0 = _chart(t.point, level.prime)
     y = realize(TruncType1.near(y0, t.near_class), rung_index, ladder)
     return 1 / y if inverted else y
 
@@ -183,33 +184,32 @@ def snap_type(t: ProjTruncType, level: ProjLevel, ladder: ScaleLadder) -> ProjTr
     witness y0 + scale in the base point's chart, a two-term sparse sum."""
     if t.is_realized:
         return t if t.point.is_infinity else classify_value(t.point.x0, level)
-    inverted = _inverted_chart(t.point, level.prime)
-    scale = _witness_scale(t.near_class, ladder.rungs[-1], toward_infinity=False)
-    y = scale + _chart_coordinate(t.point, inverted)
+    inverted, y0 = _chart(t.point, level.prime)
+    y = _witness_scale(t.near_class, ladder.rungs[-1], toward_infinity=False) + y0
     _require(bool(y), "snap_type: the deepest-rung witness vanishes")
     return _chart_type(y, inverted, level)
 
 
-def _chart_step(g: PadicMatrix2, point: ProjPoint) -> tuple:
-    """g at a point in the charts of the point and its image: the image,
-    whether its chart is inverted, its chart coordinate z, the derivative
-    and q, so that the input moved by s lands at z + derivative·s/(1 + q·s)."""
+def _det_one(g: PadicMatrix2) -> PadicMatrix2:
+    """g with `PadicRational` entries, once its determinant is checked."""
     if g.det() != 1:
         raise ValueError("need determinant one")
-    p = g.prime
-    image = ProjPoint.of(g.a * point.x0 + g.b * point.x1, g.c * point.x0 + g.d * point.x1)
-    flip_in, flip_out = _inverted_chart(point, p), _inverted_chart(image, p)
-    # in the two charts g only permutes its entries: the bottom row is a row
-    # of g, reversed by a flipped input chart, and det is -1 iff one flips
-    lo, hi = (g.a, g.b) if flip_out else (g.c, g.d)
-    if flip_in:
-        lo, hi = hi, lo
-    denom = lo * _chart_coordinate(point, flip_in) + hi
-    if denom == 0:
-        raise ArithmeticError("chart selection failed to keep the image finite")
-    derivative = (-1 if flip_in != flip_out else 1) / (denom * denom)
-    z = PadicRational.of(_chart_coordinate(image, flip_out), p)
-    return image, flip_out, z, derivative, lo / denom
+    return PadicMatrix2.padic(g.rows(), g.prime)
+
+
+def _chart_step(g: PadicMatrix2, inverted: bool, y: RationalLike) -> tuple:
+    """A p-adic det-1 g at chart coordinate y, from the image chart vector
+    g·(y, 1), or g·(1, y) in the reciprocal chart: whether the image's chart
+    is inverted, its chart coordinate z, the derivative (the charts only
+    permute g's entries, so det is -1 iff one chart flips) and q, so that
+    the input moved by s lands at z + derivative·s/(1 + q·s)."""
+    lo0, hi0, lo1, hi1 = (g.b, g.a, g.d, g.c) if inverted else (g.a, g.b, g.c, g.d)
+    w0, w1 = lo0 * y + hi0, lo1 * y + hi1
+    flip = not w1 or bool(w0) and w0.e < w1.e
+    lo, num, denom = (lo0, w1, w0) if flip else (lo1, w0, w1)
+    _require(bool(denom), "chart selection failed to keep the image finite")
+    derivative = (-1 if inverted != flip else 1) / (denom * denom)
+    return flip, num / denom, derivative, lo / denom
 
 
 def act_proj(g: PadicMatrix2, t: ProjTruncType) -> ProjTruncType:
@@ -219,7 +219,8 @@ def act_proj(g: PadicMatrix2, t: ProjTruncType) -> ProjTruncType:
     at the base point; the chain rule is exact on rationals, so this is a
     genuine group action on exact-point types.
     """
-    image, _, _, derivative, _ = _chart_step(g, t.point)
+    inverted, z, derivative, _ = _chart_step(_det_one(g), *_chart(t.point, g.prime))
+    image = ProjPoint.of(1, z) if inverted else ProjPoint.of(z, 1)
     if t.is_realized:
         return ProjTruncType.realized(image)
     twist = class_of(derivative, t.near_class.level_n, g.prime)
@@ -332,12 +333,8 @@ def boundary_flagged(level: ProjLevel) -> tuple[str, ...]:
     """Base points whose chart coordinate sits within one valuation step
     of the window boundary: the dominance comparison is decided by exact
     arithmetic there, and reports surface them."""
-    flagged = []
-    for pt in level.base_points():
-        u = _chart_coordinate(pt, _inverted_chart(pt, level.prime))
-        if u and abs(PadicRational.of(u, level.prime).e) >= level.window_w - 1:
-            flagged.append(str(pt))
-    return tuple(sorted(flagged))
+    charts = zip(level.base_points(), _charts(level))
+    return tuple(sorted(str(pt) for pt, (_, y) in charts if y and y.e >= level.window_w - 1))
 
 
 @dataclass(frozen=True)
@@ -363,47 +360,64 @@ def collapse_check(
 ) -> CollapseReport:
     """Apply the composite product operator to every truncated type at
     the level and confirm a single output value."""
-    states = all_states(level)
-    images = {triangular_star(t, level, ladder) for t in states}
+    return _collapse_report(level, ladder, level_m, _triangular_column(level, ladder))
+
+
+def _collapse_report(
+    level: ProjLevel, ladder: ScaleLadder, level_m: int, triangular: list[int]
+) -> CollapseReport:
+    states, near = all_states(level), nonalgebraic_states(level)
+    images = {near[code] for code in triangular}
+    images |= {triangular_star(t, level, ladder) for t in states if t.is_realized}
     outputs = {compact_star(t, level, ladder, level_m) for t in images}
-    collapsed = len(outputs) <= 1
-    value = outputs.pop() if len(outputs) == 1 else None
-    return CollapseReport(len(states), collapsed, value, boundary_flagged(level))
+    value = next(iter(outputs)) if len(outputs) == 1 else None
+    return CollapseReport(len(states), len(outputs) <= 1, value, boundary_flagged(level))
 
 
-def _flow_table(level: ProjLevel, level_m: int, ladder: ScaleLadder) -> list[tuple[int, ...]]:
+def _column(g: PadicMatrix2, rung: int, through: bool, level: ProjLevel) -> list[int]:
     """Successor codes (point_index·|J| + class_index) of the nonalgebraic
-    states under the generators, the triangular and each fiber product.
-
-    Per (move, base point) an input realized at the move's rung lands at
-    z + dev with v(dev) >= depth: the class map is the derivative twist if
-    z is a window residue r, else the constant class of z - r, certified
-    by the depth.  A snapped generator image's dev is the deepest-rung
-    scale; a witness moves the rung-2 realization s of `_apply_witness`,
-    whose twisted class holds while v(q·s) reaches the Hensel exponent."""
+    states under one move.  Per base point an input realized at the move's
+    rung lands at z + dev with v(dev) >= depth: the class map is the
+    derivative twist if z is a window residue r, else the constant class
+    of z - r, certified by the depth.  A snapped generator image's dev is
+    the deepest-rung scale; a witness moves (`through`) the rung-2
+    realization s of `_apply_witness`, whose twisted class holds while
+    v(q·s) reaches the Hensel exponent."""
     p, n, m = level.prime, level.level_n, level.modulus
-    classes, points = level.classes(), level.base_points()
+    classes = level.classes()
     slot = {c: k for k, c in enumerate(classes)}
     hensel = PadicRational.of(hensel_modulus(p, n), p).e
-    identity = GFlowPoint.identity(p, n, 1)
-    witnesses = [_flow_point_witness(identity, ladder), *(_fiber_witness(c, ladder) for c in classes)]
-    moves = [(g, ladder.rungs[-1], False) for g in flow_generators(p, level_m + level.window_w)]
-    moves += [(w, ladder.rungs[2], True) for w in witnesses]
-    columns = [[] for _ in moves]
-    for (g, rung, through), column in zip(moves, columns):
-        for point in points:
-            _, inverted, z, derivative, q = _chart_step(g, point)
-            r = z.residue(m)
-            dev = z - r
-            depth = rung + PadicRational.of(derivative, p).e if through else rung
-            exact = not (through and q) or PadicRational.of(q, p).e + rung >= hensel
-            bound = dev.e + hensel if dev else level.window_w
-            _require(exact and depth >= bound, "projective flow: a class map is not certified")
-            _require(not inverted or r % p == 0, "projective flow: a successor left the state space")
-            base = len(classes) * (m + r // p if inverted else r)
-            # the class map: constant at class(z - r), or the derivative's twist
-            k = class_of(dev if dev else derivative, n, p)
-            column += [base + slot[k if dev else k * c] for c in classes]
+    g = _det_one(g)
+    column = []
+    for inverted, y in _charts(level):
+        inverted, z, derivative, q = _chart_step(g, inverted, y)
+        r = z.residue(m)
+        dev = z - r
+        depth = rung + derivative.e if through else rung
+        exact = not (through and q) or q.e + rung >= hensel
+        bound = dev.e + hensel if dev else level.window_w
+        _require(exact and depth >= bound, "projective flow: a class map is not certified")
+        _require(not inverted or r % p == 0, "projective flow: a successor left the state space")
+        base = len(classes) * (m + r // p if inverted else r)
+        # the class map: constant at class(z - r), or the derivative's twist
+        k = class_of(dev if dev else derivative, n, p)
+        column += [base + slot[k if dev else k * c] for c in classes]
+    return column
+
+
+def _triangular_column(level: ProjLevel, ladder: ScaleLadder) -> list[int]:
+    identity = GFlowPoint.identity(level.prime, level.level_n, 1)
+    return _column(_flow_point_witness(identity, ladder), ladder.rungs[2], True, level)
+
+
+def _flow_table(level: ProjLevel, level_m: int, ladder: ScaleLadder, triangular: list) -> list:
+    """Successor codes of the nonalgebraic states under the generators, the
+    triangular (its given column) and each fiber product."""
+    gens = flow_generators(level.prime, level_m + level.window_w)
+    columns = [_column(g, ladder.rungs[-1], False, level) for g in gens]
+    columns.append(triangular)
+    fibers = [_fiber_witness(c, ladder) for c in level.classes()]
+    columns += [_column(w, ladder.rungs[2], True, level) for w in fibers]
     return list(zip(*columns))
 
 
@@ -438,9 +452,10 @@ def minimality_proximality_report(
     The fiber transitions are load-bearing: determinant-one derivatives
     only twist classes by squares, so the action alone cannot cross
     between class fibers away from collapsing boundary deviations."""
-    successors = _flow_table(level, level_m, ladder)
+    triangular = _triangular_column(level, ladder)
+    successors = _flow_table(level, level_m, ladder, triangular)
     components = strongly_connected_components(range(len(successors)), successors.__getitem__)
-    collapse = collapse_check(level, ladder, level_m)
+    collapse = _collapse_report(level, ladder, level_m, triangular)
     return ProjFlowReport(
         size=len(successors),
         strongly_connected=len(components) == 1,

@@ -349,6 +349,19 @@ STDOUT_SHA256 = {
     "residues --p 3 --n 6": "98e97907d9ced10007cf78f979cc69ad26409ca3b890dafa09d9731689e7eb3d",
     "borel --p 3 --n 4": "4ecc7d96e79844750866b1576eeb9b6ae2db401686a34db5e999df39592e93ee",
     "ellis --n 12": "a6cf294814db5490718ebb2105c7b89c805f55e8d558d008ca73c8096770ceb1",
+    "proj collapse --p 2": "40039d1adfc183384169296bd3868c3a8943948b1ff69c9b16abd144ee96a6aa",
+    "proj collapse --p 3 --n 3 --w 3": (
+        "10cf2465e9a0c5efc1b5db8c1e689c69b8686c6dd205b05aa1650d348ccedaf9"
+    ),
+    "proj collapse --p 7 --n 3 --gap 3 --m 2": (
+        "15bca697a9612c7ae873190791384f2e4f93ef53eebeacab978cecc7b84d136f"
+    ),
+    "verify --check projective-collapse --seed 20260814": (
+        "ed5b3e91cb89454a1761b397ed9965362b2c36c4814e95f89b3259676883af8f"
+    ),
+    "verify --check projective-minimality --seed 20260814": (
+        "3c5e87ad9460eacda1c11001f0d535b7865eecbefbf54ecbf3b2602cac03d449"
+    ),
 }
 
 

@@ -1,6 +1,7 @@
 """Projective-line truncated types: action, products, collapse, flow."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from padyn.proj import (
     ProjLevel,
     ProjPoint,
     ProjTruncType,
+    CollapseReport,
     act_proj,
     all_states,
     boundary_flagged,
@@ -453,9 +455,9 @@ def test_a_successor_outside_the_state_space_is_an_error(monkeypatch):
     # a unit chart coordinate in the reciprocal chart names no base point
     chart_step = proj._chart_step
 
-    def escaping(g, point):
-        _, _, _, derivative, q = chart_step(g, point)
-        return ProjPoint.of(1, 1), True, PadicRational.of(1, g.prime), derivative, q
+    def escaping(g, inverted, y):
+        _, _, derivative, q = chart_step(g, inverted, y)
+        return True, PadicRational.of(1, g.prime), derivative, q
 
     monkeypatch.setattr(proj, "_chart_step", escaping)
     with pytest.raises(ArithmeticError, match="left the state space"):
@@ -525,17 +527,22 @@ def explicit_successors(s, level, ladder):
     return outs
 
 
+TABLE_LEVELS = [
+    ProjLevel(*pnw) for pnw in ((5, 2, 3), (5, 2, 2), (3, 2, 3), (7, 3, 2), (5, 4, 2), (3, 3, 2))
+]
+
+
+def level_id(level):
+    return f"p{level.prime}-n{level.level_n}-w{level.window_w}"
+
+
 @pytest.mark.parametrize("ladder", [LADDER, LADDER.doubled_gap()], ids=["default", "doubled-gap"])
-@pytest.mark.parametrize(
-    "level",
-    [ProjLevel(*pnw) for pnw in ((5, 2, 3), (5, 2, 2), (3, 2, 3), (7, 3, 2), (5, 4, 2), (3, 3, 2))],
-    ids=lambda lev: f"p{lev.prime}-n{lev.level_n}-w{lev.window_w}",
-)
+@pytest.mark.parametrize("level", TABLE_LEVELS, ids=level_id)
 def test_flow_table_matches_the_explicit_moves(level, ladder):
     # every (move, base point, class) entry of the table against the
     # snapped action and the two witness products on the formed input
     states = nonalgebraic_states(level)
-    table = proj._flow_table(level, 1, ladder)
+    table = proj._flow_table(level, 1, ladder, proj._triangular_column(level, ladder))
     assert len(table) == len(states)
     for s, codes in zip(states, table):
         assert [states[code] for code in codes] == explicit_successors(s, level, ladder), s
@@ -547,7 +554,7 @@ def test_flow_table_class_map_kinds():
     # of (translations, constants) per move at (5, 2, 3)
     level = ProjLevel(5, 2, 3)
     order = len(level.classes())
-    table = proj._flow_table(level, 1, LADDER)
+    table = proj._flow_table(level, 1, LADDER, proj._triangular_column(level, LADDER))
     kinds = []
     for move in range(len(table[0])):
         targets = [{table[i + j][move] for j in range(order)} for i in range(0, len(table), order)]
@@ -556,3 +563,48 @@ def test_flow_table_class_map_kinds():
     assert kinds[0] == (125, 25)
     assert kinds[5] == (1, 149)
     assert kinds[6:] == [(1, 149)] * order
+
+
+def explicit_collapse_report(level, ladder):
+    """collapse_check's former path: the explicit triangular product on
+    every state, realized and nonalgebraic."""
+    states = all_states(level)
+    images = {triangular_star(t, level, ladder) for t in states}
+    outputs = {compact_star(t, level, ladder) for t in images}
+    value = next(iter(outputs)) if len(outputs) == 1 else None
+    return CollapseReport(len(states), len(outputs) <= 1, value, boundary_flagged(level))
+
+
+@pytest.mark.parametrize("ladder", [LADDER, LADDER.doubled_gap()], ids=["default", "doubled-gap"])
+@pytest.mark.parametrize("level", [*TABLE_LEVELS, ProjLevel(2, 2, 2)], ids=level_id)
+def test_collapse_check_reads_the_explicit_triangular_images(level, ladder):
+    # collapse_check reads the nonalgebraic states' triangular images from
+    # the certified column and computes the realized states' explicitly
+    near = nonalgebraic_states(level)
+    read = {near[code] for code in proj._triangular_column(level, ladder)}
+    read |= {triangular_star(ProjTruncType.realized(x), level, ladder) for x in level.base_points()}
+    assert read == {triangular_star(t, level, ladder) for t in all_states(level)}
+    assert collapse_check(level, ladder) == explicit_collapse_report(level, ladder)
+
+
+def test_flow_report_work_counts(monkeypatch):
+    # at (5, 2, 3): one chart step per (move, base point) for the 5
+    # generators, the triangular and the 4 fiber moves over 150 base
+    # points, one determinant check per move, and the explicit triangular
+    # product on the 150 realized states only
+    calls = Counter()
+
+    def count(name):
+        inner = getattr(proj, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(proj, name, counted)
+
+    for name in ("_chart_step", "_det_one", "triangular_star"):
+        count(name)
+    report = minimality_proximality_report(ProjLevel(5, 2, 3), level_m=1, ladder=LADDER)
+    assert report.strongly_connected and report.proximal
+    assert calls == {"_chart_step": 1500, "_det_one": 10, "triangular_star": 150}
