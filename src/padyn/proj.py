@@ -5,12 +5,15 @@ type is either a realized point or the family infinitesimally near one,
 with class data measured in the reciprocal chart beyond the integral
 window so the family at infinity behaves like any other.
 
-The action moves Near types symbolically: the class picks up the class
-of the exact chart-to-chart derivative, an exact group action on
-exact-point types.  `classify_value` truncates an exact value (window
-residue plus the class of the deviation); `snap_type` truncates a Near
-type's deepest-rung witness y0 + scale the same way, as a two-term
-sparse `PadicRational` that never forms the witness's p-digits.
+Every matrix acts on a point through one chart step, `_chart_step`,
+from the point's chart (inverted flag, coordinate).  The action moves
+Near types symbolically: the class picks up the class of the exact
+chart-to-chart derivative, an exact group action on exact-point types.
+A witness product steps the input's rung-2 witness y0 + scale (or a
+realized point); the triangular witness is `borel.witness` of the
+identity class.  `_chart_type` truncates a chart coordinate (window
+residue plus the class of the deviation): a product's image, or
+`snap_type`'s deepest-rung witness as a two-term sparse sum.
 
 The flow report is a skew product over the base points, tabulated on
 int states, one column per move: per base point one `_chart_step` on
@@ -42,8 +45,8 @@ from .padic import (
     _require,
 )
 from .residues import ResidueClass, build_group, class_of, hensel_modulus
-from .sl2 import GFlowPoint, flow_generators, k_lift
-from .types1 import DEFAULT_LADDER, ScaleLadder, TruncType1, _witness_scale, realize
+from .sl2 import flow_generators
+from .types1 import DEFAULT_LADDER, ScaleLadder, TruncType1, realize
 
 
 @dataclass(frozen=True)
@@ -65,10 +68,6 @@ class ProjPoint:
         if x1 == 0:
             return cls(Fraction(1), Fraction(0))
         return cls(x0 / x1, Fraction(1))
-
-    @classmethod
-    def infinity(cls) -> "ProjPoint":
-        return cls(Fraction(1), Fraction(0))
 
     @property
     def is_infinity(self) -> bool:
@@ -166,16 +165,13 @@ def classify_value(x: RationalLike, level: ProjLevel) -> ProjTruncType:
     return _chart_type(x.inverse() if inverted else x, inverted, level)
 
 
-def _realize_type(
-    t: ProjTruncType, level: ProjLevel, ladder: ScaleLadder, rung_index: int
-) -> PadicRational:
-    """An exact value realizing the Near family at the given rung,
-    produced in the base point's own chart."""
+def _chart_witness(t: ProjTruncType, ladder: ScaleLadder, rung: int) -> tuple[bool, PadicRational]:
+    """The Near family's witness y0 + scale at the given rung, in the base
+    point's own chart: (inverted, chart coordinate)."""
     if t.is_realized:
         raise ValueError("realized types need no witnesses")
-    inverted, y0 = _chart(t.point, level.prime)
-    y = realize(TruncType1.near(y0, t.near_class), rung_index, ladder)
-    return 1 / y if inverted else y
+    inverted, y0 = _chart(t.point, t.near_class.prime)
+    return inverted, realize(TruncType1.near(y0, t.near_class), rung, ladder)
 
 
 def snap_type(t: ProjTruncType, level: ProjLevel, ladder: ScaleLadder) -> ProjTruncType:
@@ -184,8 +180,7 @@ def snap_type(t: ProjTruncType, level: ProjLevel, ladder: ScaleLadder) -> ProjTr
     witness y0 + scale in the base point's chart, a two-term sparse sum."""
     if t.is_realized:
         return t if t.point.is_infinity else classify_value(t.point.x0, level)
-    inverted, y0 = _chart(t.point, level.prime)
-    y = _witness_scale(t.near_class, ladder.rungs[-1], toward_infinity=False) + y0
+    inverted, y = _chart_witness(t, ladder, -1)
     _require(bool(y), "snap_type: the deepest-rung witness vanishes")
     return _chart_type(y, inverted, level)
 
@@ -208,8 +203,8 @@ def _chart_step(g: PadicMatrix2, inverted: bool, y: RationalLike) -> tuple:
     flip = not w1 or bool(w0) and w0.e < w1.e
     lo, num, denom = (lo0, w1, w0) if flip else (lo1, w0, w1)
     _require(bool(denom), "chart selection failed to keep the image finite")
-    derivative = (-1 if inverted != flip else 1) / (denom * denom)
-    return flip, num / denom, derivative, lo / denom
+    inv = denom.inverse()
+    return flip, num * inv, (-inv if inverted != flip else inv) * inv, lo * inv
 
 
 def act_proj(g: PadicMatrix2, t: ProjTruncType) -> ProjTruncType:
@@ -227,13 +222,7 @@ def act_proj(g: PadicMatrix2, t: ProjTruncType) -> ProjTruncType:
     return ProjTruncType.near(image, twist * t.near_class)
 
 
-# a product's witness for the flow point or the fiber class depends only on
-# that and the ladder, not on the input type, so each is built once
-@lru_cache(maxsize=256)
-def _flow_point_witness(source: GFlowPoint, ladder: ScaleLadder) -> PadicMatrix2:
-    return k_lift(source.k, source.j.prime, source.level_m) @ borel_witness(source.j, ladder, 0)
-
-
+# a fiber witness depends on the class and the ladder only: built once
 @lru_cache(maxsize=256)
 def _fiber_witness(klass: ResidueClass, ladder: ScaleLadder) -> PadicMatrix2:
     corner = realize(TruncType1.near(0, klass), 0, ladder)
@@ -244,28 +233,15 @@ def _apply_witness(
     left: PadicMatrix2, t: ProjTruncType, level: ProjLevel, ladder: ScaleLadder
 ) -> ProjTruncType:
     """Classify left·x, the input x realized on the block above everything
-    the first-block witness `left` spans (a realized point is itself)."""
-    if t.is_realized and t.point.is_infinity:
-        x0, x1 = left.a, left.c
-    else:
-        # the quotient x0 / x1 is formed, so x is formed first and the rows
-        # multiply in one-term form
-        x = t.point.x0 if t.is_realized else _realize_type(t, level, ladder, 2).collapsed()
-        x0, x1 = left.a * x + left.b, left.c * x + left.d
-    if not x1:
-        return ProjTruncType.realized(ProjPoint.infinity())
-    return classify_value(x0 / x1, level)
-
-
-def flow_star(
-    source: GFlowPoint, t: ProjTruncType, level: ProjLevel, ladder: ScaleLadder
-) -> ProjTruncType:
-    """Product of a paired flow point with a projective type through
-    concrete witnesses: the flow point is realized on the first rung
-    block, the input on the block above everything the witness spans."""
-    if source.j.prime != level.prime or source.j.level_n != level.level_n:
-        raise ValueError("mixed truncation levels")
-    return _apply_witness(_flow_point_witness(source, ladder), t, level, ladder)
+    the first-block witness `left` spans (a realized point is itself): one
+    chart step from x's chart, the image truncated in its own chart."""
+    if t.is_realized:
+        inverted, y = _chart(t.point, level.prime)
+    else:  # the witness is formed, so the rows multiply in one-term form
+        inverted, y = _chart_witness(t, ladder, 2)
+        y = y.collapsed()
+    inverted, z, _, _ = _chart_step(left, inverted, y)
+    return _chart_type(z, inverted, level)
 
 
 def triangular_star(
@@ -278,8 +254,8 @@ def triangular_star(
     exact valuation comparison picks the dominant term.  Infinity itself
     is fixed, and infinity-based families stay within the family.
     """
-    identity = GFlowPoint.identity(level.prime, level.level_n, 1)
-    return flow_star(identity, t, level, ladder)
+    witness = borel_witness(class_of(1, level.level_n, level.prime), ladder, 0)
+    return _apply_witness(witness, t, level, ladder)
 
 
 def fiber_star(
@@ -315,8 +291,8 @@ def compact_star(
     computed generically and no collapse is claimed.
     """
     if t.point.is_infinity and not t.is_realized:
-        c_value = _realize_type(t, level, ladder, 2)
-        _require(c_value and c_value.e <= -level_m, "witness not absorbed at level m")
+        _, y = _chart_witness(t, ladder, 2)
+        _require(bool(y) and y.e >= level_m, "witness not absorbed at level m")
     return fiber_star(t, class_of(1, level.level_n, level.prime), level, ladder)
 
 
@@ -333,8 +309,9 @@ def boundary_flagged(level: ProjLevel) -> tuple[str, ...]:
     """Base points whose chart coordinate sits within one valuation step
     of the window boundary: the dominance comparison is decided by exact
     arithmetic there, and reports surface them."""
-    charts = zip(level.base_points(), _charts(level))
-    return tuple(sorted(str(pt) for pt, (_, y) in charts if y and y.e >= level.window_w - 1))
+    w = level.window_w
+    flagged = (y.inverse() if inv else y for inv, y in _charts(level) if y and y.e >= w - 1)
+    return tuple(sorted(str(x.to_fraction()) for x in flagged))
 
 
 @dataclass(frozen=True)
@@ -366,12 +343,14 @@ def collapse_check(
 def _collapse_report(
     level: ProjLevel, ladder: ScaleLadder, level_m: int, triangular: list[int]
 ) -> CollapseReport:
-    states, near = all_states(level), nonalgebraic_states(level)
-    images = {near[code] for code in triangular}
-    images |= {triangular_star(t, level, ladder) for t in states if t.is_realized}
+    points, classes = level.base_points(), level.classes()
+    order = len(classes)
+    images = {ProjTruncType.near(points[c // order], classes[c % order]) for c in set(triangular)}
+    images |= {triangular_star(ProjTruncType.realized(x), level, ladder) for x in points}
     outputs = {compact_star(t, level, ladder, level_m) for t in images}
     value = next(iter(outputs)) if len(outputs) == 1 else None
-    return CollapseReport(len(states), len(outputs) <= 1, value, boundary_flagged(level))
+    size = len(points) * (order + 1)
+    return CollapseReport(size, len(outputs) <= 1, value, boundary_flagged(level))
 
 
 def _column(g: PadicMatrix2, rung: int, through: bool, level: ProjLevel) -> list[int]:
@@ -406,8 +385,8 @@ def _column(g: PadicMatrix2, rung: int, through: bool, level: ProjLevel) -> list
 
 
 def _triangular_column(level: ProjLevel, ladder: ScaleLadder) -> list[int]:
-    identity = GFlowPoint.identity(level.prime, level.level_n, 1)
-    return _column(_flow_point_witness(identity, ladder), ladder.rungs[2], True, level)
+    witness = borel_witness(class_of(1, level.level_n, level.prime), ladder, 0)
+    return _column(witness, ladder.rungs[2], True, level)
 
 
 def _flow_table(level: ProjLevel, level_m: int, ladder: ScaleLadder, triangular: list) -> list:

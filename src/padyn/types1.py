@@ -68,9 +68,6 @@ class ScaleLadder:
     def doubled_gap(self) -> "ScaleLadder":
         return ScaleLadder.build(2 * self.gap, self.window_w, len(self.rungs), self.rungs[0])
 
-    def magnitude(self, rung_index: int) -> int:
-        return self.rungs[rung_index]
-
 
 # rungs a `star` product uses: two per factor
 LADDER_LENGTH = 4
@@ -96,9 +93,6 @@ class TruncType1:
     @classmethod
     def at_infinity(cls, klass: ResidueClass) -> "TruncType1":
         return cls(AT_INFINITY, None, klass)
-
-    def is_realized(self) -> bool:
-        return self.kind == REALIZED
 
     def base_points(self) -> tuple[Fraction, ...]:
         return () if self.base is None else (self.base,)
@@ -152,8 +146,7 @@ def realize(t: TruncType1, rung_index: int, ladder: ScaleLadder) -> PadicRationa
     """
     if t.kind == REALIZED:
         return t.base
-    magnitude = ladder.magnitude(rung_index)
-    scale = _witness_scale(t.klass, magnitude, toward_infinity=t.kind == AT_INFINITY)
+    scale = _witness_scale(t.klass, ladder.rungs[rung_index], toward_infinity=t.kind == AT_INFINITY)
     if t.kind == NEAR:
         return scale + t.base
     return scale

@@ -356,6 +356,9 @@ STDOUT_SHA256 = {
     "proj collapse --p 7 --n 3 --gap 3 --m 2": (
         "15bca697a9612c7ae873190791384f2e4f93ef53eebeacab978cecc7b84d136f"
     ),
+    # the deepest m accepted at n = 3: the compact product's witness is
+    # absorbed exactly at its valuation
+    "proj collapse --n 3 --m 786": "c5f87b86357c463a2b262d8d04441904269397faff75151a51f9e138eab8f3ed",
     "verify --check projective-collapse --seed 20260814": (
         "ed5b3e91cb89454a1761b397ed9965362b2c36c4814e95f89b3259676883af8f"
     ),

@@ -20,7 +20,6 @@ from padyn.proj import (
     collapse_check,
     compact_star,
     fiber_star,
-    flow_star,
     minimality_proximality_report,
     nonalgebraic_states,
     snap_type,
@@ -51,7 +50,7 @@ def pt(value):
     return ProjPoint.of(value, 1)
 
 
-INF = ProjPoint.infinity()
+INF = ProjPoint.of(1, 0)
 
 
 # ---------------------------------------------------------------- oracle
@@ -188,32 +187,28 @@ def fraction_classify_value(x, level):
     return ProjTruncType.near(point, class_of(dev, level.level_n, p))
 
 
-@pytest.mark.parametrize("window, witnesses", [(2, 1495), (3, 7495)])
+@pytest.mark.parametrize("window, witnesses", [(2, 1496), (3, 7496)])
 def test_classify_value_matches_the_plain_fraction_classifier(window, witnesses, monkeypatch):
-    # every witness snap_type, triangular_star and fiber_star classify
-    # over all states of the level, checked against the Fraction path;
-    # snap_type classifies a Near type's deepest-rung witness without
-    # classify_value, so those results are checked against the formed one
+    # every chart coordinate snap_type, triangular_star and fiber_star
+    # truncate over all states of the level, checked against the Fraction
+    # path: per state 5 snapped generator images, 1 triangular and 4 fiber
+    # products, less the 4 realized images at infinity (u, the diagonal
+    # unit and the dilation fix it, the rotation sends 0 there), which
+    # snap_type returns unclassified
     level = ProjLevel(P, 2, window)
     checked = []
-    snap_type_itself = proj.snap_type
+    chart_type = proj._chart_type
 
-    def cross_checked(x, lev):
-        got = classify_value(x, lev)
-        assert got == fraction_classify_value(x, lev), x
+    def cross_checked(y, inverted, lev):
+        got = chart_type(y, inverted, lev)
+        if inverted and not y:
+            assert got == ProjTruncType.realized(INF)
+        else:
+            assert got == fraction_classify_value(1 / y if inverted else y, lev), (y, inverted)
         checked.append(got)
         return got
 
-    def snap_cross_checked(t, lev, ladder):
-        got = snap_type_itself(t, lev, ladder)
-        if not t.is_realized:
-            witness = proj._realize_type(t, lev, ladder, len(ladder.rungs) - 1)
-            assert got == fraction_classify_value(witness, lev), t
-            checked.append(got)
-        return got
-
-    monkeypatch.setattr(proj, "classify_value", cross_checked)
-    monkeypatch.setattr(proj, "snap_type", snap_cross_checked)
+    monkeypatch.setattr(proj, "_chart_type", cross_checked)
     gens = flow_generators(P, 1 + window)
     for s in all_states(level):
         for g in gens:
@@ -227,7 +222,8 @@ def test_classify_value_matches_the_plain_fraction_classifier(window, witnesses,
 def formed_witness_snap(t, level, ladder):
     """snap_type's former exact path: form the deepest-rung witness and
     classify the value."""
-    return classify_value(proj._realize_type(t, level, ladder, len(ladder.rungs) - 1), level)
+    inverted, y = proj._chart_witness(t, ladder, len(ladder.rungs) - 1)
+    return classify_value(1 / y if inverted else y, level)
 
 
 # (ladder, stride): the formed doubled-gap witness has ~115 000 bits.  In
@@ -351,7 +347,7 @@ def test_compact_star_raises_when_the_witness_is_not_absorbed():
     # the infinity-family witness at rung 2 sits at distance p^rung, so it
     # is absorbed up to that level and no further
     t = ProjTruncType.near(INF, cl(1))
-    rung = LADDER.magnitude(2)
+    rung = LADDER.rungs[2]
     assert compact_star(t, L22, LADDER, level_m=rung) == ProjTruncType.near(INF, cl(1))
     with pytest.raises(ArithmeticError, match="not absorbed"):
         compact_star(t, L22, LADDER, level_m=rung + 1)
@@ -380,12 +376,6 @@ def test_fiber_star_walks_the_whole_fiber():
     assert fiber_star(
         ProjTruncType.realized(INF), cl(10), L22, LADDER
     ) == ProjTruncType.near(INF, cl(10))
-
-
-def test_flow_star_rejects_mixed_levels():
-    point = GFlowPoint.identity(3, 2, 1)
-    with pytest.raises(ValueError):
-        flow_star(point, ProjTruncType.realized(pt(0)), L22, LADDER)
 
 
 # -------------------------------------------------------------- collapse
@@ -495,9 +485,11 @@ def column_state(m, level):
     return classify_value(m.a / m.c, level)
 
 
-def flow_point_witness(point, block):
-    lifted = k_lift(point.k, point.j.prime, point.level_m)
-    return lifted @ mat(borel_witness(point.j, LADDER, block).rows())
+def flow_point_witness(point, block, ladder=LADDER):
+    """k_lift(k)·witness(j) of a paired flow point, with p-adic entries."""
+    p = point.j.prime
+    lifted = k_lift(point.k, p, point.level_m) @ borel_witness(point.j, ladder, block)
+    return PadicMatrix2.padic(lifted.rows(), p)
 
 
 def test_projection_commutes_with_star_products():
@@ -512,7 +504,7 @@ def test_projection_commutes_with_star_products():
         p2 = GFlowPoint(rng.choice(compact), rng.choice(classes), 1)
         w1 = flow_point_witness(p1, 0)
         w2 = flow_point_witness(p2, 2)
-        left = flow_star(p1, column_state(w2, L22), L22, LADDER)
+        left = proj._apply_witness(w1, column_state(w2, L22), L22, LADDER)
         right = column_state(w1 @ w2, L22)
         assert left == right
 
@@ -587,11 +579,56 @@ def test_collapse_check_reads_the_explicit_triangular_images(level, ladder):
     assert collapse_check(level, ladder) == explicit_collapse_report(level, ladder)
 
 
+def homogeneous_product(left, t, level, ladder):
+    """The witness products' former path: form the input x (a realized
+    point, or the rung-2 witness), take the rows x0 = a·x + b and
+    x1 = c·x + d, and classify the quotient x0 / x1."""
+    if t.is_realized and t.point.is_infinity:
+        x0, x1 = left.a, left.c
+    else:
+        if t.is_realized:
+            x = t.point.x0
+        else:
+            inverted, y = proj._chart_witness(t, ladder, 2)
+            x = (1 / y if inverted else y).collapsed()
+        x0, x1 = left.a * x + left.b, left.c * x + left.d
+    if not x1:
+        return ProjTruncType.realized(INF)
+    return classify_value(x0 / x1, level)
+
+
+@pytest.mark.parametrize("ladder", [LADDER, LADDER.doubled_gap()], ids=["default", "doubled-gap"])
+@pytest.mark.parametrize("level", [*TABLE_LEVELS, ProjLevel(2, 2, 2)], ids=level_id)
+def test_witness_products_match_the_homogeneous_path(level, ladder):
+    # one chart step from the input's chart truncates to the type of the
+    # homogeneous quotient: the triangular and every fiber witness on every
+    # state, and 40 random flow-point witnesses k_lift(k)·witness(j), the
+    # states dealt round-robin among them
+    p, n = level.prime, level.level_n
+    states = all_states(level)
+    lefts = [borel_witness(class_of(1, n, p), ladder, 0)]
+    lefts += [proj._fiber_witness(c, ladder) for c in level.classes()]
+    for left in lefts:
+        for t in states:
+            expected = homogeneous_product(left, t, level, ladder)
+            assert proj._apply_witness(left, t, level, ladder) == expected, (left, t)
+    rng = random.Random(20261018)
+    compact = k_level_group(p, 1)
+    for i in range(40):
+        point = GFlowPoint(rng.choice(compact), rng.choice(level.classes()), 1)
+        left = flow_point_witness(point, 0, ladder)
+        for t in states[i::40]:
+            expected = homogeneous_product(left, t, level, ladder)
+            assert proj._apply_witness(left, t, level, ladder) == expected, (point, t)
+
+
 def test_flow_report_work_counts(monkeypatch):
     # at (5, 2, 3): one chart step per (move, base point) for the 5
     # generators, the triangular and the 4 fiber moves over 150 base
-    # points, one determinant check per move, and the explicit triangular
-    # product on the 150 realized states only
+    # points (1 500), one determinant check per move, the explicit
+    # triangular product on the 150 realized states only, and the compact
+    # product on the 5 distinct triangular images (Realized(inf) and the
+    # 4 classes at infinity): 155 witness products, one chart step each
     calls = Counter()
 
     def count(name):
@@ -603,8 +640,14 @@ def test_flow_report_work_counts(monkeypatch):
 
         monkeypatch.setattr(proj, name, counted)
 
-    for name in ("_chart_step", "_det_one", "triangular_star"):
+    for name in ("_chart_step", "_det_one", "triangular_star", "compact_star", "_apply_witness"):
         count(name)
     report = minimality_proximality_report(ProjLevel(5, 2, 3), level_m=1, ladder=LADDER)
     assert report.strongly_connected and report.proximal
-    assert calls == {"_chart_step": 1500, "_det_one": 10, "triangular_star": 150}
+    assert calls == {
+        "_chart_step": 1500 + 155,
+        "_det_one": 10,
+        "triangular_star": 150,
+        "compact_star": 5,
+        "_apply_witness": 150 + 5,
+    }

@@ -66,7 +66,7 @@ def test_realize_respects_scale_and_class():
     ladder = ScaleLadder.build(8, 2, length=4)
     for t in enumerate_types(range(5), 2, 5):
         for rung_index in range(len(ladder.rungs)):
-            magnitude = ladder.magnitude(rung_index)
+            magnitude = ladder.rungs[rung_index]
             witness = realize(t, rung_index, ladder)
             if t.kind == "near":
                 gap_val = PadicRational.of(witness - t.base, 5).e
