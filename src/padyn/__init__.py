@@ -1,6 +1,3 @@
 """Exact p-adic arithmetic and finite truncations of definable group flows."""
 
-from padyn.config import GlobalConfig
-
-__all__ = ["GlobalConfig"]
 __version__ = "0.1.0"

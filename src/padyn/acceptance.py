@@ -25,7 +25,6 @@ import time
 from fractions import Fraction
 
 from padyn.borel import build_flow_group, witness as borel_witness
-from padyn.config import GlobalConfig
 from padyn.flows import act_add, minimal_subflows
 from padyn.padic import PadicMatrix2, PadicRational
 from padyn.proj import (
@@ -179,8 +178,7 @@ def check_affine_flows(seed: int = DEFAULT_SEED) -> dict:
     subflow_shapes = {}
     shapes_ok = True
     for n in (1, 2, 3):
-        config = GlobalConfig(prime=p, residue_level_n=n)
-        report = minimal_subflows("gm", config)
+        report = minimal_subflows("gm", p, n, 2)
         sizes = sorted(len(family) for family in report.minimal_subflows)
         order = build_group(p, n).order
         subflow_shapes[n] = {"count": len(sizes), "sizes": sizes, "group_order": order}

@@ -15,22 +15,29 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 import padyn
 from padyn import acceptance
 from padyn.borel import build_flow_group
-from padyn.config import GlobalConfig, is_prime
 from padyn.flows import GROUP_TAGS, minimal_subflows, normalize_group_tag
 from padyn.padic import PadicMatrix2, parse_rational
 from padyn.proj import ProjLevel, collapse_check, minimality_proximality_report
-from padyn.residues import build_group
+from padyn.residues import RESIDUE_LEVEL_MAX, build_group
 from padyn.sl2 import ellis_group, flow_generators, iwasawa, minimal_flow
-from padyn.types1 import LADDER_LENGTH, ScaleLadder
+from padyn.types1 import DEFAULT_LADDER, LADDER_LENGTH, ScaleLadder
 
 _CHECK_NAMES = tuple(name for name, _, _ in acceptance.CHECKS)
+
+# the one copy of each level default, for the flags and verify's echoed "config"
+_LEVEL_FLAGS = {
+    "p": (5, "prime"),
+    "n": (2, "power-class level"),
+    "m": (1, "matrix congruence level"),
+    "w": (DEFAULT_LADDER.window_w, "valuation window"),
+    "gap": (DEFAULT_LADDER.gap, "ladder gap"),
+}
 
 
 class UsageError(ValueError):
@@ -43,11 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact finite truncations of p-adic group flows.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", type=int, default=5, help="prime (default 5)")
-    common.add_argument("--n", type=int, default=2, help="power-class level (default 2)")
-    common.add_argument("--m", type=int, default=1, help="matrix congruence level (default 1)")
-    common.add_argument("--w", type=int, default=2, help="valuation window (default 2)")
-    common.add_argument("--gap", type=int, default=8, help="ladder gap (default 8)")
+    for flag, (value, text) in _LEVEL_FLAGS.items():
+        common.add_argument(f"--{flag}", type=int, default=value, help=f"{text} (default {value})")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("residues", parents=[common], help="power-residue class group table")
     flows = sub.add_parser("flows", parents=[common], help="affine flow minimal subflows")
@@ -67,23 +71,44 @@ def build_parser() -> argparse.ArgumentParser:
     scope = verify.add_mutually_exclusive_group()
     scope.add_argument("--all", action="store_true", help="run every check (the default)")
     scope.add_argument("--check", choices=_CHECK_NAMES, help="run a single named check")
-    verify.add_argument(
-        "--seed", type=int, default=None, help="override PADYN_SEED for randomized sweeps"
-    )
+    seed = acceptance.DEFAULT_SEED
+    verify.add_argument("--seed", type=int, default=seed, help=f"sweep seed (default {seed})")
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> GlobalConfig:
-    if not is_prime(args.p):
-        raise UsageError(f"--p {args.p} is not prime")
-    return _flag_check(
-        GlobalConfig,
-        prime=args.p,
-        residue_level_n=args.n,
-        matrix_level_m=args.m,
-        valuation_window_w=args.w,
-        ladder_gap=args.gap,
-    )
+def is_prime(k: int) -> bool:
+    """Deterministic primality test by trial division (desk-scale inputs)."""
+    if k < 2:
+        return False
+    if k < 4:
+        return True
+    if k % 2 == 0:
+        return False
+    d = 3
+    while d * d <= k:
+        if k % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def _check_levels(args: argparse.Namespace) -> None:
+    """Refuse the first out-of-range level flag, used by the subcommand or not."""
+    # at gap 1 the witness blocks overlap and the flow checks answer wrongly
+    for ok, message in (
+        (is_prime(args.p), f"--p {args.p} is not prime"),
+        (args.n >= 1, "residue_level_n must be >= 1"),
+        (args.n <= RESIDUE_LEVEL_MAX, f"residue_level_n must be at most {RESIDUE_LEVEL_MAX}"),
+        (args.m >= 1, "matrix_level_m must be >= 1"),
+        (args.w >= 1, "valuation_window_w must be >= 1"),
+        (args.gap >= 2, "ladder_gap must be >= 2"),
+    ):
+        if not ok:
+            raise UsageError(message)
+
+
+def _ladder(args: argparse.Namespace) -> ScaleLadder:
+    return ScaleLadder.build(args.gap, args.w, LADDER_LENGTH)
 
 
 def _flag_check(check, *args, **kwargs):
@@ -94,47 +119,34 @@ def _flag_check(check, *args, **kwargs):
         raise UsageError(str(err)) from None
 
 
-def _require_flow_generators(config: GlobalConfig) -> None:
+def _require_flow_generators(args: argparse.Namespace) -> None:
     # the SL(2) flows act through a generator of the units mod p^(m+w),
     # which 2^k lacks for k >= 3: refuse before any work is done
-    _flag_check(flow_generators, config.prime, config.matrix_level_m + config.valuation_window_w)
+    _flag_check(flow_generators, args.p, args.m + args.w)
 
 
-def _seed_from(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get("PADYN_SEED")
-    if raw is None:
-        return acceptance.DEFAULT_SEED
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"PADYN_SEED must be an integer, got {raw!r}")
-
-
-def _cmd_residues(args, config):
-    group = build_group(config.prime, config.residue_level_n)
-    payload = {"p": config.prime, "n": config.residue_level_n, "group": group.to_json()}
-    lines = [f"residue group at p={config.prime}, n={config.residue_level_n}: order {group.order}"]
+def _cmd_residues(args):
+    group = build_group(args.p, args.n)
+    payload = {"p": args.p, "n": args.n, "group": group.to_json()}
+    lines = [f"residue group at p={args.p}, n={args.n}: order {group.order}"]
     return 0, payload, lines
 
 
-def _cmd_flows(args, config):
+def _cmd_flows(args):
     _flag_check(normalize_group_tag, args.group)
-    report = minimal_subflows(args.group, config)
+    report = minimal_subflows(args.group, args.p, args.n, args.w)
     sizes = sorted(len(family) for family in report.minimal_subflows)
     lines = [f"{report.group_tag}: {len(sizes)} minimal subflow(s), sizes {sizes}"]
     return 0, report.to_json(), lines
 
 
-def _cmd_borel(args, config):
-    ladder = ScaleLadder.from_config(config, LADDER_LENGTH)
-    group = build_group(config.prime, config.residue_level_n)
-    table = build_flow_group(config.prime, config.residue_level_n, ladder)
+def _cmd_borel(args):
+    group = build_group(args.p, args.n)
+    table = build_flow_group(args.p, args.n, _ladder(args))
     ok = table == group.table
     payload = {
-        "p": config.prime,
-        "n": config.residue_level_n,
+        "p": args.p,
+        "n": args.n,
         "order": group.order,
         "representatives": [str(c.representative) for c in group.elements],
         "table": group.rows(table),
@@ -145,10 +157,9 @@ def _cmd_borel(args, config):
     return (0 if ok else 1), payload, lines
 
 
-def _cmd_iwasawa(args, config):
-    p = config.prime
+def _cmd_iwasawa(args):
     if args.entries is None:
-        g = PadicMatrix2.of(((Fraction(1, p), 0), (1, p)), p)
+        g = PadicMatrix2.of(((Fraction(1, args.p), 0), (1, args.p)), args.p)
     else:
         tokens = args.entries.replace(",", " ").replace(";", " ").split()
         if len(tokens) != 4:
@@ -159,25 +170,24 @@ def _cmd_iwasawa(args, config):
             raise UsageError(f"could not parse matrix entries {args.entries!r}")
         except ZeroDivisionError:
             raise UsageError(f"matrix entries {args.entries!r} have a zero denominator")
-        g = PadicMatrix2.of(((a, b), (c, d)), p)
+        g = PadicMatrix2.of(((a, b), (c, d)), args.p)
     if g.det() != 1:
         raise UsageError(f"matrix determinant must be 1, got {g.det()}")
     t, h = iwasawa(g)
     payload = {
-        "p": p,
+        "p": args.p,
         "input": g.to_json(),
         "integral_factor": t.to_json(),
         "triangular_factor": h.to_json(),
         "exact": (t @ h).rows() == g.rows(),
     }
-    lines = [f"factored over p={p}; reconstruction exact: {payload['exact']}"]
+    lines = [f"factored over p={args.p}; reconstruction exact: {payload['exact']}"]
     return 0, payload, lines
 
 
-def _cmd_minimal_flow(args, config):
-    _require_flow_generators(config)
-    ladder = ScaleLadder.from_config(config, LADDER_LENGTH)
-    report = minimal_flow(config.prime, config.residue_level_n, config.matrix_level_m, ladder)
+def _cmd_minimal_flow(args):
+    _require_flow_generators(args)
+    report = minimal_flow(args.p, args.n, args.m, _ladder(args))
     ok = report.strongly_connected and report.idempotent
     lines = [
         f"{report.size} states; strongly connected: {report.strongly_connected}; "
@@ -186,9 +196,8 @@ def _cmd_minimal_flow(args, config):
     return (0 if ok else 1), report.to_json(), lines
 
 
-def _cmd_ellis(args, config):
-    ladder = ScaleLadder.from_config(config, LADDER_LENGTH)
-    report = ellis_group(config.prime, config.residue_level_n, config.matrix_level_m, ladder)
+def _cmd_ellis(args):
+    report = ellis_group(args.p, args.n, args.m, _ladder(args))
     iso_ok = all(report.iso_by_level.values())
     tower_ok = all(flag for (_, _, flag) in report.tower)
     lines = [
@@ -198,28 +207,25 @@ def _cmd_ellis(args, config):
     return (0 if iso_ok and tower_ok else 1), report.to_json(), lines
 
 
-def _cmd_proj(args, config):
-    level = ProjLevel(config.prime, config.residue_level_n, config.valuation_window_w)
-    ladder = ScaleLadder.from_config(config, LADDER_LENGTH)
+def _cmd_proj(args):
+    level = ProjLevel(args.p, args.n, args.w)
+    ladder = _ladder(args)
     # the compact product absorbs a witness only if level m is no deeper
     # than the identity class's rung-2 witness at infinity
-    n = config.residue_level_n
-    deepest_m = -(-ladder.rungs[2] // n) * n
-    if config.matrix_level_m > deepest_m:
-        m, gap = config.matrix_level_m, config.ladder_gap
+    deepest_m = -(-ladder.rungs[2] // args.n) * args.n
+    if args.m > deepest_m:
+        m, gap = args.m, args.gap
         raise UsageError(f"--m {m} is deeper than --gap {gap} reaches (at most {deepest_m})")
     if args.report == "collapse":
-        report = collapse_check(level, ladder=ladder, level_m=config.matrix_level_m)
+        report = collapse_check(level, ladder=ladder, level_m=args.m)
         ok = report.collapsed
         lines = [
             f"{report.states_checked} types; collapsed: {report.collapsed} "
             f"onto {report.collapsed_type}"
         ]
     else:
-        _require_flow_generators(config)
-        report = minimality_proximality_report(
-            level, level_m=config.matrix_level_m, ladder=ladder
-        )
+        _require_flow_generators(args)
+        report = minimality_proximality_report(level, level_m=args.m, ladder=ladder)
         ok = report.strongly_connected and report.proximal
         lines = [
             f"{report.size} states; strongly connected: {report.strongly_connected}; "
@@ -228,9 +234,8 @@ def _cmd_proj(args, config):
     return (0 if ok else 1), report.to_json(), lines
 
 
-def _cmd_verify(args, config):
-    seed = _seed_from(args)
-    outcome = acceptance.run_all(seed=seed, only=args.check)
+def _cmd_verify(args):
+    outcome = acceptance.run_all(seed=args.seed, only=args.check)
     checks = []
     lines = []
     for result in outcome["results"]:
@@ -250,14 +255,8 @@ def _cmd_verify(args, config):
     passed = all(entry["passed"] for entry in checks)
     lines.append(f"total: {outcome['total_seconds']}s; passed: {passed}")
     payload = {
-        "config": {
-            "p": config.prime,
-            "n": config.residue_level_n,
-            "m": config.matrix_level_m,
-            "w": config.valuation_window_w,
-            "ladder_gap": config.ladder_gap,
-        },
-        "seed": seed,
+        "config": {("ladder_gap" if f == "gap" else f): v for f, (v, _) in _LEVEL_FLAGS.items()},
+        "seed": args.seed,
         "version": padyn.__version__,
         "passed": passed,
         "checks": checks,
@@ -284,8 +283,9 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as stop:
         return int(stop.code or 0)
     try:
-        config = GlobalConfig() if args.command == "verify" else _config_from(args)
-        code, payload, lines = _HANDLERS[args.command](args, config)
+        if args.command != "verify":
+            _check_levels(args)
+        code, payload, lines = _HANDLERS[args.command](args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from padyn._graph import strongly_connected_components, terminal_components
-from padyn.config import GlobalConfig
 from padyn.padic import PadicRational, RationalLike, _require
 from padyn.residues import build_group, class_of
 from padyn.types1 import AT_INFINITY, NEAR, REALIZED, TruncType1
@@ -67,11 +66,9 @@ def act_mul(g: RationalLike, t: TruncType1) -> TruncType1:
     return TruncType1.at_infinity(twist * t.klass)
 
 
-def default_base_points(config: GlobalConfig) -> tuple[Fraction, ...]:
+def default_base_points(p: int, w: int) -> tuple[Fraction, ...]:
     """Residue representatives covering Z_p at resolution w."""
-    return tuple(
-        Fraction(i) for i in range(config.prime**config.valuation_window_w)
-    )
+    return tuple(Fraction(i) for i in range(p**w))
 
 
 def _units(bases, p: int) -> list[Fraction]:
@@ -79,16 +76,16 @@ def _units(bases, p: int) -> list[Fraction]:
     return [a for a in bases if a and PadicRational.of(a, p).e == 0]
 
 
-def state_space(group_tag: str, config: GlobalConfig) -> list[TruncType1]:
+def state_space(group_tag: str, p: int, n: int, w: int) -> list[TruncType1]:
     """Truncated types concentrated on the acting group's domain."""
     tag = normalize_group_tag(group_tag)
-    group = build_group(config.prime, config.residue_level_n)
-    bases = default_base_points(config)
+    group = build_group(p, n)
+    bases = default_base_points(p, w)
     if tag == GM:
         realized_bases = [a for a in bases if a != 0]
         near_bases = bases
     elif tag == ZP_MUL:
-        realized_bases = _units(bases, config.prime)
+        realized_bases = _units(bases, p)
         near_bases = realized_bases
     else:
         realized_bases = list(bases)
@@ -101,9 +98,7 @@ def state_space(group_tag: str, config: GlobalConfig) -> list[TruncType1]:
 
 
 def closure_transitions(
-    t: TruncType1,
-    group_tag: str,
-    config: GlobalConfig,
+    t: TruncType1, group_tag: str, p: int, n: int, w: int
 ) -> frozenset[TruncType1]:
     """Limit states adjoined when group elements escape every scale.
 
@@ -120,8 +115,8 @@ def closure_transitions(
       base; near types only scale exactly.
     """
     tag = normalize_group_tag(group_tag)
-    group = build_group(config.prime, config.residue_level_n)
-    bases = default_base_points(config)
+    group = build_group(p, n)
+    bases = default_base_points(p, w)
     if tag == GA:
         if t.kind in (REALIZED, NEAR):
             return frozenset(TruncType1.at_infinity(c) for c in group.elements)
@@ -141,15 +136,15 @@ def closure_transitions(
     # ZP_MUL
     if t.kind == REALIZED and t.base != 0:
         return frozenset(
-            TruncType1.near(a, c) for a in _units(bases, config.prime) for c in group.elements
+            TruncType1.near(a, c) for a in _units(bases, p) for c in group.elements
         )
     return frozenset()
 
 
-def _action_adjacency(group_tag, states, config) -> dict:
+def _action_adjacency(group_tag, states, p: int, n: int) -> dict:
     """Exact symbolic action edges keeping every base inside the space."""
     tag = normalize_group_tag(group_tag)
-    group = build_group(config.prime, config.residue_level_n)
+    group = build_group(p, n)
     realized_bases = [s.base for s in states if s.kind == REALIZED]
     adjacency: dict[TruncType1, set[TruncType1]] = {}
     for s in states:
@@ -204,12 +199,12 @@ class AffineFlowReport:
         }
 
 
-def minimal_subflows(group_tag: str, config: GlobalConfig) -> AffineFlowReport:
+def minimal_subflows(group_tag: str, p: int, n: int, w: int) -> AffineFlowReport:
     """Terminal components of action plus closure, with orbit partition."""
     tag = normalize_group_tag(group_tag)
-    states = state_space(tag, config)
-    action = _action_adjacency(tag, states, config)
-    combined = {s: action[s] | closure_transitions(s, tag, config) for s in states}
+    states = state_space(tag, p, n, w)
+    action = _action_adjacency(tag, states, p, n)
+    combined = {s: action[s] | closure_transitions(s, tag, p, n, w) for s in states}
     _require(
         set().union(*combined.values()) <= set(states),
         f"{tag} flow: a successor left the state space",

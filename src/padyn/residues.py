@@ -15,13 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from padyn.config import RESIDUE_LEVEL_MAX
 from padyn.padic import (
     PadicRational,
     RationalLike,
     _require,
     int_valuation,
 )
+
+RESIDUE_LEVEL_MAX = 12  # largest residue level n accepted anywhere
 
 
 def hensel_modulus(p: int, n: int) -> int:

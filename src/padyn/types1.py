@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from padyn.config import GlobalConfig
 from padyn.padic import PadicRational, RationalLike, _coerce_fraction, format_rational
 from padyn.residues import ResidueClass, build_group, class_of
 
@@ -61,17 +60,13 @@ class ScaleLadder:
             rungs.append(rung)
         return cls(tuple(rungs), gap, window_w)
 
-    @classmethod
-    def from_config(cls, config: GlobalConfig, length: int = 6) -> "ScaleLadder":
-        return cls.build(config.ladder_gap, config.valuation_window_w, length)
-
     def doubled_gap(self) -> "ScaleLadder":
         return ScaleLadder.build(2 * self.gap, self.window_w, len(self.rungs), self.rungs[0])
 
 
 # rungs a `star` product uses: two per factor
 LADDER_LENGTH = 4
-DEFAULT_LADDER = ScaleLadder.from_config(GlobalConfig(), LADDER_LENGTH)
+DEFAULT_LADDER = ScaleLadder.build(gap=8, window_w=2, length=LADDER_LENGTH)
 
 
 @dataclass(frozen=True)

@@ -47,8 +47,38 @@ def test_non_prime_is_a_usage_error(capsys):
         assert "ladder_gap must be >= 2" in err
 
 
+LEVEL_ERRORS = [
+    (("--p", "1"), "--p 1 is not prime"),
+    (("--p", "4"), "--p 4 is not prime"),
+    (("--n", "0"), "residue_level_n must be >= 1"),
+    (("--n", "13"), "residue_level_n must be at most 12"),
+    (("--m", "0"), "matrix_level_m must be >= 1"),
+    (("--w", "0"), "valuation_window_w must be >= 1"),
+    (("--gap", "1"), "ladder_gap must be >= 2"),
+    # the first failing check wins
+    (("--n", "13", "--gap", "1"), "residue_level_n must be at most 12"),
+]
+
+
+@pytest.mark.parametrize("command", [["residues"], ["iwasawa"], ["flows"], ["proj", "collapse"]])
+@pytest.mark.parametrize("flags, message", LEVEL_ERRORS)
+def test_level_flags_are_checked_before_any_work(capsys, command, flags, message):
+    # every level flag is checked, even by a subcommand that ignores it
+    code, out, err = run_cli(capsys, *command, *flags)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_unparseable_iwasawa_entries_are_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "iwasawa", "--entries", "a b c d")
+    assert code == 2
+    assert out == ""
+    assert err == "error: could not parse matrix entries 'a b c d'\n"
+
+
 def test_a_crash_is_an_internal_error_not_a_failed_property(capsys, monkeypatch):
-    def crash(args, config):
+    def crash(args):
         raise ArithmeticError("lift: determinant is not one")
 
     monkeypatch.setitem(cli._HANDLERS, "residues", crash)
@@ -57,7 +87,7 @@ def test_a_crash_is_an_internal_error_not_a_failed_property(capsys, monkeypatch)
     assert out == ""
     assert "internal error: ArithmeticError: lift: determinant is not one" in err
 
-    def reject(args, config):
+    def reject(args):
         raise ValueError("bad level")
 
     # a domain ValueError deep in the stack is a crash too: only a
@@ -200,9 +230,8 @@ def test_proj_m_deeper_than_the_ladder_is_a_usage_error(capsys, argv, deepest):
     assert "--m" in err and "--gap" in err
 
 
-def test_verify_single_check_reports_without_timings(capsys, monkeypatch):
-    monkeypatch.setenv("PADYN_SEED", "12345")
-    code, out, err = run_cli(capsys, "verify", "--check", "affine-flows")
+def test_verify_single_check_reports_without_timings(capsys):
+    code, out, err = run_cli(capsys, "verify", "--check", "affine-flows", "--seed", "12345")
     assert code == 0
     payload = json.loads(out)
     assert payload["seed"] == 12345
@@ -214,15 +243,12 @@ def test_verify_single_check_reports_without_timings(capsys, monkeypatch):
     assert "affine-flows: pass" in err
 
 
-def test_verify_seed_env_must_be_integer(capsys, monkeypatch):
-    monkeypatch.setenv("PADYN_SEED", "soon")
-    code, _, err = run_cli(capsys, "verify", "--check", "affine-flows")
-    assert code == 2
-    assert "PADYN_SEED" in err
-
-
 def test_verify_rejects_unknown_check(capsys):
     assert cli.run(["verify", "--check", "bogus"]) == 2
+    code, out, err = run_cli(capsys, "verify", "--check", "affine-flows", "--seed", "soon")
+    assert code == 2
+    assert out == ""
+    assert "--seed: invalid int value: 'soon'" in err
     # the battery runs at its pinned levels, so a level flag is refused
     code, out, err = run_cli(capsys, "verify", "--check", "main-flow", "--p", "7")
     assert code == 2

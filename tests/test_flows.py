@@ -7,7 +7,6 @@ import networkx as nx
 import pytest
 
 from padyn import cli, flows
-from padyn.config import GlobalConfig
 from padyn.flows import (
     GA,
     GM,
@@ -27,7 +26,7 @@ from padyn.padic import PadicRational
 from padyn.residues import build_group, class_of
 from padyn.types1 import ScaleLadder, TruncType1, classify, enumerate_types, realize
 
-CFG = GlobalConfig()
+CFG = (5, 2, 2)  # p, n, w
 GROUP = build_group(5, 2)
 C1 = class_of(1, 2, 5)
 C2 = class_of(2, 2, 5)
@@ -112,19 +111,19 @@ def test_deep_multipliers_coarsen_near_types_to_infinity():
 
 
 def test_closure_tables_pinned():
-    assert closure_transitions(TruncType1.realized(1), GM, CFG) == (
+    assert closure_transitions(TruncType1.realized(1), GM, *CFG) == (
         all_near_zero() | all_at_infinity()
     )
-    assert closure_transitions(TruncType1.realized(0), GA, CFG) == all_at_infinity()
-    assert closure_transitions(TruncType1.near(0, C2), GM, CFG) == frozenset()
-    assert closure_transitions(TruncType1.at_infinity(C2), GM, CFG) == frozenset()
-    bases = default_base_points(CFG)
-    assert closure_transitions(TruncType1.realized(3), ZP_ADD, CFG) == {
+    assert closure_transitions(TruncType1.realized(0), GA, *CFG) == all_at_infinity()
+    assert closure_transitions(TruncType1.near(0, C2), GM, *CFG) == frozenset()
+    assert closure_transitions(TruncType1.at_infinity(C2), GM, *CFG) == frozenset()
+    bases = default_base_points(5, 2)
+    assert closure_transitions(TruncType1.realized(3), ZP_ADD, *CFG) == {
         TruncType1.near(a, c) for a in bases for c in GROUP.elements
     }
-    assert closure_transitions(TruncType1.near(3, C1), ZP_ADD, CFG) == frozenset()
+    assert closure_transitions(TruncType1.near(3, C1), ZP_ADD, *CFG) == frozenset()
     unit_bases = [a for a in bases if a % 5 != 0]
-    assert closure_transitions(TruncType1.realized(2), ZP_MUL, CFG) == {
+    assert closure_transitions(TruncType1.realized(2), ZP_MUL, *CFG) == {
         TruncType1.near(a, c) for a in unit_bases for c in GROUP.elements
     }
 
@@ -141,7 +140,7 @@ def test_closure_tables_match_extreme_valuation_sampling():
             for sign in (deep, -deep):
                 moved = Fraction(c.representative) * Fraction(p) ** sign * a
                 observed.add(classify(moved, [Fraction(0)], w, n, p))
-        assert observed == closure_transitions(TruncType1.realized(a), GM, CFG)
+        assert observed == closure_transitions(TruncType1.realized(a), GM, *CFG)
 
     source = TruncType1.near(2, C2)
     observed = set()
@@ -149,16 +148,16 @@ def test_closure_tables_match_extreme_valuation_sampling():
         b = Fraction(c.representative) * Fraction(p) ** -deep
         moved = realize(source, 2, ladder) + b
         observed.add(classify(moved, [], w, n, p))
-    assert observed == closure_transitions(source, GA, CFG)
+    assert observed == closure_transitions(source, GA, *CFG)
 
-    bases = default_base_points(CFG)
+    bases = default_base_points(5, 2)
     nk = n * -(-deep // n)
     observed = set()
     for a_new in bases:
         for c in GROUP.elements:
             moved = a_new + Fraction(c.representative) * Fraction(p) ** nk
             observed.add(classify(moved, bases, w, n, p))
-    assert observed == closure_transitions(TruncType1.realized(3), ZP_ADD, CFG)
+    assert observed == closure_transitions(TruncType1.realized(3), ZP_ADD, *CFG)
 
     unit_bases = [a for a in bases if a % 5 != 0]
     observed = set()
@@ -166,11 +165,11 @@ def test_closure_tables_match_extreme_valuation_sampling():
         for c in GROUP.elements:
             scale = (a_new / 2) * (1 + Fraction(c.representative) * Fraction(p) ** nk)
             observed.add(classify(2 * scale, unit_bases, w, n, p))
-    assert observed == closure_transitions(TruncType1.realized(2), ZP_MUL, CFG)
+    assert observed == closure_transitions(TruncType1.realized(2), ZP_MUL, *CFG)
 
 
 def test_gm_has_exactly_two_minimal_subflows():
-    report = minimal_subflows(GM, CFG)
+    report = minimal_subflows(GM, *CFG)
     assert len(report.minimal_subflows) == 2
     families = [set(f) for f in report.minimal_subflows]
     assert {len(f) for f in families} == {GROUP.order}
@@ -187,7 +186,7 @@ def test_gm_has_exactly_two_minimal_subflows():
 
 
 def test_ga_minimal_subflows_are_at_infinity_fixed_points():
-    report = minimal_subflows(GA, CFG)
+    report = minimal_subflows(GA, *CFG)
     assert len(report.minimal_subflows) == GROUP.order
     for family in report.minimal_subflows:
         assert len(family) == 1
@@ -203,14 +202,13 @@ def test_ga_minimal_subflows_are_at_infinity_fixed_points():
 
 
 def test_ga_trivial_level_has_single_fixed_point():
-    report = minimal_subflows(GA, GlobalConfig(residue_level_n=1))
+    report = minimal_subflows(GA, 5, 1, 2)
     assert len(report.minimal_subflows) == 1
     assert len(report.minimal_subflows[0]) == 1
 
 
 def test_zp_add_worked_example():
-    cfg = GlobalConfig(valuation_window_w=1)
-    report = minimal_subflows(ZP_ADD, cfg)
+    report = minimal_subflows(ZP_ADD, 5, 2, 1)
     assert len(report.minimal_union()) == 5 * 4
     assert all(s.kind == "near" for s in report.minimal_union())
     assert len(report.orbits) == 4
@@ -221,7 +219,7 @@ def test_zp_add_worked_example():
 
 
 def test_zp_mul_orbits_have_twisted_class_form():
-    report = minimal_subflows(ZP_MUL, CFG)
+    report = minimal_subflows(ZP_MUL, *CFG)
     assert len(report.orbits) == 4
     assert {frozenset(f) for f in report.minimal_subflows} == {
         frozenset(o) for o in report.orbits
@@ -232,18 +230,12 @@ def test_zp_mul_orbits_have_twisted_class_form():
         assert len(tags) == 1  # orbit is {Near(a, class(a) * C)} for fixed C
 
 
-def test_reports_stable_under_gap_doubling():
-    doubled = GlobalConfig(ladder_gap=16)
-    for tag in (GA, GM, ZP_ADD, ZP_MUL):
-        assert minimal_subflows(tag, CFG) == minimal_subflows(tag, doubled)
-
-
 def test_flow_report_json_shape():
-    payload = minimal_subflows(GM, CFG).to_json()
+    payload = minimal_subflows(GM, *CFG).to_json()
     assert payload["group_tag"] == "Gm"
     assert payload["minimal_state_count"] == 8
     assert payload["orbit_count"] == 2
-    assert payload["state_count"] == len(state_space(GM, CFG))
+    assert payload["state_count"] == len(state_space(GM, *CFG))
     assert set(payload)
     flags = payload["f_generic"]
     assert flags["Near(0, 2)"] is True
@@ -256,18 +248,16 @@ ORBIT_LEVELS = [(5, 2, 2), (3, 2, 2), (7, 2, 1), (2, 2, 2)]
 @pytest.mark.parametrize("tag", GROUP_TAGS)
 @pytest.mark.parametrize("p, n, w", ORBIT_LEVELS)
 def test_action_edges_come_in_inverse_pairs(p, n, w, tag):
-    cfg = GlobalConfig(prime=p, residue_level_n=n, valuation_window_w=w)
-    action = _action_adjacency(tag, state_space(tag, cfg), cfg)
+    action = _action_adjacency(tag, state_space(tag, p, n, w), p, n)
     assert all(s in action[t] for s, targets in action.items() for t in targets)
 
 
 @pytest.mark.parametrize("tag", GROUP_TAGS)
 @pytest.mark.parametrize("p, n, w", ORBIT_LEVELS)
 def test_orbits_are_the_weak_components_of_the_action_on_the_union(p, n, w, tag):
-    cfg = GlobalConfig(prime=p, residue_level_n=n, valuation_window_w=w)
-    report = minimal_subflows(tag, cfg)
+    report = minimal_subflows(tag, p, n, w)
     union = report.minimal_union()
-    action = _action_adjacency(tag, state_space(tag, cfg), cfg)
+    action = _action_adjacency(tag, state_space(tag, p, n, w), p, n)
     oracle = nx.DiGraph()
     oracle.add_nodes_from(union)
     oracle.add_edges_from((s, t) for s in union for t in action[s] if t in union)
@@ -276,11 +266,11 @@ def test_orbits_are_the_weak_components_of_the_action_on_the_union(p, n, w, tag)
 
 
 def test_a_successor_outside_the_state_space_is_an_error(monkeypatch, capsys):
-    def escaping(t, group_tag, config):
+    def escaping(t, group_tag, p, n, w):
         return frozenset({TruncType1.realized(Fraction(1, 7))})
 
     monkeypatch.setattr(flows, "closure_transitions", escaping)
     with pytest.raises(ArithmeticError, match="left the state space"):
-        minimal_subflows(GM, CFG)
+        minimal_subflows(GM, *CFG)
     assert cli.run(["flows", "--group", "gm"]) == 3
     assert capsys.readouterr().out == ""

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padyn.config import GlobalConfig
 from padyn.padic import PadicRational
 from padyn.residues import build_group, class_of
 from padyn.types1 import (
+    DEFAULT_LADDER,
     ScaleLadder,
     TruncType1,
     WindowTooCoarseError,
@@ -19,16 +19,15 @@ from padyn.types1 import (
     roundtrip_check,
 )
 
-CFG = GlobalConfig()
-
 
 def default_ladder() -> ScaleLadder:
-    return ScaleLadder.from_config(CFG)
+    return ScaleLadder.build(8, 2)
 
 
 def test_ladder_rungs_from_default_config():
     ladder = default_ladder()
     assert ladder.rungs == (10, 96, 784, 6288, 50320, 402576)
+    assert DEFAULT_LADDER.rungs == (10, 96, 784, 6288)
 
 
 def test_ladder_separation_enforced():
