@@ -14,6 +14,8 @@ therefore enumerates every (valuation, unit residue) signature the grid
 can produce — at a modulus two p-digits finer than the one the
 implementation decides at — and tests one concrete grid representative
 per signature against an independently enumerated power-residue set.
+The signatures of quotients +-a/b are tabulated per valuation
+difference, skipping a table once it holds every unit residue.
 A direct, reduction-free sweep over the smaller num, den <= p**2 grid
 backs that accounting up pointwise.
 """
@@ -64,6 +66,27 @@ def _strip(k: int, p: int) -> tuple[int, int]:
     return v, k
 
 
+def _signature_table(side: dict, m_oracle: int, p: int) -> dict[int, dict[int, tuple[int, int]]]:
+    """{dv: {q: (num, den)}}: each signature of a quotient +-a/b of `side`
+    representatives, at the first (a, b) to reach it.  The b's are grouped
+    by valuation; a dv table holding all phi(m_oracle) units is skipped."""
+    by_valuation: dict[int, list[tuple[int, int]]] = {}
+    for (v2, u2), b in side.items():
+        by_valuation.setdefault(v2, []).append((pow(u2, -1, m_oracle), b))
+    units = m_oracle - m_oracle // p
+    tables: dict[int, dict[int, tuple[int, int]]] = {}
+    for (v1, u1), a in side.items():
+        for v2, column in by_valuation.items():
+            table = tables.setdefault(v1 - v2, {})
+            if len(table) == units:
+                continue
+            for inverse, b in column:
+                q = u1 * inverse % m_oracle
+                table.setdefault(q, (a, b))
+                table.setdefault(m_oracle - q, (-a, b))
+    return tables
+
+
 def check_residue_oracle() -> dict:
     """Power test against enumerated residues over the full grid, by
     signature completeness, plus a pointwise sweep of the small grid and
@@ -77,31 +100,23 @@ def check_residue_oracle() -> dict:
         # one oracle modulus per distinct Hensel modulus at this prime,
         # always two digits finer than the implementation's
         moduli = sorted({hensel_modulus(p, n) * p * p for n in levels})
-        composed_by_modulus = {}
+        tables_by_modulus = {}
         for m_oracle in moduli:
             side: dict[tuple[int, int], int] = {}
             for a in range(1, bound + 1):
                 v, u = _strip(a, p)
                 side.setdefault((v, u % m_oracle), a)
-            inverses = {key: pow(key[1], -1, m_oracle) for key in side}
-            composed: dict[tuple[int, int], tuple[int, int]] = {}
-            for (v1, u1), a in side.items():
-                for key2, b in side.items():
-                    q = (u1 * inverses[key2]) % m_oracle
-                    dv = v1 - key2[0]
-                    for sig, num in (((dv, q), a), ((dv, m_oracle - q), -a)):
-                        if sig not in composed:
-                            composed[sig] = (num, b)
-            composed_by_modulus[m_oracle] = composed
+            tables_by_modulus[m_oracle] = _signature_table(side, m_oracle, p)
         for n in levels:
             m_oracle = hensel_modulus(p, n) * p * p
             powers = {pow(u, n, m_oracle) for u in range(1, m_oracle) if u % p}
-            composed = composed_by_modulus[m_oracle]
+            tables = tables_by_modulus[m_oracle]
             bad = 0
-            for (dv, q), (num, den) in composed.items():
-                expected = dv % n == 0 and q in powers
-                if is_nth_power(Fraction(num, den), n, p) is not expected:
-                    bad += 1
+            for dv, table in tables.items():
+                for q, (num, den) in table.items():
+                    expected = dv % n == 0 and q in powers
+                    if is_nth_power(Fraction(num, den), n, p) is not expected:
+                        bad += 1
             direct_bad = 0
             small = p * p
             for num in range(-small, small + 1):
@@ -123,7 +138,7 @@ def check_residue_oracle() -> dict:
                     "p": p,
                     "n": n,
                     "grid_rationals": 2 * bound * bound,
-                    "signatures": len(composed),
+                    "signatures": sum(len(table) for table in tables.values()),
                     "signature_mismatches": bad,
                     "direct_grid_mismatches": direct_bad,
                     "group_order": group.order,

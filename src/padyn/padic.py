@@ -559,9 +559,12 @@ class PadicMatrix2:
         return (self.a, self.b, self.c, self.d)
 
     def is_integral(self) -> bool:
-        """All entries lie in Z_p (no p in any denominator)."""
+        """All entries lie in Z_p; a Fraction or int is read off its denominator."""
         p = self.prime
-        return all(PadicRational.of(x, p).e >= 0 for x in (self.a, self.b, self.c, self.d))
+        return all(
+            x.denominator % p != 0 if isinstance(x, (Fraction, int)) else PadicRational.of(x, p).e >= 0
+            for x in (self.a, self.b, self.c, self.d)
+        )
 
     def is_unimodular_integral(self) -> bool:
         return self.is_integral() and self.det() == 1

@@ -53,8 +53,9 @@ def iwasawa(g: PadicMatrix2) -> tuple[PadicMatrix2, PadicMatrix2]:
     upper triangular.
 
     Upper-triangular input returns (I, g); integral input returns (g, I).
-    Otherwise scale the p-power out of the first column and pivot on
-    whichever entry is more unit-like (ties keep the diagonal shape).
+    Otherwise scale the p-power s out of the first column, (u0, u1) =
+    (a, c)/s, and pivot on whichever is more unit-like (ties keep the
+    diagonal shape); det g = 1 gives h = ((s, b/u0 or d/u1), (0, 1/s)).
     """
     if g.det() != 1:
         raise ValueError("need determinant one")
@@ -68,11 +69,12 @@ def iwasawa(g: PadicMatrix2) -> tuple[PadicMatrix2, PadicMatrix2]:
     pivot_top = bool(top) and top.e <= bot.e  # g.c != 0 here; a zero g.a pivots on it
     scale = Fraction(p) ** (top.e if pivot_top else bot.e)
     u0, u1 = g.a / scale, g.c / scale
+    zero = Fraction(0)
     if pivot_top:
-        t = PadicMatrix2.of(((u0, 0), (u1, 1 / u0)), p)
+        t, corner = PadicMatrix2(u0, zero, u1, 1 / u0, p), g.b / u0
     else:
-        t = PadicMatrix2.of(((u0, -1 / u1), (u1, 0)), p)
-    h = t.inverse() @ g
+        t, corner = PadicMatrix2(u0, -1 / u1, u1, zero, p), g.d / u1
+    h = PadicMatrix2(scale, corner, zero, 1 / scale, p)
     _require(t.is_unimodular_integral(), "iwasawa: integral factor is not unimodular")
     _require(h.is_upper_triangular(), "iwasawa: remainder is not upper triangular")
     return t, h

@@ -3,8 +3,11 @@
 Each check function performs its own exact assertions internally and
 reports them through the ``passed`` flag; ``run_all`` times it against
 the budget in ``acceptance.CHECKS``, so a slow or failing check shows
-up as a single red line.
+up as a single red line.  The residue oracle's signature table is also
+compared with the pairwise sweep it replaced.
 """
+
+import pytest
 
 from padyn import acceptance
 
@@ -53,3 +56,34 @@ def test_09_projective_minimality_and_proximality():
 
 def test_10_symbolic_outputs_stable_under_ladder_doubling():
     assert_passes_within_budget("ladder-stability")
+
+
+def signature_table_pairwise(side, m_oracle):
+    # the residue oracle's table as it was first built: every (a, b) pair
+    # of grid representatives, in order, the first to reach a signature
+    # (dv, q) of +-a/b keeping it
+    inverses = {key: pow(key[1], -1, m_oracle) for key in side}
+    composed = {}
+    for (v1, u1), a in side.items():
+        for key2, b in side.items():
+            q = (u1 * inverses[key2]) % m_oracle
+            dv = v1 - key2[0]
+            for sig, num in (((dv, q), a), ((dv, m_oracle - q), -a)):
+                if sig not in composed:
+                    composed[sig] = (num, b)
+    return composed
+
+
+@pytest.mark.parametrize(
+    "p, m_oracle, size",
+    [(3, 27, 162), (3, 243, 1350), (5, 125, 900), (5, 3125, 19500), (7, 343, 2646)],
+)
+def test_signature_table_matches_the_pairwise_sweep(p, m_oracle, size):
+    side = {}
+    for a in range(1, p**4 + 1):
+        v, u = acceptance._strip(a, p)
+        side.setdefault((v, u % m_oracle), a)
+    tables = acceptance._signature_table(side, m_oracle, p)
+    flat = {(dv, q): rep for dv, table in tables.items() for q, rep in table.items()}
+    assert flat == signature_table_pairwise(side, m_oracle)
+    assert len(flat) == size

@@ -391,6 +391,11 @@ STDOUT_SHA256 = {
     "verify --check projective-minimality --seed 20260814": (
         "3c5e87ad9460eacda1c11001f0d535b7865eecbefbf54ecbf3b2602cac03d449"
     ),
+    # the three branches of iwasawa's general case: pivot on c, a zero a,
+    # and a valuation tie that keeps the diagonal shape
+    "iwasawa --entries 1,0,1/5,1": "262517bae13d64f5461b597df64400d1e4a0791d703ee7710fb654109dd4b68d",
+    "iwasawa --entries 0,1,-1,1/5": "b931110cab450d60e26c0614b1f4638e99bbde0a14ae1e03de306c6a3e11ac48",
+    "iwasawa --entries 1/5,0,1/5,5": "14d7ece6c75931be804bd228daacf5764ddee79d8a459daf4801330b037b6494",
 }
 
 

@@ -183,6 +183,40 @@ def test_matrix_predicates():
     assert PadicMatrix2.identity(5).is_unimodular_integral()
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        Fraction(3, 7),
+        Fraction(7, 25),
+        Fraction(-10),
+        10,
+        -3,
+        0,
+        Fraction(0),
+        PadicRational.of(0, 5),
+        PadicRational.of(Fraction(2, 5), 5),
+        PadicRational.of(Fraction(50, 3), 5),
+        PadicRational.of(1, 5) + PadicRational.of(Fraction(1, 25), 5),
+        PadicRational.of(3, 5) + PadicRational.of(5**40, 5),
+        PadicRational.of(Fraction(1, 5), 5) - PadicRational.of(Fraction(1, 5), 5),
+        PadicRational.of(Fraction(1, 5), 3),
+        PadicRational.of(Fraction(1, 3), 3),
+        PadicRational.of(Fraction(1, 3), 3) + PadicRational.of(Fraction(2, 9), 3),
+    ],
+)
+def test_is_integral_agrees_with_the_valuation_read(entry):
+    # each entry kind is read its own way; all must agree with the
+    # valuation of the entry normalised for the matrix's prime
+    p = 5
+    for g in (
+        PadicMatrix2(entry, 1, 0, 1, p),
+        PadicMatrix2(1, 0, entry, 1, p),
+        PadicMatrix2(1, Fraction(1, 5), 0, entry, p),
+    ):
+        want = all(PadicRational.of(x, p).e >= 0 for x in g.entries())
+        assert g.is_integral() == want
+
+
 def test_matrix_json_forms():
     g = PadicMatrix2.of([[1, Fraction(1, 5)], [0, 1]], 5)
     assert g.to_json() == [["1", "1/5"], ["0", "1"]]

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from padyn import sl2
+from padyn import acceptance, sl2
 from padyn._graph import strongly_connected_components
 from padyn.borel import build_flow_group, witness
 from padyn.padic import PadicMatrix2, PadicRational
@@ -123,6 +123,47 @@ def test_iwasawa_reconstructs_random_matrices():
         assert (t @ h).rows() == g.rows()
         assert t.is_unimodular_integral()
         assert h.is_upper_triangular()
+
+
+def iwasawa_by_inverse(g):
+    # the general case as it was before the closed form: t from the
+    # scaled first column, and h = t^-1 @ g by exact matrix arithmetic
+    p = g.prime
+    top, bot = PadicRational.of(g.a, p), PadicRational.of(g.c, p)
+    pivot_top = bool(top) and top.e <= bot.e
+    scale = Fraction(p) ** (top.e if pivot_top else bot.e)
+    u0, u1 = g.a / scale, g.c / scale
+    if pivot_top:
+        t = PadicMatrix2.of(((u0, 0), (u1, 1 / u0)), p)
+    else:
+        t = PadicMatrix2.of(((u0, -1 / u1), (u1, 0)), p)
+    return t, t.inverse() @ g
+
+
+# the three inputs whose CLI output test_cli pins: pivot on c, a zero a,
+# and a valuation tie
+PINNED_IWASAWA_INPUTS = [
+    ((1, 0), (Fraction(1, 5), 1)),
+    ((0, 1), (-1, Fraction(1, 5))),
+    ((Fraction(1, 5), 0), (Fraction(1, 5), 5)),
+]
+
+
+def test_closed_form_iwasawa_matches_the_inverse_product():
+    rng = random.Random(acceptance.DEFAULT_SEED)
+    inputs = [acceptance._random_det_one(rng, P) for _ in range(2000)]
+    inputs += [mat(rows) for rows in PINNED_IWASAWA_INPUTS]
+    general = 0
+    for g in inputs:
+        if g.is_upper_triangular() or g.is_integral():
+            continue
+        general += 1
+        t, h = sl2.iwasawa(g)
+        want_t, want_h = iwasawa_by_inverse(g)
+        for got, want in ((t, want_t), (h, want_h)):
+            assert got.entries() == want.entries()
+            assert [type(x) for x in got.entries()] == [type(x) for x in want.entries()]
+    assert general > 1500
 
 
 # ------------------------------------------------------ rewriting past t
