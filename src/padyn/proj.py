@@ -5,10 +5,12 @@ type is either a realized point or the family infinitesimally near one,
 with class data measured in the reciprocal chart beyond the integral
 window so the family at infinity behaves like any other.
 
-Every matrix acts on a point through one chart step, `_chart_step`,
-from the point's chart (inverted flag, coordinate).  The action moves
-Near types symbolically: the class picks up the class of the exact
-chart-to-chart derivative, an exact group action on exact-point types.
+Every matrix acts on a point through one chart step, `_chart_image`,
+from the point's chart (inverted flag, coordinate); `_chart_step` adds
+the derivative and q that the action and the flow table read.  The
+action moves Near types symbolically: the class picks up the class of
+the exact chart-to-chart derivative, an exact group action on
+exact-point types.
 A witness product steps the input's rung-2 witness y0 + scale (or a
 realized point); the triangular witness is `borel.witness` of the
 identity class.  `_chart_type` truncates a chart coordinate (window
@@ -192,19 +194,27 @@ def _det_one(g: PadicMatrix2) -> PadicMatrix2:
     return PadicMatrix2.padic(g.rows(), g.prime)
 
 
-def _chart_step(g: PadicMatrix2, inverted: bool, y: RationalLike) -> tuple:
+def _chart_image(g: PadicMatrix2, inverted: bool, y: RationalLike) -> tuple:
     """A p-adic det-1 g at chart coordinate y, from the image chart vector
     g·(y, 1), or g·(1, y) in the reciprocal chart: whether the image's chart
-    is inverted, its chart coordinate z, the derivative (the charts only
-    permute g's entries, so det is -1 iff one chart flips) and q, so that
-    the input moved by s lands at z + derivative·s/(1 + q·s)."""
+    is inverted, its chart coordinate z, and for `_chart_step` the
+    y-coefficient lo of z's numerator row and the inverse of its
+    denominator."""
     lo0, hi0, lo1, hi1 = (g.b, g.a, g.d, g.c) if inverted else (g.a, g.b, g.c, g.d)
     w0, w1 = lo0 * y + hi0, lo1 * y + hi1
     flip = not w1 or bool(w0) and w0.e < w1.e
     lo, num, denom = (lo0, w1, w0) if flip else (lo1, w0, w1)
     _require(bool(denom), "chart selection failed to keep the image finite")
     inv = denom.inverse()
-    return flip, num * inv, (-inv if inverted != flip else inv) * inv, lo * inv
+    return flip, num * inv, lo, inv
+
+
+def _chart_step(g: PadicMatrix2, inverted: bool, y: RationalLike) -> tuple:
+    """`_chart_image`'s chart flag and z, with the derivative (the charts
+    only permute g's entries, so det is -1 iff one chart flips) and q, so
+    that the input moved by s lands at z + derivative·s/(1 + q·s)."""
+    flip, z, lo, inv = _chart_image(g, inverted, y)
+    return flip, z, (-inv if inverted != flip else inv) * inv, lo * inv
 
 
 def act_proj(g: PadicMatrix2, t: ProjTruncType) -> ProjTruncType:
@@ -240,7 +250,7 @@ def _apply_witness(
     else:  # the witness is formed, so the rows multiply in one-term form
         inverted, y = _chart_witness(t, ladder, 2)
         y = y.collapsed()
-    inverted, z, _, _ = _chart_step(left, inverted, y)
+    inverted, z, _, _ = _chart_image(left, inverted, y)
     return _chart_type(z, inverted, level)
 
 

@@ -22,7 +22,9 @@ Four layers, all exact:
   `ellis_group` tabulates the identity fiber under it.  `minimal_flow`
   builds the finite flow K x J on ints: `skew_product` tabulates
   iwasawa(g·lift(k)) in closed form for every (generator, K element),
-  and `act` is table lookups.
+  and `act` is table lookups.  Holonomy on K decides strong
+  connectivity (`_graph.skew_components`); up to `CROSS_CHECK_STATES`
+  states Tarjan on the per-state successor lists cross-checks it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from ._graph import strongly_connected_components
+from ._graph import skew_components, strongly_connected_components
 from .borel import witness as borel_witness
 from .padic import PadicMatrix2, PadicRational, _require, int_valuation, mat_mul
 from .residues import (
@@ -523,6 +525,11 @@ class MinimalFlowReport:
         }
 
 
+# at most this many states, `minimal_flow` also builds the explicit
+# successor lists and cross-checks the holonomy count with Tarjan
+CROSS_CHECK_STATES = 2_000
+
+
 def minimal_flow(
     p: int,
     level_n: int,
@@ -532,26 +539,43 @@ def minimal_flow(
     """Build the full finite flow (compact level x triangular types),
     check strong connectivity under the generator action plus the
     coordinate-sliding identifications, and check the basepoint is
-    idempotent under both product paths."""
+    idempotent under both product paths.
+
+    Holonomy decides connectivity: every move translates the class, so
+    `skew_components` counts the components on K alone, from the base
+    graph's strong connectivity and the subgroup its edge defects
+    generate.  Up to `CROSS_CHECK_STATES` states the per-state successor
+    lists are built through `act` as well, and Tarjan's component count
+    must agree.
+    """
     flow = skew_product(p, level_n, level_m, level_m + ladder.window_w)
-    width, products, gens = flow.width, flow.products, range(len(flow.cocycle))
-    successors: list[list[int]] = []
-    for k, slid in enumerate(zip(*flow.slides)):
-        for j in range(width):
-            state = k * width + j
-            successors.append(
-                [act(flow, g, state) for g in gens]
-                + [k_out * width + products[twist][j] for k_out, twist in slid]
-            )
-    components = strongly_connected_components(range(len(successors)), successors.__getitem__)
+    width, products = flow.width, flow.products
+    columns = flow.cocycle + flow.slides
+    size = len(columns[0]) * width
+    root = k_level_group(p, level_m).index((1, 0, 0, 1))
+    trivial = [c.representative for c in build_group(p, level_n).elements].index(1)
+    count = skew_components(columns, products, root, trivial)
+    if size <= CROSS_CHECK_STATES:
+        gens = range(len(flow.cocycle))
+        successors: list[list[int]] = []
+        for k, slid in enumerate(zip(*flow.slides)):
+            for j in range(width):
+                state = k * width + j
+                successors.append(
+                    [act(flow, g, state) for g in gens]
+                    + [k_out * width + products[twist][j] for k_out, twist in slid]
+                )
+        components = strongly_connected_components(range(size), successors.__getitem__)
+        agree = len(components) > 1 if count is None else len(components) == count
+        _require(agree, "minimal flow: holonomy and Tarjan disagree on the components")
     base = GFlowPoint.identity(p, level_n, level_m)
     idempotent = (
         star(base, base, ladder) == base
         and star(base, base, ladder, perturbed=True) == base
     )
     return MinimalFlowReport(
-        size=len(successors),
-        strongly_connected=len(components) == 1,
+        size=size,
+        strongly_connected=count == 1,
         idempotent=idempotent,
         ellis=ellis_group(p, level_n, level_m, ladder),
     )

@@ -1,15 +1,19 @@
-"""Tarjan SCC and terminal components against networkx on random digraphs.
+"""Tarjan SCC, terminal components and the holonomy component count
+against networkx on random digraphs.
 
-`sl2.minimal_flow` runs Tarjan on int-coded states, so networkx is the
-independent oracle for `_graph`: random digraphs of up to 40 int nodes
-with self-loops and duplicate edges, compared as partitions.
+`flows` and `proj` run Tarjan on their states, and `sl2.minimal_flow`
+decides connectivity by holonomy, with Tarjan cross-checking it on
+small flows, so networkx is the independent oracle for `_graph`: random
+digraphs of up to 40 int nodes with self-loops and duplicate edges,
+compared as partitions, and random skew products over Z/a × Z/b,
+compared by the component count of the derived graph.
 """
 
 import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padyn._graph import strongly_connected_components, terminal_components
+from padyn._graph import skew_components, strongly_connected_components, terminal_components
 
 
 @st.composite
@@ -57,3 +61,44 @@ def test_terminal_components_are_the_condensation_sinks(graph):
     sinks = [dag.nodes[c]["members"] for c in dag if dag.out_degree(c) == 0]
     ours = terminal_components(range(n), successors.__getitem__)
     assert partition(ours) == partition(sinks)
+
+
+@st.composite
+def skew_products(draw):
+    """Random moves on a base of up to 12 nodes, each labelled by a
+    translation of J = Z/a × Z/b (element x·b + y).  Column 0 is a
+    Hamiltonian cycle in half the draws, so strongly connected bases are
+    common."""
+    n = draw(st.integers(1, 12))
+    a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    node, twist = st.integers(0, n - 1), st.integers(0, a * b - 1)
+    move = st.lists(st.tuples(node, twist), min_size=n, max_size=n)
+    columns = draw(st.lists(move, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        columns[0] = [((u + 1) % n, t) for u, (_, t) in enumerate(columns[0])]
+    products = [
+        [(r // b + s // b) % a * b + (r + s) % b for s in range(a * b)] for r in range(a * b)
+    ]
+    return n, columns, products, draw(node)
+
+
+@settings(max_examples=300, deadline=None)
+@given(skew_products())
+def test_skew_components_count_the_derived_graph(skew):
+    n, columns, products, root = skew
+    order = len(products)
+    base = nx.MultiDiGraph()
+    base.add_nodes_from(range(n))
+    derived = nx.DiGraph()
+    derived.add_nodes_from(range(n * order))
+    for column in columns:
+        for u, (v, twist) in enumerate(column):
+            base.add_edge(u, v)
+            derived.add_edges_from(
+                (u * order + j, v * order + products[twist][j]) for j in range(order)
+            )
+    ours = skew_components(columns, products, root, 0)
+    if nx.is_strongly_connected(base):
+        assert ours == nx.number_strongly_connected_components(derived)
+    else:
+        assert ours is None

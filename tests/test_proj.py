@@ -628,7 +628,8 @@ def test_flow_report_work_counts(monkeypatch):
     # points (1 500), one determinant check per move, the explicit
     # triangular product on the 150 realized states only, and the compact
     # product on the 5 distinct triangular images (Realized(inf) and the
-    # 4 classes at infinity): 155 witness products, one chart step each
+    # 4 classes at infinity): 155 witness products, one chart step each;
+    # only the table's steps form the derivative and q (`_chart_step`)
     calls = Counter()
 
     def count(name):
@@ -640,12 +641,14 @@ def test_flow_report_work_counts(monkeypatch):
 
         monkeypatch.setattr(proj, name, counted)
 
-    for name in ("_chart_step", "_det_one", "triangular_star", "compact_star", "_apply_witness"):
+    names = ("_chart_image", "_chart_step", "_det_one", "triangular_star", "compact_star")
+    for name in (*names, "_apply_witness"):
         count(name)
     report = minimality_proximality_report(ProjLevel(5, 2, 3), level_m=1, ladder=LADDER)
     assert report.strongly_connected and report.proximal
     assert calls == {
-        "_chart_step": 1500 + 155,
+        "_chart_image": 1500 + 155,
+        "_chart_step": 1500,
         "_det_one": 10,
         "triangular_star": 150,
         "compact_star": 5,

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from padyn import acceptance, sl2
-from padyn._graph import strongly_connected_components
+from padyn import acceptance, cli, sl2
+from padyn._graph import skew_components, strongly_connected_components
 from padyn.borel import build_flow_group, witness
 from padyn.padic import PadicMatrix2, PadicRational
 from padyn.residues import build_group, class_of
@@ -669,6 +669,85 @@ def test_minimal_flow_trivial_class_level():
     assert report.size == 120
     assert report.strongly_connected
     assert report.idempotent
+
+
+# generator indices in `flow_generators`
+LOWER, TORUS, DILATION = 1, 2, 3
+
+
+def explicit_components(flow, columns):
+    # the derived graph on K x J, one edge per (move, state), by Tarjan
+    width, products = flow.width, flow.products
+    successors = [
+        [v * width + products[twist][j] for v, twist in (column[k] for column in columns)]
+        for k in range(len(columns[0]))
+        for j in range(width)
+    ]
+    return len(strongly_connected_components(range(len(successors)), successors.__getitem__))
+
+
+@pytest.mark.parametrize("p, n, m", [(3, 2, 1), (5, 2, 1), (7, 2, 1), (5, 4, 1), (3, 6, 1), (3, 3, 2)])
+def test_holonomy_counts_match_tarjan_on_the_skew_product(p, n, m):
+    # every move; without the dilation the valuation mod n is invariant,
+    # so n components, with or without the torus; the lower unipotent is
+    # not needed; the slides alone do not connect K
+    flow = sl2.skew_product(p, n, m, m + DEFAULT_LADDER.window_w)
+    root = sl2.k_level_group(p, m).index((1, 0, 0, 1))
+    trivial = [c.representative for c in build_group(p, n).elements].index(1)
+
+    def without(*dropped):
+        return [c for g, c in enumerate(flow.cocycle) if g not in dropped] + list(flow.slides)
+
+    cases = [
+        (without(), 1),
+        (without(DILATION), n),
+        (without(DILATION, TORUS), n),
+        (without(LOWER), 1),
+        (list(flow.slides), None),
+    ]
+    for columns, expected in cases:
+        count = skew_components(columns, flow.products, root, trivial)
+        assert count == expected
+        explicit = explicit_components(flow, columns)
+        assert explicit > 1 if expected is None else explicit == expected
+
+
+def test_minimal_flow_work_counts(monkeypatch):
+    # the explicit graph, and with it every act call, is built only as the
+    # cross-check at most CROSS_CHECK_STATES states: at (5, 2, 1) 480
+    # states, each with 5 generator edges (act calls) and 3 slides; at
+    # (7, 6, 1), 12 096 states, holonomy alone decides
+    calls = Counter()
+    act, scc = sl2.act, sl2.strongly_connected_components
+
+    def counted_act(*args):
+        calls["act"] += 1
+        return act(*args)
+
+    def counted_scc(nodes, successors):
+        nodes = list(nodes)
+        calls["scc"] += 1
+        calls["nodes"] += len(nodes)
+        calls["edges"] += sum(len(successors(node)) for node in nodes)
+        return scc(nodes, successors)
+
+    monkeypatch.setattr(sl2, "act", counted_act)
+    monkeypatch.setattr(sl2, "strongly_connected_components", counted_scc)
+    assert 480 <= sl2.CROSS_CHECK_STATES < 12_096
+    assert sl2.minimal_flow(5, 2, 1).strongly_connected
+    assert calls == {"act": 2400, "scc": 1, "nodes": 480, "edges": 3840}
+    calls.clear()
+    assert sl2.minimal_flow(7, 6, 1).strongly_connected
+    assert calls == {}
+
+
+def test_minimal_flow_cross_check_disagreement_raises(monkeypatch, capsys):
+    # an internal error (exit 3), never a reported failure (exit 1)
+    monkeypatch.setattr(sl2, "skew_components", lambda *args: 2)
+    with pytest.raises(ArithmeticError, match="holonomy and Tarjan disagree"):
+        sl2.minimal_flow(5, 2, 1)
+    assert cli.main(["minimal-flow"]) == 3
+    assert "holonomy and Tarjan disagree" in capsys.readouterr().err
 
 
 def test_ellis_group_level_four():
