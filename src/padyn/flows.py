@@ -16,29 +16,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from padyn._graph import strongly_connected_components, terminal_components
-from padyn.padic import PadicRational, RationalLike, _require
+from padyn.padic import RationalLike, _require
 from padyn.residues import build_group, class_of
 from padyn.types1 import AT_INFINITY, NEAR, REALIZED, TruncType1
 
-GA = "Ga"
-GM = "Gm"
-ZP_ADD = "ZpAdd"
-ZP_MUL = "ZpMul"
-GROUP_TAGS = (GA, GM, ZP_ADD, ZP_MUL)
-
-_TAG_ALIASES = {
-    "ga": GA,
-    "gm": GM,
-    "zpadd": ZP_ADD,
-    "zpmul": ZP_MUL,
-}
+GROUP_TAGS = ("Ga", "Gm", "ZpAdd", "ZpMul")
 
 
 def normalize_group_tag(tag: str) -> str:
+    """The canonical spelling of a group tag; case, '-' and '_' are ignored."""
     key = tag.replace("-", "").replace("_", "").lower()
-    if key not in _TAG_ALIASES:
-        raise ValueError(f"unknown group tag {tag!r}; expected one of {GROUP_TAGS}")
-    return _TAG_ALIASES[key]
+    for canonical in GROUP_TAGS:
+        if canonical.lower() == key:
+            return canonical
+    raise ValueError(f"unknown group tag {tag!r}; expected one of {GROUP_TAGS}")
 
 
 def act_add(b: RationalLike, t: TruncType1) -> TruncType1:
@@ -71,29 +62,24 @@ def default_base_points(p: int, w: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(i) for i in range(p**w))
 
 
-def _units(bases, p: int) -> list[Fraction]:
-    """The bases of valuation 0; zero is not a unit."""
-    return [a for a in bases if a and PadicRational.of(a, p).e == 0]
+def _domain(tag: str, p: int, w: int) -> tuple[list[Fraction], list[Fraction]]:
+    """A group's realized and near bases: units only for ZpMul, no realized zero for Gm."""
+    bases = list(default_base_points(p, w))
+    if tag == "ZpMul":
+        units = [a for a in bases if a % p]
+        return units, units
+    return ([a for a in bases if a] if tag == "Gm" else bases), bases
 
 
 def state_space(group_tag: str, p: int, n: int, w: int) -> list[TruncType1]:
     """Truncated types concentrated on the acting group's domain."""
     tag = normalize_group_tag(group_tag)
-    group = build_group(p, n)
-    bases = default_base_points(p, w)
-    if tag == GM:
-        realized_bases = [a for a in bases if a != 0]
-        near_bases = bases
-    elif tag == ZP_MUL:
-        realized_bases = _units(bases, p)
-        near_bases = realized_bases
-    else:
-        realized_bases = list(bases)
-        near_bases = bases
+    classes = build_group(p, n).elements
+    realized_bases, near_bases = _domain(tag, p, w)
     states = [TruncType1.realized(a) for a in realized_bases]
-    states.extend(TruncType1.near(a, c) for a in near_bases for c in group.elements)
-    if tag in (GA, GM):
-        states.extend(TruncType1.at_infinity(c) for c in group.elements)
+    states.extend(TruncType1.near(a, c) for a in near_bases for c in classes)
+    if tag in ("Ga", "Gm"):
+        states.extend(TruncType1.at_infinity(c) for c in classes)
     return states
 
 
@@ -115,54 +101,38 @@ def closure_transitions(
       base; near types only scale exactly.
     """
     tag = normalize_group_tag(group_tag)
-    group = build_group(p, n)
-    bases = default_base_points(p, w)
-    if tag == GA:
-        if t.kind in (REALIZED, NEAR):
-            return frozenset(TruncType1.at_infinity(c) for c in group.elements)
+    if t.kind == AT_INFINITY or (tag in ("Gm", "ZpMul") and t.base == 0):
         return frozenset()
-    if tag == GM:
-        if t.kind in (REALIZED, NEAR) and t.base != 0:
-            near_zero = {TruncType1.near(Fraction(0), c) for c in group.elements}
-            at_inf = {TruncType1.at_infinity(c) for c in group.elements}
-            return frozenset(near_zero | at_inf)
-        return frozenset()
-    if tag == ZP_ADD:
-        if t.kind == REALIZED:
-            return frozenset(
-                TruncType1.near(a, c) for a in bases for c in group.elements
-            )
-        return frozenset()
-    # ZP_MUL
-    if t.kind == REALIZED and t.base != 0:
+    classes = build_group(p, n).elements
+    if tag == "Ga":
+        return frozenset(TruncType1.at_infinity(c) for c in classes)
+    if tag == "Gm":
         return frozenset(
-            TruncType1.near(a, c) for a in _units(bases, p) for c in group.elements
+            s for c in classes for s in (TruncType1.near(0, c), TruncType1.at_infinity(c))
         )
-    return frozenset()
+    if t.kind == NEAR:
+        return frozenset()
+    _, near_bases = _domain(tag, p, w)
+    return frozenset(TruncType1.near(a, c) for a in near_bases for c in classes)
 
 
 def _action_adjacency(group_tag, states, p: int, n: int) -> dict:
     """Exact symbolic action edges keeping every base inside the space."""
     tag = normalize_group_tag(group_tag)
-    group = build_group(p, n)
+    classes = build_group(p, n).elements
     realized_bases = [s.base for s in states if s.kind == REALIZED]
     adjacency: dict[TruncType1, set[TruncType1]] = {}
     for s in states:
-        if tag in (GA, ZP_ADD):
+        if tag in ("Ga", "ZpAdd"):
             if s.kind == AT_INFINITY:
-                targets = {s}
+                adjacency[s] = {s}
             else:
-                targets = {act_add(a - s.base, s) for a in realized_bases}
-        elif tag == GM:
-            if s.kind == AT_INFINITY:
-                targets = {TruncType1.at_infinity(c * s.klass) for c in group.elements}
-            elif s.kind == NEAR and s.base == 0:
-                targets = {TruncType1.near(s.base, c * s.klass) for c in group.elements}
-            else:
-                targets = {act_mul(a / s.base, s) for a in realized_bases}
-        else:  # ZP_MUL: unit ratios between unit bases
-            targets = {act_mul(a / s.base, s) for a in realized_bases}
-        adjacency[s] = targets
+                adjacency[s] = {act_add(a - s.base, s) for a in realized_bases}
+        elif tag == "Gm" and (s.kind == AT_INFINITY or s.base == 0):
+            # the near-zero and at-infinity families: scalings move only the class
+            adjacency[s] = {TruncType1(s.kind, s.base, c * s.klass) for c in classes}
+        else:  # scaling by the ratios of the realized bases
+            adjacency[s] = {act_mul(a / s.base, s) for a in realized_bases}
     return adjacency
 
 

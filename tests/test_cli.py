@@ -12,6 +12,7 @@ import pytest
 
 import padyn
 from padyn import acceptance, cli
+from padyn.flows import GROUP_TAGS
 
 
 def run_cli(capsys, *argv):
@@ -107,6 +108,32 @@ def test_unknown_group_tag_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, "flows", "--group", "nope")
     assert code == 2
     assert "unknown group tag" in err
+    code, out, err = run_cli(capsys, "flows", "--group", "sl2")
+    assert code == 2
+    assert out == ""
+    assert str(GROUP_TAGS) in err
+
+
+GROUP_SPELLINGS = [
+    ("Gm", "Gm"),
+    ("gm", "Gm"),
+    ("GM", "Gm"),
+    ("g-m", "Gm"),
+    ("Z-P-ADD", "ZpAdd"),
+    ("zp_add", "ZpAdd"),
+    ("zpmul", "ZpMul"),
+    ("Zp_Mul", "ZpMul"),
+    ("ga", "Ga"),
+]
+
+
+@pytest.mark.parametrize("spelling, tag", GROUP_SPELLINGS)
+def test_every_group_spelling_prints_the_canonical_tags_stdout(capsys, spelling, tag):
+    # case, '-' and '_' are ignored; the canonical tag's digest is pinned below
+    code, out, _ = run_cli(capsys, "flows", "--group", spelling)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == STDOUT_SHA256[f"flows --group {tag}"]
 
 
 @pytest.mark.parametrize("command", [["minimal-flow"], ["proj", "minimal"]])
@@ -308,6 +335,24 @@ def test_no_assert_in_the_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name}: assert on line(s) {lines}"
+
+
+def test_the_package_imports_only_the_standard_library():
+    # networkx and hypothesis are test-only: the package runs on a bare Python
+    for path in sorted(Path(padyn.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top == "padyn" or top in sys.stdlib_module_names, (
+                    f"{path.name}:{node.lineno} imports {name}"
+                )
 
 
 def test_borel_flow_group_check_passes_with_asserts_stripped():

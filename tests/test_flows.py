@@ -8,11 +8,7 @@ import pytest
 
 from padyn import cli, flows
 from padyn.flows import (
-    GA,
-    GM,
     GROUP_TAGS,
-    ZP_ADD,
-    ZP_MUL,
     _action_adjacency,
     act_add,
     act_mul,
@@ -42,9 +38,9 @@ def all_at_infinity():
 
 
 def test_normalize_group_tag():
-    assert normalize_group_tag("zp-add") == ZP_ADD
-    assert normalize_group_tag("GA") == GA
-    assert normalize_group_tag("ZpMul") == ZP_MUL
+    assert normalize_group_tag("zp-add") == "ZpAdd"
+    assert normalize_group_tag("GA") == "Ga"
+    assert normalize_group_tag("ZpMul") == "ZpMul"
     with pytest.raises(ValueError):
         normalize_group_tag("sl2")
 
@@ -111,19 +107,19 @@ def test_deep_multipliers_coarsen_near_types_to_infinity():
 
 
 def test_closure_tables_pinned():
-    assert closure_transitions(TruncType1.realized(1), GM, *CFG) == (
+    assert closure_transitions(TruncType1.realized(1), "Gm", *CFG) == (
         all_near_zero() | all_at_infinity()
     )
-    assert closure_transitions(TruncType1.realized(0), GA, *CFG) == all_at_infinity()
-    assert closure_transitions(TruncType1.near(0, C2), GM, *CFG) == frozenset()
-    assert closure_transitions(TruncType1.at_infinity(C2), GM, *CFG) == frozenset()
+    assert closure_transitions(TruncType1.realized(0), "Ga", *CFG) == all_at_infinity()
+    assert closure_transitions(TruncType1.near(0, C2), "Gm", *CFG) == frozenset()
+    assert closure_transitions(TruncType1.at_infinity(C2), "Gm", *CFG) == frozenset()
     bases = default_base_points(5, 2)
-    assert closure_transitions(TruncType1.realized(3), ZP_ADD, *CFG) == {
+    assert closure_transitions(TruncType1.realized(3), "ZpAdd", *CFG) == {
         TruncType1.near(a, c) for a in bases for c in GROUP.elements
     }
-    assert closure_transitions(TruncType1.near(3, C1), ZP_ADD, *CFG) == frozenset()
+    assert closure_transitions(TruncType1.near(3, C1), "ZpAdd", *CFG) == frozenset()
     unit_bases = [a for a in bases if a % 5 != 0]
-    assert closure_transitions(TruncType1.realized(2), ZP_MUL, *CFG) == {
+    assert closure_transitions(TruncType1.realized(2), "ZpMul", *CFG) == {
         TruncType1.near(a, c) for a in unit_bases for c in GROUP.elements
     }
 
@@ -140,7 +136,7 @@ def test_closure_tables_match_extreme_valuation_sampling():
             for sign in (deep, -deep):
                 moved = Fraction(c.representative) * Fraction(p) ** sign * a
                 observed.add(classify(moved, [Fraction(0)], w, n, p))
-        assert observed == closure_transitions(TruncType1.realized(a), GM, *CFG)
+        assert observed == closure_transitions(TruncType1.realized(a), "Gm", *CFG)
 
     source = TruncType1.near(2, C2)
     observed = set()
@@ -148,7 +144,7 @@ def test_closure_tables_match_extreme_valuation_sampling():
         b = Fraction(c.representative) * Fraction(p) ** -deep
         moved = realize(source, 2, ladder) + b
         observed.add(classify(moved, [], w, n, p))
-    assert observed == closure_transitions(source, GA, *CFG)
+    assert observed == closure_transitions(source, "Ga", *CFG)
 
     bases = default_base_points(5, 2)
     nk = n * -(-deep // n)
@@ -157,7 +153,7 @@ def test_closure_tables_match_extreme_valuation_sampling():
         for c in GROUP.elements:
             moved = a_new + Fraction(c.representative) * Fraction(p) ** nk
             observed.add(classify(moved, bases, w, n, p))
-    assert observed == closure_transitions(TruncType1.realized(3), ZP_ADD, *CFG)
+    assert observed == closure_transitions(TruncType1.realized(3), "ZpAdd", *CFG)
 
     unit_bases = [a for a in bases if a % 5 != 0]
     observed = set()
@@ -165,11 +161,11 @@ def test_closure_tables_match_extreme_valuation_sampling():
         for c in GROUP.elements:
             scale = (a_new / 2) * (1 + Fraction(c.representative) * Fraction(p) ** nk)
             observed.add(classify(2 * scale, unit_bases, w, n, p))
-    assert observed == closure_transitions(TruncType1.realized(2), ZP_MUL, *CFG)
+    assert observed == closure_transitions(TruncType1.realized(2), "ZpMul", *CFG)
 
 
 def test_gm_has_exactly_two_minimal_subflows():
-    report = minimal_subflows(GM, *CFG)
+    report = minimal_subflows("Gm", *CFG)
     assert len(report.minimal_subflows) == 2
     families = [set(f) for f in report.minimal_subflows]
     assert {len(f) for f in families} == {GROUP.order}
@@ -186,7 +182,7 @@ def test_gm_has_exactly_two_minimal_subflows():
 
 
 def test_ga_minimal_subflows_are_at_infinity_fixed_points():
-    report = minimal_subflows(GA, *CFG)
+    report = minimal_subflows("Ga", *CFG)
     assert len(report.minimal_subflows) == GROUP.order
     for family in report.minimal_subflows:
         assert len(family) == 1
@@ -202,13 +198,13 @@ def test_ga_minimal_subflows_are_at_infinity_fixed_points():
 
 
 def test_ga_trivial_level_has_single_fixed_point():
-    report = minimal_subflows(GA, 5, 1, 2)
+    report = minimal_subflows("Ga", 5, 1, 2)
     assert len(report.minimal_subflows) == 1
     assert len(report.minimal_subflows[0]) == 1
 
 
 def test_zp_add_worked_example():
-    report = minimal_subflows(ZP_ADD, 5, 2, 1)
+    report = minimal_subflows("ZpAdd", 5, 2, 1)
     assert len(report.minimal_union()) == 5 * 4
     assert all(s.kind == "near" for s in report.minimal_union())
     assert len(report.orbits) == 4
@@ -219,7 +215,7 @@ def test_zp_add_worked_example():
 
 
 def test_zp_mul_orbits_have_twisted_class_form():
-    report = minimal_subflows(ZP_MUL, *CFG)
+    report = minimal_subflows("ZpMul", *CFG)
     assert len(report.orbits) == 4
     assert {frozenset(f) for f in report.minimal_subflows} == {
         frozenset(o) for o in report.orbits
@@ -231,11 +227,11 @@ def test_zp_mul_orbits_have_twisted_class_form():
 
 
 def test_flow_report_json_shape():
-    payload = minimal_subflows(GM, *CFG).to_json()
+    payload = minimal_subflows("Gm", *CFG).to_json()
     assert payload["group_tag"] == "Gm"
     assert payload["minimal_state_count"] == 8
     assert payload["orbit_count"] == 2
-    assert payload["state_count"] == len(state_space(GM, *CFG))
+    assert payload["state_count"] == len(state_space("Gm", *CFG))
     assert set(payload)
     flags = payload["f_generic"]
     assert flags["Near(0, 2)"] is True
@@ -271,6 +267,35 @@ def test_a_successor_outside_the_state_space_is_an_error(monkeypatch, capsys):
 
     monkeypatch.setattr(flows, "closure_transitions", escaping)
     with pytest.raises(ArithmeticError, match="left the state space"):
-        minimal_subflows(GM, *CFG)
+        minimal_subflows("Gm", *CFG)
     assert cli.run(["flows", "--group", "gm"]) == 3
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("tag", GROUP_TAGS)
+@pytest.mark.parametrize("p, n, w", ORBIT_LEVELS)
+def test_minimal_subflows_are_the_attracting_components_of_action_and_closure(p, n, w, tag):
+    report = minimal_subflows(tag, p, n, w)
+    states = state_space(tag, p, n, w)
+    action = _action_adjacency(tag, states, p, n)
+    oracle = nx.DiGraph()
+    oracle.add_nodes_from(states)
+    for s in states:
+        oracle.add_edges_from((s, t) for t in action[s] | closure_transitions(s, tag, p, n, w))
+    expected = {frozenset(c) for c in nx.attracting_components(oracle)}
+    assert {frozenset(f) for f in report.minimal_subflows} == expected
+
+
+@pytest.mark.parametrize("p, n, w", ORBIT_LEVELS)
+def test_state_space_sizes_match_closed_forms(p, n, w):
+    q = p**w
+    j = build_group(p, n).order
+    expected = {
+        "Ga": q + q * j + j,
+        "Gm": (q - 1) + q * j + j,
+        "ZpAdd": q * (1 + j),
+        "ZpMul": (q - q // p) * (1 + j),
+    }
+    for tag in GROUP_TAGS:
+        states = state_space(tag, p, n, w)
+        assert len(states) == len(set(states)) == expected[tag], tag
