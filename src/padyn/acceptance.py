@@ -3,8 +3,10 @@
 Every check returns a plain dict with at least ``passed``, and
 ``run_all`` times each one, so the same battery backs both the test
 suite and the command-line ``verify`` subcommand.  All comparisons are
-exact — there are no numeric tolerances anywhere — and each check
-carries a wall-time budget in ``CHECKS`` that ``run_all`` enforces.
+exact — there are no numeric tolerances anywhere.  Each check carries a
+wall-time budget in ``CHECKS``: ``run_all`` records whether the check
+ran within it, the test suite fails a check that did not, and ``verify``
+notes it on stderr without changing its exit code.
 
 The residue-oracle check deserves a note on method.  The full grid of
 rationals with numerator and denominator up to p**4 is far too large to
@@ -28,7 +30,7 @@ from fractions import Fraction
 
 from padyn.borel import build_flow_group, witness as borel_witness
 from padyn.flows import act_add, minimal_subflows
-from padyn.padic import PadicMatrix2, PadicRational
+from padyn.padic import PadicMatrix2
 from padyn.proj import (
     ProjLevel,
     all_states,
@@ -279,15 +281,15 @@ def check_iwasawa_and_rewrite(seed: int = DEFAULT_SEED) -> dict:
                 continue
             formula_cases += 1
             lead = a * u1 + c * u3
-            want_t2 = PadicMatrix2.padic(((1, 0), (u3 / (a * lead), 1)), p)
-            want_h2 = PadicMatrix2.padic(((lead, a * u2 + c * u4), (0, 1 / lead)), p)
+            want_t2 = PadicMatrix2.of(((1, 0), (u3 / (a * lead), 1)), p)
+            want_h2 = PadicMatrix2.of(((lead, a * u2 + c * u4), (0, 1 / lead)), p)
             if t2.rows() != want_t2.rows() or h2.rows() != want_h2.rows():
                 formula_failures += 1
                 continue
             if not t2.congruent_to_identity(1):
                 formula_failures += 1
                 continue
-            depth = PadicRational.of(t2.c, p).e
+            depth = t2.c.e
             if min_corner_valuation is None or depth < min_corner_valuation:
                 min_corner_valuation = depth
     return {
@@ -449,8 +451,4 @@ def run_all(seed: int = DEFAULT_SEED, only: str | None = None) -> dict:
         outcome["within_budget"] = outcome["seconds"] < budget
         results.append(outcome)
     total = round(sum(r["seconds"] for r in results), 3)
-    return {
-        "passed": all(r["passed"] and r["within_budget"] for r in results),
-        "total_seconds": total,
-        "results": results,
-    }
+    return {"total_seconds": total, "results": results}

@@ -44,7 +44,7 @@ def witness(t: ResidueClass, ladder: ScaleLadder, rung_index: int = 0) -> PadicM
         raise ValueError("ladder exhausted: a witness needs two free rungs")
     alpha = realize(TruncType1.near(0, t), rung_index, ladder)
     beta = realize(TruncType1.at_infinity(t), rung_index + 1, ladder)
-    return PadicMatrix2.padic(((alpha, beta), (0, alpha.inverse())), t.prime)
+    return PadicMatrix2.of(((alpha, beta), (0, alpha.inverse())), t.prime)
 
 
 def star(s: ResidueClass, t: ResidueClass, ladder: ScaleLadder) -> ResidueClass:

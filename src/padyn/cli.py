@@ -64,7 +64,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="matrix entries 'a b c d' as exact rationals (default: 1/p 0 1 p)",
     )
     sub.add_parser("minimal-flow", parents=[common], help="full flow connectivity report")
-    sub.add_parser("ellis", parents=[common], help="identity-fiber group and tower report")
+    sub.add_parser(
+        "ellis",
+        parents=[common],
+        help="identity-fiber group Q_p*/(Q_p*)^n and its divisor tower "
+        "(the triangular flow group, not the Ellis group of SL(2, Q_p))",
+    )
     proj = sub.add_parser("proj", parents=[common], help="projective-line flow reports")
     proj.add_argument("report", choices=("collapse", "minimal"))
     verify = sub.add_parser("verify", help="run the acceptance battery at its pinned levels")
@@ -172,7 +177,7 @@ def _cmd_iwasawa(args):
             raise UsageError(f"matrix entries {args.entries!r} have a zero denominator")
         g = PadicMatrix2.of(((a, b), (c, d)), args.p)
     if g.det() != 1:
-        raise UsageError(f"matrix determinant must be 1, got {g.det()}")
+        raise UsageError(f"matrix determinant must be 1, got {g.det().to_fraction()}")
     t, h = iwasawa(g)
     payload = {
         "p": args.p,

@@ -15,9 +15,10 @@ is two small terms: it is built and classified without an integer of
 that many digits, and without stripping the digits a subtraction of
 its base cancels.  Division by a multi-term value, `numerator`,
 `denominator` and `to_fraction` collapse a value to its one-term form.
-Stored values (`PadicMatrix2.of` entries, type bases, projective
-points) are `fractions.Fraction`s; `_coerce_fraction` turns a
-`PadicRational` into the equal `Fraction`.
+A `PadicMatrix2`'s entries are `PadicRational`s of its prime; values
+with no prime (type bases, projective points, parsed input) are
+`fractions.Fraction`s, and `_coerce_fraction` turns a `PadicRational`
+into the equal `Fraction`.
 
 `PadicRational.of(x, p).e` is the one valuation read.  Valuations are
 Python integers; zero has none and reads as e = 0, so a caller that
@@ -472,13 +473,6 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(body))
 
 
-def format_rational(x: Fraction) -> str:
-    """Render an exact rational as 'num' or 'num/den' (bit-exact roundtrip)."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def mat_mul(left, right) -> tuple:
     """Generic product of row-major 2x2 tuples over any exact field type."""
     (a, b), (c, d) = left
@@ -492,55 +486,41 @@ class SingularMatrixError(ValueError):
 
 @dataclass(frozen=True)
 class PadicMatrix2:
-    """Exact 2x2 rational matrix with p-adic helper predicates.
+    """Exact 2x2 matrix over Q_p with p-adic helper predicates.
 
-    The entries share one exact type: `Fraction`s from `of`, the stored
-    form, or `PadicRational`s for p from `padic`.  Ladder witnesses are
-    `padic` matrices (`borel.witness` gives an element of the triangular
-    group B as one), and so is everything `sl2.borel_past_integral`
-    returns; their products keep the huge and the small scales as
-    separate sparse terms.  `@` (the generic `mat_mul`) is the one 2x2 product;
-    it, inverses and the predicates work on either kind, and a product
-    of the two kinds has `PadicRational` entries.
+    Every entry is a `PadicRational` of the matrix's prime: `of`
+    normalises the rows it is given, and `@` (the generic `mat_mul`) and
+    `inverse` keep that form.  Ladder witnesses (`borel.witness` gives an
+    element of the triangular group B as one) and everything
+    `sl2.borel_past_integral` returns are such matrices; their products
+    keep the huge and the small scales as separate sparse terms.
     """
 
-    a: Fraction | PadicRational
-    b: Fraction | PadicRational
-    c: Fraction | PadicRational
-    d: Fraction | PadicRational
+    a: PadicRational
+    b: PadicRational
+    c: PadicRational
+    d: PadicRational
     prime: int
 
     @classmethod
     def of(cls, rows, p: int) -> "PadicMatrix2":
+        """The matrix of int, Fraction or PadicRational rows, each entry
+        normalised for p."""
         (a, b), (c, d) = rows
-        return cls(
-            _coerce_fraction(a),
-            _coerce_fraction(b),
-            _coerce_fraction(c),
-            _coerce_fraction(d),
-            p,
-        )
-
-    @classmethod
-    def padic(cls, rows, p: int) -> "PadicMatrix2":
-        (a, b), (c, d) = rows
-        return cls(*(PadicRational.of(x, p) for x in (a, b, c, d)), p)
+        of = PadicRational.of
+        return cls(of(a, p), of(b, p), of(c, p), of(d, p), p)
 
     @classmethod
     def identity(cls, p: int) -> "PadicMatrix2":
-        one, zero = Fraction(1), Fraction(0)
-        return cls(one, zero, zero, one, p)
+        return cls.of(((1, 0), (0, 1)), p)
 
     def to_json(self) -> list[list[str]]:
-        return [
-            [format_rational(self.a), format_rational(self.b)],
-            [format_rational(self.c), format_rational(self.d)],
-        ]
+        return [[str(x.to_fraction()) for x in row] for row in self.rows()]
 
-    def rows(self) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
+    def rows(self) -> tuple[tuple[PadicRational, ...], ...]:
         return ((self.a, self.b), (self.c, self.d))
 
-    def det(self) -> Fraction:
+    def det(self) -> PadicRational:
         return self.a * self.d - self.b * self.c
 
     def __matmul__(self, other: "PadicMatrix2") -> "PadicMatrix2":
@@ -551,29 +531,23 @@ class PadicMatrix2:
 
     def inverse(self) -> "PadicMatrix2":
         det = self.det()
-        if det == 0:
+        if not det:
             raise SingularMatrixError("matrix has determinant zero")
         return PadicMatrix2(self.d / det, -self.b / det, -self.c / det, self.a / det, self.prime)
 
-    def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    def entries(self) -> tuple[PadicRational, PadicRational, PadicRational, PadicRational]:
         return (self.a, self.b, self.c, self.d)
 
     def is_integral(self) -> bool:
-        """All entries lie in Z_p; a Fraction or int is read off its denominator."""
-        p = self.prime
-        return all(
-            x.denominator % p != 0 if isinstance(x, (Fraction, int)) else PadicRational.of(x, p).e >= 0
-            for x in (self.a, self.b, self.c, self.d)
-        )
+        """All entries lie in Z_p (zero reads as e = 0)."""
+        return self.a.e >= 0 and self.b.e >= 0 and self.c.e >= 0 and self.d.e >= 0
 
     def is_unimodular_integral(self) -> bool:
         return self.is_integral() and self.det() == 1
 
     def is_upper_triangular(self) -> bool:
-        return self.c == 0
+        return not self.c
 
     def congruent_to_identity(self, k: int) -> bool:
         """Entrywise valuation of (self - I) is at least k; zero meets every k."""
-        p = self.prime
-        diffs = (PadicRational.of(x, p) for x in (self.a - 1, self.b, self.c, self.d - 1))
-        return all(not x or x.e >= k for x in diffs)
+        return all(not x or x.e >= k for x in (self.a - 1, self.b, self.c, self.d - 1))

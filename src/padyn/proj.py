@@ -188,10 +188,10 @@ def snap_type(t: ProjTruncType, level: ProjLevel, ladder: ScaleLadder) -> ProjTr
 
 
 def _det_one(g: PadicMatrix2) -> PadicMatrix2:
-    """g with `PadicRational` entries, once its determinant is checked."""
+    """g, once its determinant is checked to be one."""
     if g.det() != 1:
         raise ValueError("need determinant one")
-    return PadicMatrix2.padic(g.rows(), g.prime)
+    return g
 
 
 def _chart_image(g: PadicMatrix2, inverted: bool, y: RationalLike) -> tuple:
@@ -236,7 +236,7 @@ def act_proj(g: PadicMatrix2, t: ProjTruncType) -> ProjTruncType:
 @lru_cache(maxsize=256)
 def _fiber_witness(klass: ResidueClass, ladder: ScaleLadder) -> PadicMatrix2:
     corner = realize(TruncType1.near(0, klass), 0, ladder)
-    return PadicMatrix2.padic(((1, 0), (corner, 1)), klass.prime)
+    return PadicMatrix2.of(((1, 0), (corner, 1)), klass.prime)
 
 
 def _apply_witness(

@@ -6,8 +6,8 @@ Four layers, all exact:
   upper-triangular one, pivoting on the first column.
 - `borel_past_integral` rewrites (triangular)·(integral) as
   (integral)·(triangular), the engine that lets triangular data flow
-  through compact factors.  It runs on `PadicRational` entries, so a
-  witness matrix stays p-normalised throughout.
+  through compact factors.  Like every `PadicMatrix2`, a witness matrix
+  holds `PadicRational` entries, so it stays p-normalised throughout.
 - K, the finite group of det-1 matrices mod p^m, is int-coded: an
   element is its entry tuple, numbered by its index in `k_level_group`,
   with `k_mul`, `k_reduce` and the cached exact det-1 lift `k_lift`.
@@ -61,22 +61,20 @@ def iwasawa(g: PadicMatrix2) -> tuple[PadicMatrix2, PadicMatrix2]:
     """
     if g.det() != 1:
         raise ValueError("need determinant one")
-    ident = PadicMatrix2.identity(g.prime)
-    if g.is_upper_triangular():
-        return ident, g
-    if g.is_integral():
-        return g, ident
     p = g.prime
-    top, bot = PadicRational.of(g.a, p), PadicRational.of(g.c, p)
-    pivot_top = bool(top) and top.e <= bot.e  # g.c != 0 here; a zero g.a pivots on it
-    scale = Fraction(p) ** (top.e if pivot_top else bot.e)
-    u0, u1 = g.a / scale, g.c / scale
-    zero = Fraction(0)
+    if g.is_upper_triangular():
+        return PadicMatrix2.identity(p), g
+    if g.is_integral():
+        return g, PadicMatrix2.identity(p)
+    pivot_top = bool(g.a) and g.a.e <= g.c.e  # g.c != 0 here; a zero g.a pivots on it
+    e = g.a.e if pivot_top else g.c.e
+    u0, u1 = g.a.shifted(-e), g.c.shifted(-e)
+    zero, scale = PadicRational.of(0, p), PadicRational.of(1, p).shifted(e)
     if pivot_top:
-        t, corner = PadicMatrix2(u0, zero, u1, 1 / u0, p), g.b / u0
+        t, corner = PadicMatrix2(u0, zero, u1, u0.inverse(), p), g.b / u0
     else:
-        t, corner = PadicMatrix2(u0, -1 / u1, u1, zero, p), g.d / u1
-    h = PadicMatrix2(scale, corner, zero, 1 / scale, p)
+        t, corner = PadicMatrix2(u0, -u1.inverse(), u1, zero, p), g.d / u1
+    h = PadicMatrix2(scale, corner, zero, scale.inverse(), p)
     _require(t.is_unimodular_integral(), "iwasawa: integral factor is not unimodular")
     _require(h.is_upper_triangular(), "iwasawa: remainder is not upper triangular")
     return t, h
@@ -94,16 +92,12 @@ def borel_past_integral(
     valuation grows with the spread between h's diagonal and
     off-diagonal scales, which is what keeps compact parts clean when h
     witnesses a truncated type.
-
-    The rewrite runs on `PadicRational` entries, both factors converted
-    to them, so a ladder witness never passes through a `Fraction`.
     """
     if not h.is_upper_triangular() or h.det() != 1:
         raise ValueError("left factor must be upper triangular with det 1")
     if not t.is_integral() or t.det() != 1:
         raise ValueError("right factor must be integral with det 1")
     p = h.prime
-    h, t = PadicMatrix2.padic(h.rows(), p), PadicMatrix2.padic(t.rows(), p)
     a, c = h.a, h.b
     u1, u2, u3, u4 = t.entries()
     if u3 == 0:
@@ -112,8 +106,8 @@ def borel_past_integral(
         lead = a * u1 + c * u3
         if lead == 0:
             raise ValueError("degenerate product: leading entry vanished")
-        t2 = PadicMatrix2.padic(((1, 0), (u3 / (a * lead), 1)), p)
-        h2 = PadicMatrix2.padic(((lead, a * u2 + c * u4), (0, 1 / lead)), p)
+        t2 = PadicMatrix2.of(((1, 0), (u3 / (a * lead), 1)), p)
+        h2 = PadicMatrix2.of(((lead, a * u2 + c * u4), (0, lead.inverse())), p)
     if (t2 @ h2).rows() != (h @ t).rows():
         raise ArithmeticError("rewrite failed the exact product check")
     return t2, h2
@@ -141,9 +135,7 @@ def k_reduce(g: PadicMatrix2, level_m: int) -> tuple[int, int, int, int]:
     if not g.is_integral():
         raise ValueError("only integral matrices reduce")
     mod = g.prime**level_m
-    return tuple(
-        e.numerator % mod * pow(e.denominator % mod, -1, mod) % mod for e in g.entries()
-    )
+    return tuple(x.residue(mod) for x in g.entries())
 
 
 # `star` lifts the same few compact parts over and over, so each lift is
@@ -152,7 +144,8 @@ def k_reduce(g: PadicMatrix2, level_m: int) -> tuple[int, int, int, int]:
 def k_lift(k: tuple[int, int, int, int], p: int, level_m: int) -> PadicMatrix2:
     """The exact det-1 integral lift of K element k (see `_lift_scaled`)."""
     den, rows = _lift_scaled(k, p)
-    lifted = PadicMatrix2.of(tuple(tuple(Fraction(x, den) for x in row) for row in rows), p)
+    inv = PadicRational.of(den, p).inverse()
+    lifted = PadicMatrix2.of(tuple(tuple(inv * x for x in row) for row in rows), p)
     _require(lifted.det() == 1, "lift: determinant is not one")
     _require(k_reduce(lifted, level_m) == k, "lift: reduction differs")
     return lifted
@@ -218,7 +211,7 @@ class GFlowPoint:
 
 
 def _lower_perturbation(p: int, exponent: int) -> PadicMatrix2:
-    return PadicMatrix2.padic(((1, 0), (PadicRational.of(1, p).shifted(exponent), 1)), p)
+    return PadicMatrix2.of(((1, 0), (PadicRational.of(1, p).shifted(exponent), 1)), p)
 
 
 # `ellis_group` multiplies every class by every class, so the rewrite of
@@ -242,8 +235,8 @@ def star(
     block, the right one on the block above everything derivable from
     it; the middle factors are refactored with `borel_past_integral` so
     the product splits back into a compact part (reduced mod p^m) and a
-    triangular part (classified at level n).  The witnesses stay
-    `PadicRational`s throughout; only `k_lift` builds `Fraction`s.
+    triangular part (classified at level n).  Every entry stays a
+    `PadicRational` throughout.
 
     The left rewrite depends only on (s.j, t.k, m, ladder), so
     `_left_slide` caches it, checked once when built; the right
@@ -454,8 +447,16 @@ class EllisReport:
 def ellis_group(
     p: int, level_n: int, level_m: int, ladder: ScaleLadder = DEFAULT_LADDER
 ) -> EllisReport:
-    """The identity-fiber points under `star`, tabulated level by level
-    down the divisor tower of level_n.
+    """The identity-fiber points {(I, j)} under `star`, tabulated level
+    by level down the divisor tower of level_n.
+
+    The fiber's group is Q_p*/(Q_p*)^n, the triangular flow group (order
+    16 at p = 5, n = 4).  It is not the paper's Ellis group Ẑ of
+    SL(2, Q_p).  The finite stand-in for Ẑ is the fiber's quotient by
+    the compact torus diag(u, 1/u), cyclic of order n, which this report
+    does not compute.  On the fiber itself valuations alone need not
+    separate the classes (at p = 5, n = 4 they do not), and the report
+    keeps saying so.
 
     Every product is computed through the witness path: the rewrite
     past the right factor's lift once per (left class, right compact

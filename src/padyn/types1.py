@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from padyn.padic import PadicRational, RationalLike, _coerce_fraction, format_rational
+from padyn.padic import PadicRational, RationalLike, _coerce_fraction
 from padyn.residues import ResidueClass, build_group, class_of
 
 REALIZED = "realized"
@@ -94,11 +94,11 @@ class TruncType1:
 
     def to_json(self) -> dict:
         if self.kind == REALIZED:
-            return {"kind": REALIZED, "value": format_rational(self.base)}
+            return {"kind": REALIZED, "value": str(self.base)}
         if self.kind == NEAR:
             return {
                 "kind": NEAR,
-                "base": format_rational(self.base),
+                "base": str(self.base),
                 "class": str(self.klass.representative),
                 "n": self.klass.level_n,
             }
@@ -110,9 +110,9 @@ class TruncType1:
 
     def __str__(self) -> str:
         if self.kind == REALIZED:
-            return f"Realized({format_rational(self.base)})"
+            return f"Realized({str(self.base)})"
         if self.kind == NEAR:
-            return f"Near({format_rational(self.base)}, {self.klass.representative})"
+            return f"Near({str(self.base)}, {self.klass.representative})"
         return f"AtInfinity({self.klass.representative})"
 
     def sort_key(self) -> tuple:

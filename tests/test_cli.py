@@ -6,13 +6,15 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import padyn
-from padyn import acceptance, cli
+from padyn import acceptance, borel, cli, proj, sl2
 from padyn.flows import GROUP_TAGS
+from padyn.padic import PadicMatrix2, PadicRational
 
 
 def run_cli(capsys, *argv):
@@ -72,10 +74,16 @@ def test_level_flags_are_checked_before_any_work(capsys, command, flags, message
 
 
 def test_unparseable_iwasawa_entries_are_a_usage_error(capsys):
-    code, out, err = run_cli(capsys, "iwasawa", "--entries", "a b c d")
-    assert code == 2
-    assert out == ""
-    assert err == "error: could not parse matrix entries 'a b c d'\n"
+    for entries, message in (
+        ("a b c d", "could not parse matrix entries 'a b c d'"),
+        # the determinant prints as a rational, not as its p-adic form
+        ("2 0 0 1", "matrix determinant must be 1, got 2"),
+        ("1/5 0 0 1", "matrix determinant must be 1, got 1/5"),
+    ):
+        code, out, err = run_cli(capsys, "iwasawa", "--entries", entries)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 def test_a_crash_is_an_internal_error_not_a_failed_property(capsys, monkeypatch):
@@ -442,6 +450,40 @@ STDOUT_SHA256 = {
     "iwasawa --entries 0,1,-1,1/5": "b931110cab450d60e26c0614b1f4638e99bbde0a14ae1e03de306c6a3e11ac48",
     "iwasawa --entries 1/5,0,1/5,5": "14d7ece6c75931be804bd228daacf5764ddee79d8a459daf4801330b037b6494",
 }
+
+
+def test_every_cli_matrix_holds_padic_entries_of_its_prime(capsys, monkeypatch):
+    built, wrong = Counter(), []
+    init = PadicMatrix2.__init__
+
+    def checked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built[command] += 1
+        if not all(type(x) is PadicRational and x.p == self.prime for x in self.entries()):
+            wrong.append((command, self))
+
+    monkeypatch.setattr(PadicMatrix2, "__init__", checked)
+    # matrices cached by earlier tests would not be built again
+    for cached in (borel.witness, borel.build_flow_group, sl2.k_lift, sl2._left_slide):
+        cached.cache_clear()
+    proj._fiber_witness.cache_clear()
+    commands = (
+        "iwasawa",
+        "iwasawa --entries 1,0,1/5,1",
+        "iwasawa --entries 0,1,-1,1/5",
+        "iwasawa --entries 1/5,0,1/5,5",
+        "borel",
+        "minimal-flow",
+        "ellis",
+        "proj collapse",
+        "proj minimal",
+        "verify --check iwasawa-rewrite",
+    )
+    for command in commands:
+        code, _, _ = run_cli(capsys, *command.split())
+        assert code == 0
+    assert wrong == []
+    assert all(built[command] for command in commands)
 
 
 @pytest.mark.parametrize("command", list(STDOUT_SHA256))

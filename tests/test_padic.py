@@ -9,7 +9,6 @@ from padyn.padic import (
     PadicMatrix2,
     PadicRational,
     SingularMatrixError,
-    format_rational,
     _p_power,
     int_valuation,
     parse_rational,
@@ -119,9 +118,8 @@ def test_unit_residue_never_expands_huge_scales():
 
 def test_rational_text_roundtrip():
     for text in ("3/4", "-7", "0", "22/7", "-9/2", "100000000000000001"):
-        assert format_rational(parse_rational(text)) == text
+        assert str(parse_rational(text)) == text
     assert parse_rational(" 6/8 ") == Fraction(3, 4)
-    assert format_rational(Fraction(6, 8)) == "3/4"
 
 
 def test_padic_rational_arithmetic():
@@ -205,15 +203,20 @@ def test_matrix_predicates():
     ],
 )
 def test_is_integral_agrees_with_the_valuation_read(entry):
-    # each entry kind is read its own way; all must agree with the
-    # valuation of the entry normalised for the matrix's prime
+    # `of` normalises every entry kind to a PadicRational of the matrix's
+    # prime with the entry's value; is_integral must agree with the
+    # valuation of each given entry normalised for that prime
     p = 5
-    for g in (
-        PadicMatrix2(entry, 1, 0, 1, p),
-        PadicMatrix2(1, 0, entry, 1, p),
-        PadicMatrix2(1, Fraction(1, 5), 0, entry, p),
+    value = entry.to_fraction() if isinstance(entry, PadicRational) else Fraction(entry)
+    for rows, at in (
+        (((entry, 1), (0, 1)), 0),
+        (((1, 0), (entry, 1)), 2),
+        (((1, Fraction(1, 5)), (0, entry)), 3),
     ):
-        want = all(PadicRational.of(x, p).e >= 0 for x in g.entries())
+        g = PadicMatrix2.of(rows, p)
+        assert all(type(x) is PadicRational and x.p == p for x in g.entries())
+        assert g.entries()[at].to_fraction() == value
+        want = all(PadicRational.of(x, p).e >= 0 for row in rows for x in row)
         assert g.is_integral() == want
 
 

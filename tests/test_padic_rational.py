@@ -432,7 +432,7 @@ def test_matrix_predicates_match_a_naive_strip(entries, k):
     diffs = (fs[0] - 1, fs[1], fs[2], fs[3] - 1)
     integral = all(naive_at_least(f, p, 0) for f in fs)
     congruent = all(naive_at_least(f, p, k) for f in diffs)
-    sparse = PadicMatrix2.padic(((xs[0], xs[1]), (xs[2], xs[3])), p)
+    sparse = PadicMatrix2.of(((xs[0], xs[1]), (xs[2], xs[3])), p)
     plain = PadicMatrix2.of(((fs[0], fs[1]), (fs[2], fs[3])), p)
     for g in (sparse, plain):
         assert g.is_integral() == integral

@@ -486,10 +486,8 @@ def column_state(m, level):
 
 
 def flow_point_witness(point, block, ladder=LADDER):
-    """k_lift(k)·witness(j) of a paired flow point, with p-adic entries."""
-    p = point.j.prime
-    lifted = k_lift(point.k, p, point.level_m) @ borel_witness(point.j, ladder, block)
-    return PadicMatrix2.padic(lifted.rows(), p)
+    """k_lift(k)·witness(j) of a paired flow point."""
+    return k_lift(point.k, point.j.prime, point.level_m) @ borel_witness(point.j, ladder, block)
 
 
 def test_projection_commutes_with_star_products():

@@ -9,7 +9,7 @@ import pytest
 from padyn import acceptance, cli, sl2
 from padyn._graph import skew_components, strongly_connected_components
 from padyn.borel import build_flow_group, witness
-from padyn.padic import PadicMatrix2, PadicRational
+from padyn.padic import PadicMatrix2, PadicRational, mat_mul
 from padyn.residues import build_group, class_of
 from padyn.sl2 import GFlowPoint
 from padyn.types1 import DEFAULT_LADDER, ScaleLadder
@@ -125,19 +125,32 @@ def test_iwasawa_reconstructs_random_matrices():
         assert h.is_upper_triangular()
 
 
+def fraction_rows(g):
+    return tuple(tuple(x.to_fraction() for x in row) for row in g.rows())
+
+
+def fraction_inverse(rows):
+    # the inverse of a det-1 matrix
+    (a, b), (c, d) = rows
+    return ((d, -b), (-c, a))
+
+
 def iwasawa_by_inverse(g):
-    # the general case as it was before the closed form: t from the
-    # scaled first column, and h = t^-1 @ g by exact matrix arithmetic
+    # the general case as it was before the closed form, on Fraction rows:
+    # t from the scaled first column, and h = t^-1 @ g by exact matrix
+    # arithmetic
     p = g.prime
-    top, bot = PadicRational.of(g.a, p), PadicRational.of(g.c, p)
+    rows = fraction_rows(g)
+    (a, _), (c, _) = rows
+    top, bot = PadicRational.of(a, p), PadicRational.of(c, p)
     pivot_top = bool(top) and top.e <= bot.e
     scale = Fraction(p) ** (top.e if pivot_top else bot.e)
-    u0, u1 = g.a / scale, g.c / scale
+    u0, u1 = a / scale, c / scale
     if pivot_top:
-        t = PadicMatrix2.of(((u0, 0), (u1, 1 / u0)), p)
+        t = ((u0, Fraction(0)), (u1, 1 / u0))
     else:
-        t = PadicMatrix2.of(((u0, -1 / u1), (u1, 0)), p)
-    return t, t.inverse() @ g
+        t = ((u0, -1 / u1), (u1, Fraction(0)))
+    return t, mat_mul(fraction_inverse(t), rows)
 
 
 # the three inputs whose CLI output test_cli pins: pivot on c, a zero a,
@@ -161,8 +174,8 @@ def test_closed_form_iwasawa_matches_the_inverse_product():
         t, h = sl2.iwasawa(g)
         want_t, want_h = iwasawa_by_inverse(g)
         for got, want in ((t, want_t), (h, want_h)):
-            assert got.entries() == want.entries()
-            assert [type(x) for x in got.entries()] == [type(x) for x in want.entries()]
+            assert fraction_rows(got) == want
+            assert all(type(x) is PadicRational and x.p == P for x in got.entries())
     assert general > 1500
 
 
@@ -449,42 +462,52 @@ def test_ellis_group_rewrites_once_per_class(monkeypatch):
 
 
 def fraction_lower_perturbation(p, exponent):
-    return mat(((1, 0), (Fraction(p) ** exponent, 1)), p)
+    return ((1, 0), (Fraction(p) ** exponent, 1))
+
+
+def fraction_lift(k, p):
+    den, rows = sl2._lift_scaled(k, p)
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+
+
+def fraction_reduce(rows, p, level_m):
+    mod = p**level_m
+    return tuple(x.numerator * pow(x.denominator, -1, mod) % mod for row in rows for x in row)
 
 
 def fraction_rewrite(h, t):
     """`borel_past_integral`'s rewrite h·t = t2·h2, computed on Fraction
-    matrices from its closed form."""
-    a, c = h.a, h.b
-    u1, u2, u3, u4 = t.entries()
+    rows from its closed form."""
+    (a, c), _ = h
+    (u1, u2), (u3, u4) = t
     if u3 == 0:
-        t2, h2 = t, t.inverse() @ h @ t
+        t2, h2 = t, mat_mul(mat_mul(fraction_inverse(t), h), t)
     else:
         lead = a * u1 + c * u3
-        t2 = mat(((1, 0), (u3 / (a * lead), 1)), h.prime)
-        h2 = mat(((lead, a * u2 + c * u4), (0, 1 / lead)), h.prime)
-    assert (t2 @ h2).rows() == (h @ t).rows()
+        t2 = ((1, 0), (u3 / (a * lead), 1))
+        h2 = ((lead, a * u2 + c * u4), (0, 1 / lead))
+    assert mat_mul(t2, h2) == mat_mul(h, t)
     return t2, h2
 
 
 def fraction_star(s, t, ladder, *, perturbed=False):
-    """`star` on Fraction matrices: both witnesses through
-    `PadicMatrix2.of`, the rewrite from its closed form, and a Fraction
+    """`star` on Fraction rows: both witnesses and the right factor's
+    lift as Fractions, the rewrite from its closed form, and a Fraction
     product of the triangular parts."""
     p, level_n, level_m = s.j.prime, s.j.level_n, s.level_m
     mod = p**level_m
-    h1 = mat(witness(s.j, ladder, 0).rows(), p)
-    h2 = mat(witness(t.j, ladder, 2).rows(), p)
-    mid, h1 = fraction_rewrite(h1, sl2.k_lift(t.k, p, level_m))
-    k_out = sl2.k_mul(s.k, sl2.k_reduce(mid, level_m), mod)
+    h1 = fraction_rows(witness(s.j, ladder, 0))
+    h2 = fraction_rows(witness(t.j, ladder, 2))
+    mid, h1 = fraction_rewrite(h1, fraction_lift(t.k, p))
+    k_out = sl2.k_mul(s.k, fraction_reduce(mid, p, level_m), mod)
     if perturbed:
         tau1 = fraction_lower_perturbation(p, level_m + ladder.window_w)
-        k_out = sl2.k_mul(s.k, sl2.k_reduce(tau1, level_m), mod)
-        k_out = sl2.k_mul(k_out, sl2.k_reduce(mid, level_m), mod)
+        k_out = sl2.k_mul(s.k, fraction_reduce(tau1, p, level_m), mod)
+        k_out = sl2.k_mul(k_out, fraction_reduce(mid, p, level_m), mod)
         tau2 = fraction_lower_perturbation(p, ladder.gap * (ladder.rungs[1] + ladder.window_w))
         deep, h1 = fraction_rewrite(h1, tau2)
-        k_out = sl2.k_mul(k_out, sl2.k_reduce(deep, level_m), mod)
-    return GFlowPoint(k_out, class_of((h1 @ h2).a, level_n, p), level_m)
+        k_out = sl2.k_mul(k_out, fraction_reduce(deep, p, level_m), mod)
+    return GFlowPoint(k_out, class_of(mat_mul(h1, h2)[0][0], level_n, p), level_m)
 
 
 def test_rewrite_keeps_padic_witness_entries():
@@ -494,7 +517,7 @@ def test_rewrite_keeps_padic_witness_entries():
             lifted = sl2.k_lift(k, P, M)
             t2, h2 = sl2.borel_past_integral(h, lifted)
             assert all(type(x) is PadicRational for x in t2.entries() + h2.entries())
-            assert (t2, h2) == sl2.borel_past_integral(mat(h.rows()), lifted)
+            assert (t2, h2) == sl2.borel_past_integral(mat(fraction_rows(h)), lifted)
 
 
 @pytest.mark.parametrize("p, n", [(5, 1), (5, 2), (5, 3), (5, 4), (7, 6)])
