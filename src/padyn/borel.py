@@ -14,11 +14,11 @@ infinity, the infinite coordinate realized on a strictly higher ladder
 rung so that it dominates every scale derivable from the diagonal one.
 The `star` product realizes the left factor low on the ladder and the
 right factor on rungs separated from everything the left factor can
-reach, multiplies the concrete witness matrices, and classifies the
-result.  `build_flow_group` tabulates `star` over every type at one
-level; the flow group is the residue group exactly when that table is
-`build_group(p, n).table`, and the `borel` report and check compare the
-two.
+reach, and classifies the witness product by its leading entry, the
+only one classification reads and `leading_class` forms.
+`build_flow_group` tabulates `star` over every type at one level; the
+flow group is the residue group exactly when that table is
+`build_group(p, n).table`, and the `borel` report and check compare it.
 """
 
 from __future__ import annotations
@@ -47,13 +47,17 @@ def witness(t: ResidueClass, ladder: ScaleLadder, rung_index: int = 0) -> PadicM
     return PadicMatrix2.of(((alpha, beta), (0, alpha.inverse())), t.prime)
 
 
+def leading_class(left: PadicMatrix2, right: PadicMatrix2, level_n: int) -> ResidueClass:
+    """The level-n class of (left @ right).a, formed alone exactly as `@` forms it."""
+    return class_of(left.a * right.a + left.b * right.c, level_n, left.prime)
+
+
 def star(s: ResidueClass, t: ResidueClass, ladder: ScaleLadder) -> ResidueClass:
     """Product of truncated types via witnesses, right factor on the rungs
     above everything derivable from the left factor's block."""
     if (s.prime, s.level_n) != (t.prime, t.level_n):
         raise ValueError("mixed residue levels")
-    product = witness(s, ladder, 0) @ witness(t, ladder, 2)
-    return class_of(product.a, s.level_n, s.prime)
+    return leading_class(witness(s, ladder, 0), witness(t, ladder, 2), s.level_n)
 
 
 @lru_cache(maxsize=None)

@@ -15,16 +15,15 @@ Four layers, all exact:
   truncated type is the power-residue class of its diagonal, so the
   class is the type.  `star` multiplies two points by realizing
   concrete witnesses (`borel.witness` matrices) on separated ladder
-  blocks, refactoring the middle on their `PadicRational` entries and
-  multiplying the triangular parts with `@`.  The rewrite past the right
-  factor's lift runs once per (left class, right compact part, m,
-  ladder); every product still multiplies its own witnesses.
-  `ellis_group` tabulates the identity fiber under it.  `minimal_flow`
-  builds the finite flow K x J on ints: `skew_product` tabulates
-  iwasawa(g·lift(k)) in closed form for every (generator, K element),
-  and `act` is table lookups.  Holonomy on K decides strong
-  connectivity (`_graph.skew_components`); up to `CROSS_CHECK_STATES`
-  states Tarjan on the per-state successor lists cross-checks it.
+  blocks, refactoring the middle, and forming only the leading entry of
+  the triangular parts' product, the one entry its class reads
+  (`borel.leading_class`).  `ellis_group` tabulates the identity fiber
+  under it.  `minimal_flow` builds the finite flow K x J on ints:
+  `skew_product` tabulates iwasawa(g·lift(k)) in closed form for every
+  (generator, K element), and `act` is table lookups.  Holonomy on K
+  decides strong connectivity (`_graph.skew_components`); up to
+  `CROSS_CHECK_STATES` states Tarjan on the per-state successor lists
+  cross-checks it.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from ._graph import skew_components, strongly_connected_components
-from .borel import witness as borel_witness
+from .borel import leading_class, witness as borel_witness
 from .padic import PadicMatrix2, PadicRational, _require, int_valuation, mat_mul
 from .residues import (
     ResidueClass,
@@ -235,13 +234,12 @@ def star(
     block, the right one on the block above everything derivable from
     it; the middle factors are refactored with `borel_past_integral` so
     the product splits back into a compact part (reduced mod p^m) and a
-    triangular part (classified at level n).  Every entry stays a
-    `PadicRational` throughout.
+    triangular part h1 @ h2, classified at level n by its leading entry.
 
     The left rewrite depends only on (s.j, t.k, m, ladder), so
     `_left_slide` caches it, checked once when built; the right
-    witness, the compact product and the classification of h1 @ h2 run
-    on every call.
+    witness, the compact product and `borel.leading_class`, which forms
+    (h1 @ h2).a alone, run on every call.
 
     With `perturbed=True` the compact parts carry explicit deep
     identity perturbations the way generic realizations would; they must
@@ -259,7 +257,7 @@ def star(
         tau2 = _lower_perturbation(p, ladder.gap * (ladder.rungs[1] + ladder.window_w))
         deep, h1 = borel_past_integral(h1, tau2)
         compact = k_mul(k_mul(k_reduce(tau1, level_m), compact, mod), k_reduce(deep, level_m), mod)
-    return GFlowPoint(k_mul(s.k, compact, mod), class_of((h1 @ h2).a, level_n, p), level_m)
+    return GFlowPoint(k_mul(s.k, compact, mod), leading_class(h1, h2, level_n), level_m)
 
 
 # ------------------------------------------------------------- the flow
@@ -458,9 +456,7 @@ def ellis_group(
     separate the classes (at p = 5, n = 4 they do not), and the report
     keeps saying so.
 
-    Every product is computed through the witness path: the rewrite
-    past the right factor's lift once per (left class, right compact
-    part, m, ladder), the triangular product h1 @ h2 once per pair.  The
+    Every product is computed through the witness path (`star`).  The
     report records whether the fiber's table equals the residue group's
     at each level (that group is the triangular flow group, which the
     `borel` report and check verify, hence the JSON key

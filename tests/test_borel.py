@@ -11,10 +11,10 @@ from fractions import Fraction
 
 import pytest
 
-from padyn import borel, cli
+from padyn import borel, cli, sl2
 from padyn.padic import PadicMatrix2, PadicRational
 from padyn.residues import ResidueClass, build_group, class_of, is_nth_power
-from padyn.types1 import ScaleLadder
+from padyn.types1 import DEFAULT_LADDER, ScaleLadder
 
 P = 5
 N = 2
@@ -130,6 +130,87 @@ def test_star_agrees_with_residue_table_exhaustively():
             for t in group.elements:
                 got = borel.star(s, t, LADDER)
                 assert got.representative == group.table[(s.representative, t.representative)]
+
+
+# ------------------------------------------------- the leading entry alone
+
+
+def cross_check_leading_class(monkeypatch, module) -> list:
+    """Route `module`'s calls of `leading_class` past the full product
+    `@`, the oracle: the entry the helper classifies must equal
+    (left @ right).a as a value and give the same class.  Returns the
+    checked (left, right) pairs."""
+    fast, classify = borel.leading_class, borel.class_of
+    entries, pairs = [], []
+
+    def recorded_class_of(x, n, p):
+        entries.append(x)
+        return classify(x, n, p)
+
+    def checked(left, right, level_n):
+        out = fast(left, right, level_n)
+        full = (left @ right).a
+        assert entries == [full]
+        assert out == classify(full, level_n, left.prime)
+        entries.clear()
+        pairs.append((left, right))
+        return out
+
+    monkeypatch.setattr(borel, "class_of", recorded_class_of)
+    monkeypatch.setattr(module, "leading_class", checked)
+    return pairs
+
+
+@pytest.mark.parametrize("doubled", [False, True], ids=["default", "doubled-gap"])
+def test_leading_class_matches_the_full_product_on_every_flow_group_star(doubled, monkeypatch):
+    ladder = DEFAULT_LADDER.doubled_gap() if doubled else DEFAULT_LADDER
+    pairs = cross_check_leading_class(monkeypatch, borel)
+    borel.build_flow_group.cache_clear()
+    for n in range(1, 7):
+        borel.build_flow_group(5, n, ladder)
+    assert len(pairs) == sum(build_group(5, n).order ** 2 for n in range(1, 7))
+
+
+@pytest.mark.parametrize("p, n", [(7, 6), (5, 4)])
+def test_leading_class_matches_the_full_product_on_every_ellis_pair(p, n, monkeypatch):
+    pairs = cross_check_leading_class(monkeypatch, sl2)
+    report = sl2.ellis_group(p, n, 1)
+    products = sum(build_group(p, lev).order ** 2 for lev in report.levels)
+    assert len(pairs) == products
+    base = sl2.GFlowPoint.identity(p, n, 1)
+    assert sl2.star(base, base, DEFAULT_LADDER, perturbed=True) == base
+    assert len(pairs) == products + 1
+
+
+def test_leading_class_reads_the_right_factors_lower_left_entry(monkeypatch):
+    # the stars' operands are upper triangular, so there right.c is 0; a
+    # witness times a K element's lift (the product `sl2._left_slide`
+    # rewrites) has a lower-left entry on the right
+    pairs = cross_check_leading_class(monkeypatch, borel)
+    for j in build_group(5, 2).elements:
+        h = borel.witness(j, DEFAULT_LADDER, 0)
+        for k in sl2.k_level_group(5, 1):
+            borel.leading_class(h, sl2.k_lift(k, 5, 1), 2)
+    assert sum(1 for _, right in pairs if right.c) == 4 * 100
+    assert len(pairs) == 4 * 120
+
+
+def test_flow_group_forms_no_matrix_product(monkeypatch):
+    # each star classifies its witness product's leading entry alone
+    calls = []
+    product = PadicMatrix2.__matmul__
+
+    def counted(left, right):
+        calls.append(left)
+        return product(left, right)
+
+    monkeypatch.setattr(PadicMatrix2, "__matmul__", counted)
+    borel.witness.cache_clear()
+    borel.build_flow_group.cache_clear()
+    for ladder in (DEFAULT_LADDER, DEFAULT_LADDER.doubled_gap()):
+        for n in range(1, 7):
+            borel.build_flow_group(5, n, ladder)
+    assert calls == []
 
 
 def test_star_rejects_mixed_levels():

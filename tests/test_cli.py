@@ -463,10 +463,9 @@ def test_every_cli_matrix_holds_padic_entries_of_its_prime(capsys, monkeypatch):
             wrong.append((command, self))
 
     monkeypatch.setattr(PadicMatrix2, "__init__", checked)
-    # matrices cached by earlier tests would not be built again
-    for cached in (borel.witness, borel.build_flow_group, sl2.k_lift, sl2._left_slide):
-        cached.cache_clear()
-    proj._fiber_witness.cache_clear()
+    caches = (
+        borel.witness, borel.build_flow_group, sl2.k_lift, sl2._left_slide, proj._fiber_witness
+    )
     commands = (
         "iwasawa",
         "iwasawa --entries 1,0,1/5,1",
@@ -480,6 +479,10 @@ def test_every_cli_matrix_holds_padic_entries_of_its_prime(capsys, monkeypatch):
         "verify --check iwasawa-rewrite",
     )
     for command in commands:
+        # matrices cached by earlier tests or commands would not be built
+        # again, so each command starts from empty caches
+        for cached in caches:
+            cached.cache_clear()
         code, _, _ = run_cli(capsys, *command.split())
         assert code == 0
     assert wrong == []

@@ -764,6 +764,25 @@ def test_minimal_flow_work_counts(monkeypatch):
     assert calls == {}
 
 
+def test_minimal_flow_matrix_product_count(monkeypatch):
+    # from empty caches, only the rewrites form whole products: 50 of
+    # them (test_ellis_group_rewrites_once_per_class) at 4 each,
+    # t^-1 @ h @ t and the exact check, plus the perturbed basepoint's
+    # check; star itself forms only the leading entry of h1 @ h2
+    calls = []
+    product = PadicMatrix2.__matmul__
+
+    def counted(left, right):
+        calls.append(left)
+        return product(left, right)
+
+    monkeypatch.setattr(PadicMatrix2, "__matmul__", counted)
+    for cached in (witness, sl2.k_lift, sl2._left_slide):
+        cached.cache_clear()
+    assert sl2.minimal_flow(7, 6, 1).idempotent
+    assert len(calls) == 50 * 4 + 2
+
+
 def test_minimal_flow_cross_check_disagreement_raises(monkeypatch, capsys):
     # an internal error (exit 3), never a reported failure (exit 1)
     monkeypatch.setattr(sl2, "skew_components", lambda *args: 2)
