@@ -7,15 +7,11 @@ window so the family at infinity behaves like any other.
 
 Every matrix acts on a point through one chart step, `_chart_image`,
 from the point's chart (inverted flag, coordinate); `_chart_step` adds
-the derivative and q that the action and the flow table read.  The
-action moves Near types symbolically: the class picks up the class of
-the exact chart-to-chart derivative, an exact group action on
-exact-point types.
-A witness product steps the input's rung-2 witness y0 + scale (or a
-realized point); the triangular witness is `borel.witness` of the
-identity class.  `_chart_type` truncates a chart coordinate (window
-residue plus the class of the deviation): a product's image, or
-`snap_type`'s deepest-rung witness as a two-term sparse sum.
+the derivative and q that the flow table reads.  A witness product
+steps the input's rung-2 witness y0 + scale (or a realized point); the
+triangular witness is `borel.witness` of the identity class.
+`_chart_type` truncates the product's image, a chart coordinate, to its
+window residue plus the class of the deviation.
 
 The flow report is a skew product over the base points, tabulated on
 int states, one column per move: per base point one `_chart_step` on
@@ -159,32 +155,13 @@ def _chart_type(y: PadicRational, inverted: bool, level: ProjLevel) -> ProjTrunc
     return ProjTruncType.near(pt, class_of(dev, level.level_n, level.prime))
 
 
-def classify_value(x: RationalLike, level: ProjLevel) -> ProjTruncType:
-    """The truncated type of an exact value: its window residue plus the
-    class of the deviation, realized when the deviation vanishes."""
-    x = PadicRational.of(x, level.prime)
-    inverted = bool(x) and x.e < 0
-    return _chart_type(x.inverse() if inverted else x, inverted, level)
-
-
-def _chart_witness(t: ProjTruncType, ladder: ScaleLadder, rung: int) -> tuple[bool, PadicRational]:
-    """The Near family's witness y0 + scale at the given rung, in the base
-    point's own chart: (inverted, chart coordinate)."""
+def _chart_witness(t: ProjTruncType, ladder: ScaleLadder) -> tuple[bool, PadicRational]:
+    """The Near family's witness y0 + scale at rung 2, in the base point's
+    own chart: (inverted, chart coordinate)."""
     if t.is_realized:
         raise ValueError("realized types need no witnesses")
     inverted, y0 = _chart(t.point, t.near_class.prime)
-    return inverted, realize(TruncType1.near(y0, t.near_class), rung, ladder)
-
-
-def snap_type(t: ProjTruncType, level: ProjLevel, ladder: ScaleLadder) -> ProjTruncType:
-    """Project a type onto the level's state space: realized finite points
-    are reclassified, and a Near type is classified as its deepest-rung
-    witness y0 + scale in the base point's chart, a two-term sparse sum."""
-    if t.is_realized:
-        return t if t.point.is_infinity else classify_value(t.point.x0, level)
-    inverted, y = _chart_witness(t, ladder, -1)
-    _require(bool(y), "snap_type: the deepest-rung witness vanishes")
-    return _chart_type(y, inverted, level)
+    return inverted, realize(TruncType1.near(y0, t.near_class), 2, ladder)
 
 
 def _det_one(g: PadicMatrix2) -> PadicMatrix2:
@@ -217,21 +194,6 @@ def _chart_step(g: PadicMatrix2, inverted: bool, y: RationalLike) -> tuple:
     return flip, z, (-inv if inverted != flip else inv) * inv, lo * inv
 
 
-def act_proj(g: PadicMatrix2, t: ProjTruncType) -> ProjTruncType:
-    """Möbius action on truncated types.
-
-    Near classes pick up the class of the exact chart-to-chart derivative
-    at the base point; the chain rule is exact on rationals, so this is a
-    genuine group action on exact-point types.
-    """
-    inverted, z, derivative, _ = _chart_step(_det_one(g), *_chart(t.point, g.prime))
-    image = ProjPoint.of(1, z) if inverted else ProjPoint.of(z, 1)
-    if t.is_realized:
-        return ProjTruncType.realized(image)
-    twist = class_of(derivative, t.near_class.level_n, g.prime)
-    return ProjTruncType.near(image, twist * t.near_class)
-
-
 # a fiber witness depends on the class and the ladder only: built once
 @lru_cache(maxsize=256)
 def _fiber_witness(klass: ResidueClass, ladder: ScaleLadder) -> PadicMatrix2:
@@ -248,7 +210,7 @@ def _apply_witness(
     if t.is_realized:
         inverted, y = _chart(t.point, level.prime)
     else:  # the witness is formed, so the rows multiply in one-term form
-        inverted, y = _chart_witness(t, ladder, 2)
+        inverted, y = _chart_witness(t, ladder)
         y = y.collapsed()
     inverted, z, _, _ = _chart_image(left, inverted, y)
     return _chart_type(z, inverted, level)
@@ -301,7 +263,7 @@ def compact_star(
     computed generically and no collapse is claimed.
     """
     if t.point.is_infinity and not t.is_realized:
-        _, y = _chart_witness(t, ladder, 2)
+        _, y = _chart_witness(t, ladder)
         _require(bool(y) and y.e >= level_m, "witness not absorbed at level m")
     return fiber_star(t, class_of(1, level.level_n, level.prime), level, ladder)
 
@@ -368,8 +330,8 @@ def _column(g: PadicMatrix2, rung: int, through: bool, level: ProjLevel) -> list
     states under one move.  Per base point an input realized at the move's
     rung lands at z + dev with v(dev) >= depth: the class map is the
     derivative twist if z is a window residue r, else the constant class
-    of z - r, certified by the depth.  A snapped generator image's dev is
-    the deepest-rung scale; a witness moves (`through`) the rung-2
+    of z - r, certified by the depth.  A generator moves the input
+    realized at the deepest rung; a witness moves (`through`) the rung-2
     realization s of `_apply_witness`, whose twisted class holds while
     v(q·s) reaches the Hensel exponent."""
     p, n, m = level.prime, level.level_n, level.modulus

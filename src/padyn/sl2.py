@@ -324,13 +324,16 @@ class SkewProduct:
 
     cocycle[g][k] = (k_out, twist) is the base cocycle of flow generator
     g at K element k, slides[i][k] the same pair for identification move
-    i, and products[r][s] the index of class r times class s.
+    i, and products[r][s] the index of class r times class s.  identity
+    is the K index of I and trivial the class index of 1.
     """
 
     width: int
     products: tuple
     cocycle: tuple
     slides: tuple
+    identity: int
+    trivial: int
 
 
 def skew_product(p: int, level_n: int, level_m: int, unit_level: int) -> SkewProduct:
@@ -399,7 +402,7 @@ def skew_product(p: int, level_n: int, level_m: int, unit_level: int) -> SkewPro
     for bmat, mult in identification_moves(p, level_n, unit_level):
         kb = k_reduce(bmat, level_m)
         slides.append(tuple((index(k_mul(k, kb, mod)), j_index[mult.representative]) for k in ks))
-    return SkewProduct(len(reps), products, tuple(cocycle), tuple(slides))
+    return SkewProduct(len(reps), products, tuple(cocycle), tuple(slides), identity, trivial)
 
 
 def act(flow: SkewProduct, g: int, state: int) -> int:
@@ -549,9 +552,7 @@ def minimal_flow(
     width, products = flow.width, flow.products
     columns = flow.cocycle + flow.slides
     size = len(columns[0]) * width
-    root = k_level_group(p, level_m).index((1, 0, 0, 1))
-    trivial = [c.representative for c in build_group(p, level_n).elements].index(1)
-    count = skew_components(columns, products, root, trivial)
+    count = skew_components(columns, products, flow.identity, flow.trivial)
     if size <= CROSS_CHECK_STATES:
         gens = range(len(flow.cocycle))
         successors: list[list[int]] = []

@@ -363,6 +363,35 @@ def test_the_package_imports_only_the_standard_library():
                 )
 
 
+def unreferenced_definitions(package: Path) -> list[str]:
+    """module.name of each module-level def or class in the package that
+    no Name, Attribute or import in the package names outside its own
+    definition."""
+    statements = []  # (module, top-level statement, the names it refers to)
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            names = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    names.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    names.add(sub.attr)
+                elif isinstance(sub, ast.alias):
+                    names.add(sub.name.rpartition(".")[2])
+            statements.append((path.stem, node, names))
+    return [
+        f"{module}.{node.name}"
+        for module, node, _ in statements
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not any(node.name in names for _, other, names in statements if other is not node)
+    ]
+
+
+def test_every_package_definition_is_used_in_the_package():
+    # code that only the tests call belongs in the tests
+    assert unreferenced_definitions(Path(padyn.__file__).parent) == []
+
+
 def test_borel_flow_group_check_passes_with_asserts_stripped():
     verify_with_asserts_stripped("borel-flow-group")
 

@@ -1,4 +1,4 @@
-"""Projective-line truncated types: action, products, collapse, flow."""
+"""Projective-line truncated types: products, collapse, flow table."""
 
 import random
 from collections import Counter
@@ -13,16 +13,13 @@ from padyn.proj import (
     ProjPoint,
     ProjTruncType,
     CollapseReport,
-    act_proj,
     all_states,
     boundary_flagged,
-    classify_value,
     collapse_check,
     compact_star,
     fiber_star,
     minimality_proximality_report,
     nonalgebraic_states,
-    snap_type,
     triangular_star,
 )
 from padyn._graph import strongly_connected_components
@@ -30,7 +27,7 @@ from padyn.borel import witness as borel_witness
 from padyn.padic import PadicMatrix2, PadicRational
 from padyn.residues import build_group, class_of
 from padyn.sl2 import GFlowPoint, flow_generators, k_level_group, k_lift
-from padyn.types1 import ScaleLadder, TruncType1, _witness_scale, realize
+from padyn.types1 import ScaleLadder, TruncType1, realize
 
 P = 5
 LADDER = ScaleLadder.build(gap=8, window_w=2, length=4)
@@ -55,70 +52,40 @@ INF = ProjPoint.of(1, 0)
 
 # ---------------------------------------------------------------- oracle
 
-def oracle_realization(t, level, rung_index):
+def classify_value(x, level):
+    """The truncated type of an exact value, read in its own chart."""
+    x = PadicRational.of(x, level.prime)
+    inverted = bool(x) and x.e < 0
+    return proj._chart_type(x.inverse() if inverted else x, inverted, level)
+
+
+def oracle_realization(t, level, ladder, rung_index):
     """Concrete value witnessing a Near family, chart by the base point."""
     base = t.point
     if base.is_infinity or (base.x0 != 0 and base.x0.denominator % level.prime == 0):
         y0 = Fraction(0) if base.is_infinity else 1 / base.x0
-        return 1 / realize(TruncType1.near(y0, t.near_class), rung_index, LADDER)
-    return realize(TruncType1.near(base.x0, t.near_class), rung_index, LADDER)
+        return 1 / realize(TruncType1.near(y0, t.near_class), rung_index, ladder)
+    return realize(TruncType1.near(base.x0, t.near_class), rung_index, ladder)
 
 
-def oracle_act(g, t, level, rung_index=1):
+def oracle_act(g, t, level, ladder=LADDER, rung_index=-1):
     """Realize, apply the fractional-linear map exactly, reclassify."""
-    x = oracle_realization(t, level, rung_index)
+    x = oracle_realization(t, level, ladder, rung_index)
     num, den = g.a * x + g.b, g.c * x + g.d
     if den == 0:
         return ProjTruncType.realized(INF)
     return classify_value(num / den, level)
 
 
-def test_action_matches_realization_oracle_exhaustively():
-    gens = flow_generators(P, 3)
-    for state in nonalgebraic_states(L22):
-        for g in gens:
-            fast = snap_type(act_proj(g, state), L22, LADDER)
-            assert fast == oracle_act(g, state, L22)
-
-
-@pytest.mark.parametrize("level", [ProjLevel(7, 2, 2), ProjLevel(3, 2, 3)], ids=["p7", "p3"])
-def test_action_matches_realization_oracle_where_minus_one_is_no_square(level):
-    # at p = 3 mod 4 and even n the class of -1 is nontrivial, so a chart change's
-    # determinant sign shows in the twist
-    gens = flow_generators(level.prime, 1 + level.window_w)
-    for state in nonalgebraic_states(level):
-        for g in gens:
-            assert snap_type(act_proj(g, state), level, LADDER) == oracle_act(g, state, level)
-
-
 def test_oracle_is_rung_independent():
     gens = flow_generators(P, 3)
     for state in nonalgebraic_states(L22)[::7]:
         for g in gens:
-            assert oracle_act(g, state, L22, 1) == oracle_act(g, state, L22, 3)
+            assert oracle_act(g, state, L22, LADDER, 1) == oracle_act(g, state, L22, LADDER, 3)
 
 
-def random_det_one(rng, p=P):
-    while True:
-        a = Fraction(rng.randint(-20, 20), rng.choice((1, 1, 1, p, 2 * p)))
-        b = Fraction(rng.randint(-20, 20))
-        c = Fraction(rng.randint(-20, 20), rng.choice((1, 1, p)))
-        if a == 0:
-            if b == 0:
-                continue
-            return mat(((a, b), (-1 / b, rng.randint(-3, 3))), p)
-        return mat(((a, b), (c, (1 + b * c) / a)), p)
-
-
-def test_action_matches_oracle_on_random_matrices():
-    rng = random.Random(20260814)
-    states = nonalgebraic_states(L22)
-    for _ in range(150):
-        g = random_det_one(rng)
-        state = rng.choice(states)
-        assert snap_type(act_proj(g, state), L22, LADDER) == oracle_act(
-            g, state, L22
-        )
+def flow_table(level, ladder=LADDER):
+    return proj._flow_table(level, 1, ladder, proj._triangular_column(level, ladder))
 
 
 # ---------------------------------------------------------------- points
@@ -187,14 +154,11 @@ def fraction_classify_value(x, level):
     return ProjTruncType.near(point, class_of(dev, level.level_n, p))
 
 
-@pytest.mark.parametrize("window, witnesses", [(2, 1496), (3, 7496)])
+@pytest.mark.parametrize("window, witnesses", [(2, 750), (3, 3750)])
 def test_classify_value_matches_the_plain_fraction_classifier(window, witnesses, monkeypatch):
-    # every chart coordinate snap_type, triangular_star and fiber_star
-    # truncate over all states of the level, checked against the Fraction
-    # path: per state 5 snapped generator images, 1 triangular and 4 fiber
-    # products, less the 4 realized images at infinity (u, the diagonal
-    # unit and the dilation fix it, the rotation sends 0 there), which
-    # snap_type returns unclassified
+    # every chart coordinate triangular_star and fiber_star truncate over
+    # all states of the level, checked against the Fraction path: per
+    # state 1 triangular and 4 fiber products
     level = ProjLevel(P, 2, window)
     checked = []
     chart_type = proj._chart_type
@@ -209,31 +173,16 @@ def test_classify_value_matches_the_plain_fraction_classifier(window, witnesses,
         return got
 
     monkeypatch.setattr(proj, "_chart_type", cross_checked)
-    gens = flow_generators(P, 1 + window)
     for s in all_states(level):
-        for g in gens:
-            proj.snap_type(act_proj(g, s), level, LADDER)
         proj.triangular_star(s, level, LADDER)
         for c in level.classes():
             proj.fiber_star(s, c, level, LADDER)
     assert len(checked) == witnesses
 
 
-def formed_witness_snap(t, level, ladder):
-    """snap_type's former exact path: form the deepest-rung witness and
-    classify the value."""
-    inverted, y = proj._chart_witness(t, ladder, len(ladder.rungs) - 1)
-    return classify_value(1 / y if inverted else y, level)
-
-
-# (ladder, stride): the formed doubled-gap witness has ~115 000 bits.  In
-# the standard chart the oracle classifies it as a sparse two-term sum, in
-# about 0.03 ms, but in the reciprocal chart it forms 1/y and strips the
-# deviation from it; so that ladder takes every 10th input (the full
-# sweep of 7 608 inputs, about 7 s on one x86-64 core, passes as well)
 @pytest.mark.parametrize(
-    "ladder, stride",
-    [(LADDER, 1), (ScaleLadder.build(gap=1, window_w=2, length=4), 1), (LADDER.doubled_gap(), 10)],
+    "ladder",
+    [LADDER, ScaleLadder.build(gap=1, window_w=2, length=4), LADDER.doubled_gap()],
     ids=["default", "gap-1", "doubled-gap"],
 )
 @pytest.mark.parametrize(
@@ -241,71 +190,119 @@ def formed_witness_snap(t, level, ladder):
     [ProjLevel(5, 2, 2), ProjLevel(5, 2, 3), ProjLevel(3, 3, 3), ProjLevel(7, 2, 2)],
     ids=lambda lev: f"p{lev.prime}-n{lev.level_n}-w{lev.window_w}",
 )
-def test_snap_type_matches_classifying_the_formed_witness(level, ladder, stride):
-    # every nonalgebraic state and every generator image of one
-    gens = flow_generators(level.prime, 1 + level.window_w)
-    inputs = [t for s in nonalgebraic_states(level) for t in (s, *(act_proj(g, s) for g in gens))]
-    for t in inputs[::stride]:
-        assert snap_type(t, level, ladder) == formed_witness_snap(t, level, ladder), t
-
-
-def test_snap_type_strips_a_deviation_that_ties_with_the_scale():
-    # y0 - r = 4·5^12 ties with the class-1 scale 5^12 at the deepest
-    # rung, so (y0 - r) + scale = 5^13 is stripped and lands in class 5
-    ladder = ScaleLadder.build(gap=1, window_w=2, length=2)
-    t = ProjTruncType.near(pt(1 + 4 * P**12), cl(1))
-    scale = _witness_scale(cl(1), ladder.rungs[-1], toward_infinity=False)
-    assert PadicRational.of(t.point.x0 - 1, P).e == scale.e == 12
-    assert snap_type(t, L22, ladder) == ProjTruncType.near(pt(1), cl(5))
-    assert snap_type(t, L22, ladder) == formed_witness_snap(t, L22, ladder)
+def test_chart_witness_classifies_as_its_type(level, ladder):
+    # the rung-2 witness the witness products move, read back exactly
+    for t in nonalgebraic_states(level):
+        inverted, y = proj._chart_witness(t, ladder)
+        assert classify_value(1 / y if inverted else y, level) == t, t
 
 
 # ---------------------------------------------------------------- action
 
+def random_det_one(rng, p=P):
+    while True:
+        a = Fraction(rng.randint(-20, 20), rng.choice((1, 1, 1, p, 2 * p)))
+        b = Fraction(rng.randint(-20, 20))
+        c = Fraction(rng.randint(-20, 20), rng.choice((1, 1, p)))
+        if a == 0:
+            if b == 0:
+                continue
+            return mat(((a, b), (-1 / b, rng.randint(-3, 3))), p)
+        return mat(((a, b), (c, (1 + b * c) / a)), p)
+
+
+def random_chart_point(rng, p=P):
+    """(inverted, chart coordinate) of a random rational point."""
+    y = Fraction(rng.randint(-60, 60), rng.choice((1, 1, 2, 3)))
+    return rng.random() < 0.5, PadicRational.of(y * p ** rng.randint(0, 3), p)
+
+
+def mobius_chart(g, inverted, y, flip):
+    """g applied to the chart vector (y, 1), or (1, y) when inverted, on
+    Fractions, read in the flipped chart or not; None at that chart's
+    infinity."""
+    v0, v1 = (1, y) if inverted else (y, 1)
+    a, b, c, d = (e.to_fraction() for e in (g.a, g.b, g.c, g.d))
+    w0, w1 = a * v0 + b * v1, c * v0 + d * v1
+    num, den = (w1, w0) if flip else (w0, w1)
+    return num / den if den else None
+
+
 def test_action_on_realized_points():
     s = mat(((0, -1), (1, 0)))
-    assert act_proj(s, ProjTruncType.realized(pt(3))) == ProjTruncType.realized(
-        pt(Fraction(-1, 3))
-    )
-    assert act_proj(s, ProjTruncType.realized(pt(0))) == ProjTruncType.realized(INF)
+    three = proj._apply_witness(s, ProjTruncType.realized(pt(3)), L22, LADDER)
+    assert three == classify_value(Fraction(-1, 3), L22)
+    assert three == ProjTruncType.near(pt(8), cl(Fraction(-25, 3)))
+    zero = proj._apply_witness(s, ProjTruncType.realized(pt(0)), L22, LADDER)
+    assert zero == ProjTruncType.realized(INF)
 
 
 def test_action_pinned_examples():
+    # read off the table's generator columns at (5, 2, 2)
     u = mat(((1, 1), (0, 1)))
     s = mat(((0, -1), (1, 0)))
+    gens = flow_generators(P, 3)
+    assert (gens[0], gens[4]) == (u, s)
+    states = nonalgebraic_states(L22)
+    table = flow_table(L22)
+
+    def image(move, t):
+        return states[table[states.index(t)][move]]
+
     n0 = ProjTruncType.near(pt(0), cl(1))
-    assert act_proj(u, n0) == ProjTruncType.near(pt(1), cl(1))
+    assert image(0, n0) == ProjTruncType.near(pt(1), cl(1))
     # the rotation sends the near-zero family to infinity and the class
     # picks up class(-1), trivial at p = 5
-    assert act_proj(s, n0) == ProjTruncType.near(INF, cl(-1))
-    assert act_proj(s, n0).near_class == cl(1)
-    assert act_proj(s, ProjTruncType.near(pt(0), cl(2))) == ProjTruncType.near(
-        INF, cl(2)
-    )
+    assert image(4, n0) == ProjTruncType.near(INF, cl(-1))
+    assert image(4, n0).near_class == cl(1)
+    assert image(4, ProjTruncType.near(pt(0), cl(2))) == ProjTruncType.near(INF, cl(2))
 
 
 def test_action_requires_determinant_one():
     with pytest.raises(ValueError):
-        act_proj(mat(((2, 0), (0, 1))), ProjTruncType.realized(pt(1)))
+        proj._column(mat(((2, 0), (0, 1))), LADDER.rungs[-1], False, L22)
 
 
 def test_action_is_exact_group_action():
+    # one chart step by g·h is the step by h, then by g, exactly
     gens = flow_generators(P, 3)
-    sample = nonalgebraic_states(L22)[::11]
+    points = [*proj._charts(L22)]
+    points += [proj._chart_witness(t, LADDER) for t in nonalgebraic_states(L22)[::11]]
     for g in gens:
         for h in gens:
             gh = g @ h
-            for t in sample:
-                assert act_proj(gh, t) == act_proj(g, act_proj(h, t))
+            for inverted, y in points:
+                first = proj._chart_image(h, inverted, y)[:2]
+                assert proj._chart_image(g, *first)[:2] == proj._chart_image(gh, inverted, y)[:2]
 
 
 def test_action_group_law_on_random_words():
     rng = random.Random(99)
-    states = nonalgebraic_states(L22)
     for _ in range(300):
         g, h = random_det_one(rng), random_det_one(rng)
-        t = rng.choice(states)
-        assert act_proj(g @ h, t) == act_proj(g, act_proj(h, t))
+        inverted, y = random_chart_point(rng)
+        first = proj._chart_image(h, inverted, y)[:2]
+        assert proj._chart_image(g, *first)[:2] == proj._chart_image(g @ h, inverted, y)[:2]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_chart_step_matches_the_mobius_map_on_random_matrices(p):
+    # the image of y + s is z + derivative·s/(1 + q·s) in z's chart, with
+    # the derivative's sign set by whether the step changes chart
+    rng = random.Random(20260814 + p)
+    checked = 0
+    while checked < 150:
+        g = random_det_one(rng, p)
+        inverted, y = random_chart_point(rng, p)
+        flip, z, derivative, q = proj._chart_step(g, inverted, y)
+        assert z.to_fraction() == mobius_chart(g, inverted, y.to_fraction(), flip)
+        s = Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 9)) * p ** rng.randint(0, 4)
+        moved = mobius_chart(g, inverted, y.to_fraction() + s, flip)
+        if moved is None or 1 + q.to_fraction() * s == 0:
+            continue
+        assert moved == z.to_fraction() + derivative.to_fraction() * s / (1 + q.to_fraction() * s)
+        checked += 1
+
 
 
 # -------------------------------------------------------------- products
@@ -426,18 +423,12 @@ def test_minimal_flow_level_one():
 
 def test_fiber_transitions_are_load_bearing():
     # determinant-one derivatives twist classes by squares only, so the
-    # action plus the two distinguished products strands the deep-class
+    # generator columns (0-4), the triangular column (5) and the compact
+    # product (the identity-class fiber column) strand the deep-class
     # states at the inverted-chart residues: 7 singleton components
-    states = nonalgebraic_states(L22)
-    index = set(states)
-    gens = flow_generators(P, 3)
-    succ = {}
-    for s in states:
-        outs = [snap_type(act_proj(g, s), L22, LADDER) for g in gens]
-        outs.append(triangular_star(s, L22, LADDER))
-        outs.append(compact_star(s, L22, LADDER))
-        succ[s] = [o for o in outs if o in index]
-    components = strongly_connected_components(states, lambda s: succ[s])
+    moves = (*range(6), 6 + L22.classes().index(cl(1)))
+    succ = [[codes[move] for move in moves] for codes in flow_table(L22)]
+    components = strongly_connected_components(range(len(succ)), succ.__getitem__)
     assert sorted(map(len, components)) == [1, 1, 1, 1, 1, 1, 1, 113]
 
 
@@ -510,8 +501,10 @@ def test_projection_commutes_with_star_products():
 # ------------------------------------------------------------ flow table
 
 def explicit_successors(s, level, ladder):
+    """The table's reference row: each generator image by the realization
+    oracle, then the triangular and fiber products on the formed input."""
     gens = flow_generators(level.prime, 1 + level.window_w)
-    outs = [snap_type(act_proj(g, s), level, ladder) for g in gens]
+    outs = [oracle_act(g, s, level, ladder) for g in gens]
     outs.append(triangular_star(s, level, ladder))
     outs += [fiber_star(s, k, level, ladder) for k in level.classes()]
     return outs
@@ -527,12 +520,15 @@ def level_id(level):
 
 
 @pytest.mark.parametrize("ladder", [LADDER, LADDER.doubled_gap()], ids=["default", "doubled-gap"])
-@pytest.mark.parametrize("level", TABLE_LEVELS, ids=level_id)
+@pytest.mark.parametrize("level", [*TABLE_LEVELS, ProjLevel(7, 2, 2)], ids=level_id)
 def test_flow_table_matches_the_explicit_moves(level, ladder):
     # every (move, base point, class) entry of the table against the
-    # snapped action and the two witness products on the formed input
+    # realization oracle, which shares no code with `_chart_step`, and the
+    # two witness products; where the class of -1 is nontrivial, at
+    # (3, 2, 3), (5, 4, 2) and (7, 2, 2), a chart change's determinant sign
+    # shows in the twist
     states = nonalgebraic_states(level)
-    table = proj._flow_table(level, 1, ladder, proj._triangular_column(level, ladder))
+    table = flow_table(level, ladder)
     assert len(table) == len(states)
     for s, codes in zip(states, table):
         assert [states[code] for code in codes] == explicit_successors(s, level, ladder), s
@@ -544,7 +540,7 @@ def test_flow_table_class_map_kinds():
     # of (translations, constants) per move at (5, 2, 3)
     level = ProjLevel(5, 2, 3)
     order = len(level.classes())
-    table = proj._flow_table(level, 1, LADDER, proj._triangular_column(level, LADDER))
+    table = flow_table(level)
     kinds = []
     for move in range(len(table[0])):
         targets = [{table[i + j][move] for j in range(order)} for i in range(0, len(table), order)]
@@ -587,7 +583,7 @@ def homogeneous_product(left, t, level, ladder):
         if t.is_realized:
             x = t.point.x0
         else:
-            inverted, y = proj._chart_witness(t, ladder, 2)
+            inverted, y = proj._chart_witness(t, ladder)
             x = (1 / y if inverted else y).collapsed()
         x0, x1 = left.a * x + left.b, left.c * x + left.d
     if not x1:

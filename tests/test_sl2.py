@@ -563,9 +563,10 @@ def test_flow_generators_have_det_one():
     assert all(g.det() == 1 for g in gens)
 
 
-def ident_state(flow, p=P, m=M):
-    # class index 0 is the class of 1, the smallest representative
-    return sl2.k_level_group(p, m).index((1, 0, 0, 1)) * flow.width
+def ident_state(flow):
+    assert sl2.k_level_group(P, M)[flow.identity] == (1, 0, 0, 1)
+    assert build_group(P, N).elements[flow.trivial].representative == 1
+    return flow.identity * flow.width + flow.trivial
 
 
 def test_act_translates_the_compact_part():
@@ -573,7 +574,7 @@ def test_act_translates_the_compact_part():
     lower = 1
     assert sl2.flow_generators(P, M + DEFAULT_LADDER.window_w)[lower] == mat(((1, 0), (1, 1)))
     moved = sl2.act(flow, lower, ident_state(flow))
-    assert divmod(moved, flow.width) == (sl2.k_level_group(P, M).index((1, 0, 1, 1)), 0)
+    assert divmod(moved, flow.width) == (sl2.k_level_group(P, M).index((1, 0, 1, 1)), flow.trivial)
 
 
 def test_act_dilation_twists_the_class():
@@ -583,7 +584,7 @@ def test_act_dilation_twists_the_class():
     assert gens[dilation] == mat(((5, 0), (0, Fraction(1, 5))))
     moved = sl2.act(flow, dilation, ident_state(flow))
     reps = [c.representative for c in build_group(P, N).elements]
-    assert divmod(moved, flow.width) == (sl2.k_level_group(P, M).index((1, 0, 0, 1)), reps.index(5))
+    assert divmod(moved, flow.width) == (flow.identity, reps.index(5))
 
 
 def reference_act(g, state):
@@ -715,8 +716,6 @@ def test_holonomy_counts_match_tarjan_on_the_skew_product(p, n, m):
     # so n components, with or without the torus; the lower unipotent is
     # not needed; the slides alone do not connect K
     flow = sl2.skew_product(p, n, m, m + DEFAULT_LADDER.window_w)
-    root = sl2.k_level_group(p, m).index((1, 0, 0, 1))
-    trivial = [c.representative for c in build_group(p, n).elements].index(1)
 
     def without(*dropped):
         return [c for g, c in enumerate(flow.cocycle) if g not in dropped] + list(flow.slides)
@@ -729,7 +728,7 @@ def test_holonomy_counts_match_tarjan_on_the_skew_product(p, n, m):
         (list(flow.slides), None),
     ]
     for columns, expected in cases:
-        count = skew_components(columns, flow.products, root, trivial)
+        count = skew_components(columns, flow.products, flow.identity, flow.trivial)
         assert count == expected
         explicit = explicit_components(flow, columns)
         assert explicit > 1 if expected is None else explicit == expected

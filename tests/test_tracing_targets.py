@@ -20,6 +20,9 @@ ABSENT = [
     "borel.mul",
     "sl2.lift",
     "sl2.reduce",
+    "proj.act_proj",
+    "proj.snap_type",
+    "proj.classify_value",
 ]
 
 
