@@ -455,6 +455,8 @@ STDOUT_SHA256 = {
         "e3914774dd3fb6dab987a5b194926ed521a505cdd726bf233e3927c413b7eeaf"
     ),
     "residues --p 3 --n 6": "98e97907d9ced10007cf78f979cc69ad26409ca3b890dafa09d9731689e7eb3d",
+    # order 144, the largest residue table the CLI accepts at p = 13
+    "residues --p 13 --n 12": "e19ada5e965923d04a5cbad01e7dd7122f51cbff3ffa32f642f630e983c690e5",
     "borel --p 3 --n 4": "4ecc7d96e79844750866b1576eeb9b6ae2db401686a34db5e999df39592e93ee",
     "ellis --n 12": "a6cf294814db5490718ebb2105c7b89c805f55e8d558d008ca73c8096770ceb1",
     "proj collapse --p 2": "40039d1adfc183384169296bd3868c3a8943948b1ff69c9b16abd144ee96a6aa",

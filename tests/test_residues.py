@@ -2,8 +2,10 @@
 
 The oracle decides nth-power membership by enumerating unit nth powers
 two digits above the Hensel modulus, and discovers group orders by
-merging concrete values under quotient tests.  Neither shares code with
-the implementation.
+merging concrete values under quotient tests.  A third oracle checks
+associativity on all |J|**3 triples of a group table; the
+implementation's Light's test over a generating set is compared against
+it.  None shares code with the implementation.
 """
 
 import copy
@@ -187,17 +189,103 @@ def test_level_two_integer_sweep_merges_to_four_buckets():
     assert sorted(class_of(r, 2, 5).representative for r in reps) == [1, 2, 5, 10]
 
 
+def with_table(group, table):
+    """A shallow copy of `group` carrying `table` in place of its own."""
+    out = copy.copy(group)
+    out.table = table
+    return out
+
+
 @pytest.mark.parametrize(
-    "key, value",
-    [((2, 2), 3), ((1, 2), 5), ((5, 5), 2), ((2, 5), 2)],
+    "key, value, message",
+    [
+        ((2, 2), 3, "left the element set"),
+        ((1, 2), 5, "1 is not a left identity"),
+        ((5, 5), 2, "has no inverse"),
+        ((2, 5), 2, "associativity failed"),
+    ],
     ids=["closure", "identity", "inverse", "associativity"],
 )
-def test_verify_axioms_raises_on_a_broken_table(key, value):
-    broken = copy.copy(build_group(5, 2))
-    broken.table = dict(broken.table)
+def test_verify_axioms_raises_on_a_broken_table(key, value, message):
+    broken = with_table(build_group(5, 2), dict(build_group(5, 2).table))
     broken.table[key] = value
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match=message):
         broken._verify_axioms()
+
+
+def oracle_is_associative(group) -> bool:
+    """(r*s)*t == r*(s*t) on all |J|**3 triples of the group's table."""
+    reps = [c.representative for c in group.elements]
+    index = {r: i for i, r in enumerate(reps)}
+    rows = [[index[group.table[(r, s)]] for s in reps] for r in reps]
+    return all(
+        rows[rows[r][s]] == [rows[r][st] for st in rows[s]]
+        for r in range(len(reps))
+        for s in range(len(reps))
+    )
+
+
+RESIDUE_SWEEP = [(p, n) for p in (2, 3, 5, 7) for n in range(1, 13)]
+
+
+@pytest.mark.parametrize("p, n", RESIDUE_SWEEP, ids=[f"p{p}-n{n}" for p, n in RESIDUE_SWEEP])
+def test_light_test_and_the_exhaustive_oracle_accept_every_group(p, n):
+    group = build_group(p, n)
+    assert oracle_is_associative(group)
+    group._verify_axioms()
+
+
+def swap_an_intercalate(group) -> dict:
+    """The table with one intercalate swapped: rows r1, r2 and columns
+    c1, c2 with r1*c1 == r2*c2 and r1*c2 == r2*c1, none of them 1 and no
+    cell holding 1.  Rows and columns stay permutations, so closure, the
+    identity laws and the inverse cells survive; associativity does not.
+    """
+    table = group.table
+    reps = [c.representative for c in group.elements if c.representative != 1]
+    for i, r1 in enumerate(reps):
+        for r2 in reps[i + 1 :]:
+            for j, c1 in enumerate(reps):
+                for c2 in reps[j + 1 :]:
+                    u, v = table[(r1, c1)], table[(r1, c2)]
+                    if 1 in (u, v) or (table[(r2, c2)], table[(r2, c1)]) != (u, v):
+                        continue
+                    out = dict(table)
+                    out[(r1, c1)] = out[(r2, c2)] = v
+                    out[(r1, c2)] = out[(r2, c1)] = u
+                    return out
+    raise AssertionError("no intercalate avoids 1")
+
+
+@pytest.mark.parametrize("p, n", [(3, 4), (5, 4), (7, 6)])
+def test_a_swapped_intercalate_is_a_non_associative_loop(p, n):
+    broken = with_table(build_group(p, n), swap_an_intercalate(build_group(p, n)))
+    assert not oracle_is_associative(broken)
+    with pytest.raises(ArithmeticError, match="associativity failed"):
+        broken._verify_axioms()
+
+
+class CountingDict(dict):
+    """A dict that counts its reads by key."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+
+def test_verify_axioms_reads_far_fewer_than_cube_cells():
+    # |J| = 36: checking all |J|**3 triples would read 4 * 36**3 = 186 624 cells
+    group = build_group(7, 6)
+    assert group.order == 36
+    table = CountingDict(group.table)
+    with_table(group, table)._verify_axioms()
+    assert 0 < table.reads <= 10_000
 
 
 def test_level_two_group_is_klein_four():
