@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from padyn.borel import build_flow_group, witness as borel_witness
 from padyn.flows import act_add, minimal_subflows
-from padyn.padic import PadicMatrix2
+from padyn.padic import PadicMatrix2, PadicRational
 from padyn.proj import (
     ProjLevel,
     all_states,
@@ -102,28 +102,32 @@ def check_residue_oracle() -> dict:
     mismatches = 0
     for p in primes:
         bound = p**4
-        # one oracle modulus per distinct Hensel modulus at this prime,
-        # always two digits finer than the implementation's
-        moduli = sorted({hensel_modulus(p, n) * p * p for n in levels})
-        tables_by_modulus = {}
-        for m_oracle in moduli:
+        small = p * p
+        # the levels sharing each oracle modulus, always two digits finer
+        # than the implementation's; each grid rational is built once and
+        # tested at every level of its modulus
+        by_modulus: dict[int, list[int]] = {}
+        for n in levels:
+            by_modulus.setdefault(hensel_modulus(p, n) * p * p, []).append(n)
+        bad = dict.fromkeys(levels, 0)
+        direct_bad = dict.fromkeys(levels, 0)
+        signatures = {}
+        for m_oracle, shared in sorted(by_modulus.items()):
             side: dict[tuple[int, int], int] = {}
             for a in range(1, bound + 1):
                 v, u = _strip(a, p)
                 side.setdefault((v, u % m_oracle), a)
-            tables_by_modulus[m_oracle] = _signature_table(side, m_oracle, p)
-        for n in levels:
-            m_oracle = hensel_modulus(p, n) * p * p
-            powers = {pow(u, n, m_oracle) for u in range(1, m_oracle) if u % p}
-            tables = tables_by_modulus[m_oracle]
-            bad = 0
+            tables = _signature_table(side, m_oracle, p)
+            powers = {n: {pow(u, n, m_oracle) for u in range(1, m_oracle) if u % p} for n in shared}
+            for n in shared:
+                signatures[n] = sum(len(table) for table in tables.values())
             for dv, table in tables.items():
                 for q, (num, den) in table.items():
-                    expected = dv % n == 0 and q in powers
-                    if is_nth_power(Fraction(num, den), n, p) is not expected:
-                        bad += 1
-            direct_bad = 0
-            small = p * p
+                    x = Fraction(num, den)
+                    for n in shared:
+                        expected = dv % n == 0 and q in powers[n]
+                        if is_nth_power(x, n, p) is not expected:
+                            bad[n] += 1
             for num in range(-small, small + 1):
                 if num == 0:
                     continue
@@ -131,21 +135,24 @@ def check_residue_oracle() -> dict:
                 for den in range(1, small + 1):
                     v2, u2 = _strip(den, p)
                     q = (num // abs(num)) * u1 * pow(u2, -1, m_oracle) % m_oracle
-                    expected = (v1 - v2) % n == 0 and q in powers
-                    if is_nth_power(Fraction(num, den), n, p) is not expected:
-                        direct_bad += 1
+                    x = Fraction(num, den)
+                    for n in shared:
+                        expected = (v1 - v2) % n == 0 and q in powers[n]
+                        if is_nth_power(x, n, p) is not expected:
+                            direct_bad[n] += 1
+        for n in levels:
             group = build_group(p, n)
             group._verify_axioms()
             order_agrees = brute_force_order(p, n) == group.order
-            mismatches += bad + direct_bad + (0 if order_agrees else 1)
+            mismatches += bad[n] + direct_bad[n] + (0 if order_agrees else 1)
             pairs.append(
                 {
                     "p": p,
                     "n": n,
                     "grid_rationals": 2 * bound * bound,
-                    "signatures": sum(len(table) for table in tables.values()),
-                    "signature_mismatches": bad,
-                    "direct_grid_mismatches": direct_bad,
+                    "signatures": signatures[n],
+                    "signature_mismatches": bad[n],
+                    "direct_grid_mismatches": direct_bad[n],
                     "group_order": group.order,
                     "order_agrees": order_agrees,
                 }
@@ -230,16 +237,23 @@ def check_borel_flow_groups() -> dict:
 
 
 def _random_det_one(rng: random.Random, p: int) -> PadicMatrix2:
+    """A random det-1 matrix over small rationals: a = an/ad * p**k, b and
+    c drawn, d = (1 + b*c)/a; when a = 0, c = -1/b and d is drawn."""
+    ratio = PadicRational.ratio
     while True:
-        a = Fraction(rng.randint(-30, 30), rng.choice((1, 1, 1, p, 2 * p)))
-        a *= Fraction(p) ** rng.randint(-2, 2)
-        b = Fraction(rng.randint(-30, 30), rng.choice((1, 1, 3)))
-        c = Fraction(rng.randint(-30, 30), rng.choice((1, 1, p)))
-        if a == 0:
-            if b == 0:
+        an, ad = rng.randint(-30, 30), rng.choice((1, 1, 1, p, 2 * p))
+        k = rng.randint(-2, 2)
+        bn, bd = rng.randint(-30, 30), rng.choice((1, 1, 3))
+        cn, cd = rng.randint(-30, 30), rng.choice((1, 1, p))
+        if an == 0:
+            if bn == 0:
                 continue
-            return PadicMatrix2.of(((a, b), (-1 / b, rng.randint(-3, 3))), p)
-        return PadicMatrix2.of(((a, b), (c, (1 + b * c) / a)), p)
+            a, c, d = ratio(0, 1, p), ratio(-bd, bn, p), ratio(rng.randint(-3, 3), 1, p)
+        else:
+            # (1 + b*c)/a = (bd*cd + bn*cn) * ad / (bd*cd * an) * p**-k
+            a, c = ratio(an, ad, p, k), ratio(cn, cd, p)
+            d = ratio((bd * cd + bn * cn) * ad, bd * cd * an, p, -k)
+        return PadicMatrix2(a, ratio(bn, bd, p), c, d, p)
 
 
 def check_iwasawa_and_rewrite(seed: int = DEFAULT_SEED) -> dict:

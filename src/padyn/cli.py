@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import padyn
 from padyn import acceptance
@@ -44,6 +45,9 @@ class UsageError(ValueError):
     """Flag combination the parser accepts but the domain rejects."""
 
 
+# built once per process, on the first `run`; parsing reads it and
+# never changes it
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="padyn",

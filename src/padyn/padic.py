@@ -4,12 +4,14 @@ Two exact representations of a rational live here, one for reading and
 one for storing.  `PadicRational` keeps a value for one fixed prime p as
 an exact sparse sum of terms (n_i/d_i) * p**e_i: each coefficient a
 p-free reduced fraction, the exponents strictly increasing.  A one-term
-value u * p**e is the common case; `PadicRational.of` builds one and is
-the one place that strips p from a rational.  Sums at different
-exponents keep both terms, and sums at equal exponents merge them and
-strip p from the small merged coefficient, so a nonzero value's
-valuation is always its lowest exponent e.  The unit residue and the
-residue modulo p**k read only the terms within k digits of the bottom.
+value u * p**e is the common case; `PadicRational.of` and
+`PadicRational.ratio` build one and are the places that strip p from a
+rational.  Terms a few digits apart (p**gap fits in 64 bits) collapse
+into one term at the lower exponent, and terms at equal exponents merge
+and have p stripped from the small merged coefficient, so a nonzero
+value's valuation is always its lowest exponent e.  Only terms a
+ladder-scale gap apart stay separate.  The unit residue and the residue
+modulo p**k read only the terms within k digits of the bottom.
 A ladder witness base + rep * p**E, whose E runs to tens of thousands,
 is two small terms: it is built and classified without an integer of
 that many digits, and without stripping the digits a subtraction of
@@ -45,6 +47,16 @@ def _p_power(p: int, k: int) -> int:
     """p**k for k >= 0: `int_valuation`'s rungs, and the few huge
     exponents that collapsing a witness reuses."""
     return p**k
+
+
+@lru_cache(maxsize=None)
+def _near_powers(p: int) -> tuple[int, ...]:
+    """p**k for every k with p**k below 2**64: a term that many digits
+    above another is folded into its coefficient (see `_sum`)."""
+    out = [1]
+    while out[-1] * p < 1 << 64:
+        out.append(out[-1] * p)
+    return tuple(out)
 
 
 def int_valuation(num: int, p: int) -> tuple[int, int]:
@@ -113,6 +125,18 @@ def _mul_reduced(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
     return n1 * n2, d1 * d2
 
 
+def _strip(num: int, den: int, p: int) -> tuple[int, int, int]:
+    """(num', den', e) with num/den = num'/den' * p**e and p dividing
+    neither; num nonzero."""
+    e = 0
+    if num % p == 0:
+        e, num = int_valuation(num, p)
+    if den % p == 0:
+        vd, den = int_valuation(den, p)
+        e -= vd
+    return num, den, e
+
+
 # A coefficient of more than this many bits holds a formed value: a
 # collapsed sum, or a quotient by one.  Sums and products that touch one
 # run in one-term form: distributed, its terms would cancel in later
@@ -132,16 +156,18 @@ class PadicRational:
     as (0, 1, 0) with no rest.  Values are never mutated after
     construction.
 
-    Sums keep terms at different exponents apart and merge equal ones,
-    stripping p from the small merged coefficient.  Products distribute
-    over the terms.  An operand with a coefficient of more than
-    `_SPARSE_BITS` bits is collapsed first, and the sum or product is
-    formed in one-term form.  Division by a multi-term value, `numerator`,
-    `denominator` and `to_fraction` collapse a value to its one-term form
-    u * p**e.  The same rational may have several sparse forms (6 and
-    1 + 1*5 at p = 5), so a multi-term value equals another exactly when
-    their difference has no terms.  Equality and hashing agree with
-    `Fraction` and `int` on equal values.
+    Sums fold a term a few digits above another (p**gap fits in 64 bits)
+    into the lower coefficient, merge terms at equal exponents and strip
+    p from the merged coefficient, so consecutive terms always sit a
+    ladder-scale gap apart.  Products distribute over the terms.  An
+    operand with a coefficient of more than `_SPARSE_BITS` bits is
+    collapsed first, and the sum or product is formed in one-term form.
+    Division by a multi-term value, `numerator`, `denominator` and
+    `to_fraction` collapse a value to its one-term form u * p**e, which
+    is unique.  A rational may also have sparse forms (1 + 5**100 and
+    its one-term form at p = 5), so a multi-term value equals another
+    exactly when their difference has no terms.  Equality and hashing
+    agree with `Fraction` and `int` on equal values.
     """
 
     __slots__ = ("num", "den", "e", "p", "rest")
@@ -169,13 +195,20 @@ class PadicRational:
             raise TypeError(f"expected a rational value, got {type(x).__name__}")
         if num == 0:
             return _padic(0, 1, 0, p)
-        e = 0
-        if num % p == 0:
-            e, num = int_valuation(num, p)
-        if den % p == 0:
-            vd, den = int_valuation(den, p)
-            e -= vd
-        return _padic(num, den, e, p)
+        if num % p and den % p:
+            return _padic(num, den, 0, p)
+        return _padic(*_strip(num, den, p), p)
+
+    @classmethod
+    def ratio(cls, num: int, den: int, p: int, e: int = 0) -> "PadicRational":
+        """num/den * p**e for ints with den nonzero, in lowest terms."""
+        if not num:
+            return _padic(0, 1, 0, p)
+        g = gcd(num, den)
+        if den < 0:
+            g = -g
+        num, den, v = _strip(num // g, den // g, p)
+        return _padic(num, den, e + v, p)
 
     def _sparse(self) -> bool:
         """No coefficient is a formed value (see `_SPARSE_BITS`)."""
@@ -258,30 +291,20 @@ class PadicRational:
         return NotImplemented
 
     def __add__(self, other) -> "PadicRational":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not PadicRational or other.p != self.p:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not (self.rest or other.rest):
+            return _sum(self.num, self.den, self.e, other.num, other.den, other.e, self.p)
         if not other.num:
             return self
         if not self.num:
             return other
-        p = self.p
-        if self.rest or other.rest:
-            if self._sparse() and other._sparse():
-                return _normal_form(self.terms() + other.terms(), p)
-            self, other = self.collapsed(), other.collapsed()
-        lo, hi = (self, other) if self.e <= other.e else (other, self)
-        e = lo.e
-        if hi.e != e:
-            two = _padic(lo.num, lo.den, e, p, ((hi.num, hi.den, hi.e),))
-            return two if two._sparse() else two.collapsed()
-        num, den = _add_reduced(lo.num, lo.den, hi.num, hi.den)
-        if not num:
-            return _padic(0, 1, 0, p)
-        if num % p == 0:
-            v, num = int_valuation(num, p)
-            e += v
-        return _padic(num, den, e, p)
+        if self._sparse() and other._sparse():
+            return _normal_form(self.terms() + other.terms(), self.p)
+        x, y = self.collapsed(), other.collapsed()
+        return _sum(x.num, x.den, x.e, y.num, y.den, y.e, self.p)
 
     __radd__ = __add__
 
@@ -290,34 +313,38 @@ class PadicRational:
         return _padic(-self.num, self.den, self.e, self.p, rest)
 
     def __sub__(self, other) -> "PadicRational":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not PadicRational or other.p != self.p:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not (self.rest or other.rest):
+            return _sum(self.num, self.den, self.e, -other.num, other.den, other.e, self.p)
         return self + -other
 
     def __rsub__(self, other) -> "PadicRational":
         return -self + other
 
     def __mul__(self, other) -> "PadicRational":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not PadicRational or other.p != self.p:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         p = self.p
         if not self.num or not other.num:
             return _padic(0, 1, 0, p)
-        if self.rest or other.rest:
-            if not (self._sparse() and other._sparse()):
-                return self.collapsed() * other.collapsed()
-            return _normal_form(
-                [
-                    (*_mul_reduced(n1, d1, n2, d2), e1 + e2)
-                    for n1, d1, e1 in self.terms()
-                    for n2, d2, e2 in other.terms()
-                ],
-                p,
-            )
-        num, den = _mul_reduced(self.num, self.den, other.num, other.den)
-        return _padic(num, den, self.e + other.e, p)
+        if not (self.rest or other.rest):
+            num, den = _mul_reduced(self.num, self.den, other.num, other.den)
+            return _padic(num, den, self.e + other.e, p)
+        if not (self._sparse() and other._sparse()):
+            return self.collapsed() * other.collapsed()
+        return _normal_form(
+            [
+                (*_mul_reduced(n1, d1, n2, d2), e1 + e2)
+                for n1, d1, e1 in self.terms()
+                for n2, d2, e2 in other.terms()
+            ],
+            p,
+        )
 
     __rmul__ = __mul__
 
@@ -347,6 +374,15 @@ class PadicRational:
         return self.num != 0
 
     def __eq__(self, other) -> bool:
+        if type(other) is int and not self.rest:
+            # a one-term u * p**e equal to a nonzero int has den == 1 and
+            # 2**e <= p**e <= |other| < 2**bit_length
+            if not other or not self.num:
+                return not other and not self.num
+            e = self.e
+            if self.den != 1 or e < 0 or e >= other.bit_length():
+                return False
+            return self.num * _p_power(self.p, e) == other if e else self.num == other
         if type(other) is PadicRational:
             if other.p != self.p:
                 return self.to_fraction() == other.to_fraction()
@@ -396,23 +432,59 @@ def _padic(num: int, den: int, e: int, p: int, rest: tuple = ()) -> PadicRationa
     return x
 
 
+def _sum(n1: int, d1: int, e1: int, n2: int, d2: int, e2: int, p: int) -> PadicRational:
+    """n1/d1 * p**e1 + n2/d2 * p**e2 for one-term coefficients: p-free and
+    reduced, den > 0, and zero only as (0, 1, 0).
+
+    At equal exponents the merged numerator has p stripped.  A term a
+    gap above the other with p**gap below 2**64 (`_near_powers`) folds
+    into the lower coefficient, which stays p-free, so the sum is one
+    term; only a ladder-scale gap keeps two."""
+    if not n2:
+        return _padic(n1, d1, e1, p)
+    if not n1:
+        return _padic(n2, d2, e2, p)
+    if e1 > e2:
+        n1, d1, e1, n2, d2, e2 = n2, d2, e2, n1, d1, e1
+    gap = e2 - e1
+    if not gap:
+        num, den = _add_reduced(n1, d1, n2, d2)
+        if not num:
+            return _padic(0, 1, 0, p)
+        if num % p == 0:
+            v, num = int_valuation(num, p)
+            e1 += v
+        return _padic(num, den, e1, p)
+    if gap < 64:  # p**64 >= 2**64 for every p
+        near = _near_powers(p)
+        if gap < len(near):
+            return _padic(*_add_reduced(n1, d1, n2 * near[gap], d2), e1, p)
+    two = _padic(n1, d1, e1, p, ((n2, d2, e2),))
+    return two if two._sparse() else two.collapsed()
+
+
 def _normal_form(terms, p: int) -> PadicRational:
     """The sparse sum of (num, den, e) terms with reduced coefficients and
     p-free den > 0, in normal form.
 
-    Terms at equal exponents merge; a merged numerator that p divides is
-    stripped, and the term moves up by its valuation, where it may merge
-    again.  Exponents are taken lowest first, so each term is final when
-    it is taken with a p-free numerator.
+    Exponents are taken lowest first.  Every term a gap above the one
+    taken with p**gap below 2**64 (`_near_powers`) folds into its
+    coefficient (terms at equal exponents merge); a merged numerator
+    that p divides is stripped, and the term moves up by its valuation,
+    where it may fold again.  So each term is final when it is taken
+    with a p-free numerator, and only ladder-scale gaps separate the
+    terms kept.
     """
     heap = [(e, num, den) for num, den, e in terms]
     heapify(heap)
+    near = _near_powers(p)
+    reach = len(near) - 1
     out = []
     while heap:
         e, num, den = heappop(heap)
-        while heap and heap[0][0] == e:
-            _, n, d = heappop(heap)
-            num, den = _add_reduced(num, den, n, d)
+        while heap and heap[0][0] - e <= reach:
+            k, n, d = heappop(heap)
+            num, den = _add_reduced(num, den, n * near[k - e], d)
         if not num:
             continue
         if num % p == 0:
@@ -425,13 +497,28 @@ def _normal_form(terms, p: int) -> PadicRational:
         "sparse sum: a coefficient is not p-free",
     )
     _require(
-        all(a[2] < b[2] for a, b in zip(out, out[1:])),
-        "sparse sum: exponents do not increase",
+        all(b[2] - a[2] > reach for a, b in zip(out, out[1:])),
+        "sparse sum: two terms are within the fold gap",
     )
     if not out:
         return _padic(0, 1, 0, p)
     (num, den, e), *rest = out
     return _padic(num, den, e, p, tuple(rest))
+
+
+def _dot(
+    x: PadicRational, y: PadicRational, z: PadicRational, w: PadicRational, p: int
+) -> PadicRational:
+    """x*y + z*w for one-term values of prime p, formed from int triples;
+    a zero product is the triple (0, 1, 0)."""
+    n1, d1, e1 = n2, d2, e2 = 0, 1, 0
+    if x.num and y.num:
+        n1, d1 = _mul_reduced(x.num, x.den, y.num, y.den)
+        e1 = x.e + y.e
+    if z.num and w.num:
+        n2, d2 = _mul_reduced(z.num, z.den, w.num, w.den)
+        e2 = z.e + w.e
+    return _sum(n1, d1, e1, n2, d2, e2, p)
 
 
 def _tail_residue(terms, p: int, shift: int, modulus: int) -> int:
@@ -489,11 +576,13 @@ class PadicMatrix2:
     """Exact 2x2 matrix over Q_p with p-adic helper predicates.
 
     Every entry is a `PadicRational` of the matrix's prime: `of`
-    normalises the rows it is given, and `@` (the generic `mat_mul`) and
-    `inverse` keep that form.  Ladder witnesses (`borel.witness` gives an
-    element of the triangular group B as one) and everything
-    `sl2.borel_past_integral` returns are such matrices; their products
-    keep the huge and the small scales as separate sparse terms.
+    normalises the rows it is given, and `@`, `det` and `inverse` keep
+    that form.  `@` and `det` form each entry of one-term operands from
+    int triples, and fall back to the generic `mat_mul` otherwise.
+    Ladder witnesses (`borel.witness` gives an element of the triangular
+    group B as one) and everything `sl2.borel_past_integral` returns are
+    such matrices; their products keep the huge and the small scales as
+    separate sparse terms.
     """
 
     a: PadicRational
@@ -521,13 +610,23 @@ class PadicMatrix2:
         return ((self.a, self.b), (self.c, self.d))
 
     def det(self) -> PadicRational:
-        return self.a * self.d - self.b * self.c
+        a, b, c, d = self.entries()
+        if a.rest or b.rest or c.rest or d.rest:
+            return a * d - b * c
+        return _dot(a, d, -b, c, self.prime)
 
     def __matmul__(self, other: "PadicMatrix2") -> "PadicMatrix2":
-        if self.prime != other.prime:
+        p = self.prime
+        if p != other.prime:
             raise ValueError("mixed primes in matrix arithmetic")
-        (a, b), (c, d) = mat_mul(self.rows(), other.rows())
-        return PadicMatrix2(a, b, c, d, self.prime)
+        a, b, c, d = self.entries()
+        e, f, g, h = other.entries()
+        if a.rest or b.rest or c.rest or d.rest or e.rest or f.rest or g.rest or h.rest:
+            (a, b), (c, d) = mat_mul(self.rows(), other.rows())
+            return PadicMatrix2(a, b, c, d, p)
+        return PadicMatrix2(
+            _dot(a, e, b, g, p), _dot(a, f, b, h, p), _dot(c, e, d, g, p), _dot(c, f, d, h, p), p
+        )
 
     def inverse(self) -> "PadicMatrix2":
         det = self.det()

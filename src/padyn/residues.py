@@ -22,16 +22,40 @@ from padyn.padic import (
     PadicRational,
     RationalLike,
     _require,
+    _strip,
     int_valuation,
 )
 
 RESIDUE_LEVEL_MAX = 12  # largest residue level n accepted anywhere
 
 
+@lru_cache(maxsize=None)
 def hensel_modulus(p: int, n: int) -> int:
     """Modulus p**(2*v_p(n)+1) at which unit nth powers are decided."""
     e, _ = int_valuation(n, p)
     return p ** (2 * e + 1)
+
+
+def _signature(x: RationalLike, n: int, p: int, zero_message: str) -> tuple[int, int]:
+    """(v(x), unit part of x mod `hensel_modulus(p, n)`) for a nonzero
+    rational.  An int or Fraction is read from its numerator and
+    denominator, with no `PadicRational` built; anything else (bool and
+    subclasses included) goes through `PadicRational.of`."""
+    if (type(x) is int or type(x) is Fraction) and p >= 2:
+        num, den = x.as_integer_ratio()
+        if not num:
+            raise ValueError(zero_message)
+        e = 0
+        if not (num % p and den % p):
+            num, den, e = _strip(num, den, p)
+        modulus = hensel_modulus(p, n)
+        if den != 1:
+            num *= pow(den, -1, modulus)
+        return e, num % modulus
+    value = PadicRational.of(x, p)
+    if not value:
+        raise ValueError(zero_message)
+    return value.e, value.unit_residue(hensel_modulus(p, n))
 
 
 @lru_cache(maxsize=None)
@@ -51,15 +75,12 @@ def is_nth_power(x: RationalLike, n: int, p: int) -> bool:
     True iff n divides v(x) and the unit part of x is an nth-power
     residue at the Hensel modulus.
     """
-    value = PadicRational.of(x, p)
     if n < 1:
         raise ValueError("power level must be >= 1")
-    if not value:
-        raise ValueError("zero is not in the multiplicative group")
-    if value.e % n != 0:
+    e, residue = _signature(x, n, p, "zero is not in the multiplicative group")
+    if e % n != 0:
         return False
-    modulus = hensel_modulus(p, n)
-    return value.unit_residue(modulus) in _unit_power_residues(p, n, modulus)
+    return residue in _unit_power_residues(p, n, hensel_modulus(p, n))
 
 
 @dataclass(frozen=True)
@@ -107,12 +128,8 @@ def _canonical_unit_rep(p: int, n: int, residue: int) -> int:
 
 def class_of(x: RationalLike, n: int, p: int) -> ResidueClass:
     """Canonical power-residue class of a nonzero rational."""
-    value = PadicRational.of(x, p)
-    if not value:
-        raise ValueError("zero has no residue class")
-    modulus = hensel_modulus(p, n)
-    u = _canonical_unit_rep(p, n, value.unit_residue(modulus))
-    return ResidueClass(p, n, u * p ** (value.e % n))
+    e, residue = _signature(x, n, p, "zero has no residue class")
+    return ResidueClass(p, n, _canonical_unit_rep(p, n, residue) * p ** (e % n))
 
 
 @lru_cache(maxsize=None)
@@ -137,10 +154,16 @@ class ResidueGroup:
         self.identity = class_of(1, n, p)
         reps = [c.representative for c in self.elements]
         self._index = {r: i for i, r in enumerate(reps)}
+        # a representative is u * p**e with 0 <= e < n, so the class of a
+        # product has valuation (e + e') mod n and unit residue u * u'
+        modulus = hensel_modulus(p, n)
+        powers = [p**e for e in range(n)]
+        parts = [(e, u % modulus) for e, u in (int_valuation(r, p) for r in reps)]
         self.table: dict[tuple[int, int], int] = {}
-        for s in self.elements:
-            for t in self.elements:
-                self.table[(s.representative, t.representative)] = (s * t).representative
+        for r, (e, u) in zip(reps, parts):
+            for s, (f, w) in zip(reps, parts):
+                unit = _canonical_unit_rep(p, n, u * w % modulus)
+                self.table[(r, s)] = unit * powers[(e + f) % n]
         self._verify_axioms()
 
     @property

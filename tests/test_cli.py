@@ -161,6 +161,16 @@ def test_identical_invocations_are_byte_identical(capsys):
     assert first == second
 
 
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    cli.build_parser.cache_clear()
+    _, first, _ = run_cli(capsys, "residues", "--p", "7", "--n", "3")
+    assert run_cli(capsys, "residues", "--p", "0")[0] == 2
+    assert run_cli(capsys, "nonsense")[0] == 2
+    _, second, _ = run_cli(capsys, "residues", "--p", "7", "--n", "3")
+    assert first == second
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_flows_reports_two_multiplicative_subflows(capsys):
     code, out, err = run_cli(capsys, "flows", "--group", "gm")
     assert code == 0

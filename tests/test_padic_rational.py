@@ -9,7 +9,11 @@ numerator and denominator; powers are decided by enumerating unit nth
 powers.  The reference shares no code with `padyn`.  Exponents run to
 +-50 000 (the size of the ladder witnesses); zero, tied exponents whose
 sum cancels low p-digits, and ties that carry upward through several
-terms are covered.
+terms are covered.  One-term sums, products, `==`, `hash`, `det` and `@`
+are checked at exponent gaps on both sides of the bound below which two
+terms fold into one (p**gap below 2**64), with zero operands and results
+and coefficients above `_SPARSE_BITS`; `@` and `det` also against the
+generic 2x2 product.
 """
 
 from fractions import Fraction
@@ -19,8 +23,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padyn.padic import PadicMatrix2, PadicRational, _coerce_fraction
-from padyn.residues import class_of, is_nth_power
+from padyn.padic import PadicMatrix2, PadicRational, _coerce_fraction, _padic, mat_mul
+from padyn.residues import build_group, class_of, is_nth_power
+from padyn.types1 import DEFAULT_LADDER, TruncType1, realize
 
 PRIMES = (2, 3, 5, 7)
 LEVELS = (1, 2, 3, 6)
@@ -36,6 +41,15 @@ def naive_valuation(num: int, p: int) -> tuple[int, int]:
         num //= p
         v += 1
     return v, num
+
+
+def fold_reach(p: int) -> int:
+    """The largest gap k with p**k below 2**64: one-term values that many
+    digits apart sum to one term."""
+    k = 0
+    while p ** (k + 1) < 2**64:
+        k += 1
+    return k
 
 
 def bisected_valuation(num: int, p: int) -> int:
@@ -137,8 +151,9 @@ def cancelling_pairs(draw):
 
 
 def assert_normalised(x: PadicRational) -> None:
-    """Every term p-free and reduced, exponents strictly increasing, the
-    lowest term in the fields; zero alone has no terms."""
+    """Every term p-free and reduced, consecutive exponents more than the
+    fold bound apart, the lowest term in the fields; zero alone has no
+    terms."""
     if x.num == 0:
         assert (x.num, x.den, x.e, x.rest) == (0, 1, 0, ())
         assert x.terms() == ()
@@ -150,7 +165,7 @@ def assert_normalised(x: PadicRational) -> None:
         assert num % x.p and den % x.p
         assert gcd(num, den) == 1
     exps = [e for _, _, e in terms]
-    assert all(a < b for a, b in zip(exps, exps[1:]))
+    assert all(b - a > fold_reach(x.p) for a, b in zip(exps, exps[1:]))
 
 
 def assert_same(x: PadicRational, expected: Fraction) -> None:
@@ -470,8 +485,9 @@ def test_cascading_ties_carry_upward(p, k, length, rng):
 
 def test_one_term_and_sparse_forms_of_six_are_equal():
     five, six = PadicRational.of(5, 5), PadicRational.of(6, 5)
-    sparse = PadicRational.of(1, 5) + five
-    assert sparse.terms() == ((1, 1, 0), (1, 1, 1))
+    # 1 + 5 folds into one term, so the sparse form 1 + 1*5 is built by hand
+    assert (PadicRational.of(1, 5) + five).terms() == ((6, 1, 0),)
+    sparse = _padic(1, 1, 0, 5, ((1, 1, 1),))
     assert six.terms() == ((6, 1, 0),)
     assert sparse == six and six == sparse and sparse == 6 and sparse == Fraction(6)
     assert hash(sparse) == hash(six) == hash(6)
@@ -479,3 +495,119 @@ def test_one_term_and_sparse_forms_of_six_are_equal():
     assert sparse.residue(25) == six.residue(25) == 6
     assert sparse.unit_residue(5) == 1
     assert not sparse - six
+
+
+# --- one-term sums, products and matrices ------------------------------
+
+
+@st.composite
+def coefficients(draw, p):
+    """A p-free coefficient: small (most often), above `_SPARSE_BITS`
+    bits, or zero."""
+    def p_free(k: int) -> bool:
+        return k % p != 0
+
+    small = st.integers(-10**6, 10**6).filter(lambda k: k and p_free(k))
+    num = draw(st.one_of(st.just(0), small, small, st.integers(2**260, 2**300).filter(p_free)))
+    return Fraction(num, draw(st.integers(1, 10**4).filter(p_free)))
+
+
+def fold_gaps(p: int) -> list[int]:
+    """Exponent gaps on both sides of the fold bound, and ladder-scale ones."""
+    reach = fold_reach(p)
+    return [0, 1, 2, reach - 1, reach, reach + 1, reach + 2, 96, 784]
+
+
+@st.composite
+def one_term_values(draw, p, anchor):
+    """c * p**(anchor + gap) for a drawn coefficient and fold gap."""
+    return draw(coefficients(p)) * Fraction(p) ** (anchor + draw(st.sampled_from(fold_gaps(p))))
+
+
+@st.composite
+def one_term_pairs(draw):
+    """x and y one fold gap apart (either way round), or y = -x."""
+    p = draw(st.sampled_from(PRIMES))
+    e = draw(st.integers(-40, 40))
+    gap = draw(st.sampled_from(fold_gaps(p))) * draw(st.sampled_from([1, -1]))
+    xf = draw(coefficients(p)) * Fraction(p) ** e
+    if draw(st.integers(0, 5)) == 0:
+        return p, xf, -xf
+    return p, xf, draw(coefficients(p)) * Fraction(p) ** (e + gap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_term_pairs())
+def test_one_term_arithmetic_matches_fraction(case):
+    p, xf, yf = case
+    x, y = PadicRational.of(xf, p), PadicRational.of(yf, p)
+    assert not x.rest and not y.rest
+    for got, want in ((x + y, xf + yf), (x - y, xf - yf), (y - x, yf - xf), (x * y, xf * yf)):
+        assert_same(got, want)
+        assert hash(got) == hash(want)
+        # the int fast path of == against the int read off the Fraction
+        if want.denominator == 1:
+            k = want.numerator
+            assert got == k and got != k + 1 and got != k - 1 and (not k or got != k * p)
+        else:
+            assert got != int(want) and got != want.numerator
+    assert (x == y) == (xf == yf)
+    total = x + y
+    if xf and yf and total:
+        gap = abs(x.e - y.e)
+        small = max(abs(x.num), x.den, abs(y.num), y.den).bit_length() <= 256
+        # one term unless a ladder-scale gap separates two small terms
+        assert len(total.terms()) == (2 if gap > fold_reach(p) and small else 1)
+
+
+@st.composite
+def matrix_entries(draw, p, anchor):
+    """A one-term value, or (one time in four) a two-term sparse value
+    whose terms sit a ladder-scale gap apart."""
+    xf = draw(one_term_values(p, anchor))
+    if draw(st.integers(0, 3)):
+        return PadicRational.of(xf, p), xf
+    high = Fraction(draw(st.integers(1, 10**3)), draw(st.integers(1, 10**3)))
+    shift = Fraction(p) ** (anchor + 1000)
+    return PadicRational.of(xf, p) + PadicRational.of(high * shift, p), xf + high * shift
+
+
+@st.composite
+def matrix_pairs(draw):
+    p = draw(st.sampled_from(PRIMES))
+    anchor = draw(st.integers(-30, 30))
+    entries = draw(st.lists(matrix_entries(p, anchor), min_size=8, max_size=8))
+    return p, entries
+
+
+@settings(max_examples=120, deadline=None)
+@given(matrix_pairs())
+def test_matrix_det_and_product_match_fraction_and_the_generic_path(case):
+    p, entries = case
+    xs = [x for x, _ in entries]
+    fs = [xf for _, xf in entries]
+    g = PadicMatrix2.of(((xs[0], xs[1]), (xs[2], xs[3])), p)
+    h = PadicMatrix2.of(((xs[4], xs[5]), (xs[6], xs[7])), p)
+    a, b, c, d, e, f, k, m = fs
+    assert_same(g.det(), a * d - b * c)
+    assert g.det().terms() == (g.a * g.d - g.b * g.c).terms()
+    want = (a * e + b * k, a * f + b * m, c * e + d * k, c * f + d * m)
+    generic = mat_mul(g.rows(), h.rows())
+    for got, exact, slow in zip((g @ h).entries(), want, (*generic[0], *generic[1])):
+        assert_same(got, exact)
+        assert got.terms() == slow.terms()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_ladder_witnesses_above_the_first_rung_keep_two_terms(p):
+    base = Fraction(1, 3)
+    for ladder in (DEFAULT_LADDER, DEFAULT_LADDER.doubled_gap()):
+        for n in (1, 2, 3):
+            for c in build_group(p, n).elements:
+                t = TruncType1.near(base, c)
+                for rung in range(1, len(ladder.rungs)):
+                    witness = realize(t, rung, ladder)
+                    low, high = witness.terms()
+                    assert low == PadicRational.of(base, p).terms()[0]
+                    assert high[2] >= ladder.rungs[rung]
+                    assert (witness - base).terms() == (high,)

@@ -235,6 +235,22 @@ def test_light_test_and_the_exhaustive_oracle_accept_every_group(p, n):
     group._verify_axioms()
 
 
+TABLE_SWEEP = [(p, n) for p in (2, 3, 5, 7, 13) for n in range(1, 13)]
+
+
+@pytest.mark.parametrize("p, n", TABLE_SWEEP, ids=[f"p{p}-n{n}" for p, n in TABLE_SWEEP])
+def test_group_table_is_the_table_of_class_products(p, n):
+    # the table is filled from each representative's (valuation, unit
+    # residue); each product's class is read here through a PadicRational
+    group = build_group(p, n)
+    reps = [c.representative for c in group.elements]
+    assert group.table == {
+        (r, s): class_of(PadicRational.of(r * s, p), n, p).representative
+        for r in reps
+        for s in reps
+    }
+
+
 def swap_an_intercalate(group) -> dict:
     """The table with one intercalate swapped: rows r1, r2 and columns
     c1, c2 with r1*c1 == r2*c2 and r1*c2 == r2*c1, none of them 1 and no
