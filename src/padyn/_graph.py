@@ -32,8 +32,8 @@ def strongly_connected_components(nodes, successors) -> list[list]:
                     work.append((target, iter(successors(target))))
                     descended = True
                     break
-                if target in on_stack:
-                    low[node] = min(low[node], index[target])
+                if target in on_stack and index[target] < low[node]:
+                    low[node] = index[target]
             if descended:
                 continue
             work.pop()

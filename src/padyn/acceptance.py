@@ -240,15 +240,17 @@ def _random_det_one(rng: random.Random, p: int) -> PadicMatrix2:
     """A random det-1 matrix over small rationals: a = an/ad * p**k, b and
     c drawn, d = (1 + b*c)/a; when a = 0, c = -1/b and d is drawn."""
     ratio = PadicRational.ratio
+    # randint(lo, hi) draws lo + below(hi - lo + 1), and choice(s) s[below(len(s))]
+    below = rng._randbelow
     while True:
-        an, ad = rng.randint(-30, 30), rng.choice((1, 1, 1, p, 2 * p))
-        k = rng.randint(-2, 2)
-        bn, bd = rng.randint(-30, 30), rng.choice((1, 1, 3))
-        cn, cd = rng.randint(-30, 30), rng.choice((1, 1, p))
+        an, ad = below(61) - 30, (1, 1, 1, p, 2 * p)[below(5)]
+        k = below(5) - 2
+        bn, bd = below(61) - 30, (1, 1, 3)[below(3)]
+        cn, cd = below(61) - 30, (1, 1, p)[below(3)]
         if an == 0:
             if bn == 0:
                 continue
-            a, c, d = ratio(0, 1, p), ratio(-bd, bn, p), ratio(rng.randint(-3, 3), 1, p)
+            a, c, d = ratio(0, 1, p), ratio(-bd, bn, p), ratio(below(7) - 3, 1, p)
         else:
             # (1 + b*c)/a = (bd*cd + bn*cn) * ad / (bd*cd * an) * p**-k
             a, c = ratio(an, ad, p, k), ratio(cn, cd, p)

@@ -7,7 +7,8 @@ never see a realized zero, and the Z_p-unit flow only sees unit bases).
 Orbit closures combine two edge kinds: exact symbolic action moves, and
 closure transitions recording where types land when group elements run
 off to valuation +-infinity.  Minimal subflows are the terminal
-strongly connected components of that graph.
+strongly connected components of that graph, found on the states'
+indices; `TruncType1`s are built only for the report.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from padyn._graph import strongly_connected_components, terminal_components
 from padyn.padic import RationalLike, _require
 from padyn.residues import build_group, class_of
-from padyn.types1 import AT_INFINITY, NEAR, REALIZED, TruncType1
+from padyn.types1 import NEAR, REALIZED, TruncType1
 
 GROUP_TAGS = ("Ga", "Gm", "ZpAdd", "ZpMul")
 
@@ -45,18 +46,6 @@ def act_add(b: RationalLike, t: TruncType1) -> TruncType1:
     return t
 
 
-def act_mul(g: RationalLike, t: TruncType1) -> TruncType1:
-    """Scale a truncated type by a nonzero exact rational."""
-    if g == 0:
-        raise ValueError("zero multiplier")
-    if t.kind == REALIZED:
-        return TruncType1.realized(t.base * g)
-    twist = class_of(g, t.klass.level_n, t.klass.prime)
-    if t.kind == NEAR:
-        return TruncType1.near(t.base * g, twist * t.klass)
-    return TruncType1.at_infinity(twist * t.klass)
-
-
 def default_base_points(p: int, w: int) -> tuple[Fraction, ...]:
     """Residue representatives covering Z_p at resolution w."""
     return tuple(Fraction(i) for i in range(p**w))
@@ -72,7 +61,8 @@ def _domain(tag: str, p: int, w: int) -> tuple[list[Fraction], list[Fraction]]:
 
 
 def state_space(group_tag: str, p: int, n: int, w: int) -> list[TruncType1]:
-    """Truncated types concentrated on the acting group's domain."""
+    """Truncated types concentrated on the acting group's domain: realized bases,
+    then Near(base, class) base by base, then (Ga, Gm) the classes at infinity."""
     tag = normalize_group_tag(group_tag)
     classes = build_group(p, n).elements
     realized_bases, near_bases = _domain(tag, p, w)
@@ -83,61 +73,62 @@ def state_space(group_tag: str, p: int, n: int, w: int) -> list[TruncType1]:
     return states
 
 
-def closure_transitions(
-    t: TruncType1, group_tag: str, p: int, n: int, w: int
-) -> frozenset[TruncType1]:
-    """Limit states adjoined when group elements escape every scale.
-
-    Derived from the classification of 1-types and validated against
-    extreme-valuation sampling in the tests:
-
-    - Ga: any concentrated type is dragged to infinity, in every class
-      (translate by b of hugely negative valuation in any class).
-    - Gm: any type at a nonzero base collapses to zero or to infinity,
-      in every class; the near-zero and at-infinity families are stuck.
-    - ZpAdd: a realized point smears into every near type (translations
-      are dense in Z_p); near types only translate exactly.
-    - ZpMul: a realized unit smears into every near type over a unit
-      base; near types only scale exactly.
+def _successors(tag: str, p: int, n: int, w: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Each state's action and closure successors as indices into
+    `state_space(tag, p, n, w)`, in closed form (equal lists are shared).
+    Translations move only the base.  A scaling by a/b sends Realized(b)
+    to Realized(a) and Near(b, C) to Near(a, class(a)·class(b)⁻¹·C) (the
+    group's index table); Gm's families near zero and at infinity only
+    change class, and Ga fixes each type at infinity.
+    Closure, where group elements escape every scale: under Ga any
+    concentrated type is dragged to infinity in every class (translate by
+    b of hugely negative valuation); under Gm a type at a nonzero base
+    collapses to zero or to infinity in every class, and the near-zero and
+    at-infinity families are stuck; under ZpAdd (dense translations) and
+    ZpMul a realized point smears into every near type of the domain, and
+    near types only move exactly.
     """
-    tag = normalize_group_tag(group_tag)
-    if t.kind == AT_INFINITY or (tag in ("Gm", "ZpMul") and t.base == 0):
-        return frozenset()
-    classes = build_group(p, n).elements
-    if tag == "Ga":
-        return frozenset(TruncType1.at_infinity(c) for c in classes)
-    if tag == "Gm":
-        return frozenset(
-            s for c in classes for s in (TruncType1.near(0, c), TruncType1.at_infinity(c))
-        )
-    if t.kind == NEAR:
-        return frozenset()
-    _, near_bases = _domain(tag, p, w)
-    return frozenset(TruncType1.near(a, c) for a in near_bases for c in classes)
+    group = build_group(p, n)
+    reps = [c.representative for c in group.elements]
+    index = {r: i for i, r in enumerate(reps)}
+    products = [[index[group.table[(r, s)]] for s in reps] for r in reps]
+    width = len(reps)
+    realized, near = _domain(tag, p, w)
+    first_near = len(realized)
+    first_inf = first_near + len(near) * width
+    size = first_inf + (width if tag in ("Ga", "Gm") else 0)
+    at_infinity = list(range(first_inf, size))
+    near_zero = list(range(first_near, first_near + width))
+    action = [list(range(first_near))] * first_near
+    if tag in ("Ga", "ZpAdd"):
+        action += [list(range(first_near + j, first_inf, width)) for j in range(width)] * len(near)
+        action += [[s] for s in at_infinity]
+    else:  # the scalings by a/b over realized bases a and b
+        klass = {a: index[class_of(a, n, p).representative] for a in near if a}
+        position = {a: first_near + i * width for i, a in enumerate(near)}
+        targets = [(position[a], klass[a]) for a in realized]
+        for b in near:
+            if not b:  # Gm's near-zero family
+                action += [near_zero] * width
+                continue
+            to_b = products[klass[b]].index(0)  # the identity's index is 0: rep 1 is least
+            for j in range(width):
+                action.append([at + products[products[c][to_b]][j] for at, c in targets])
+        action += [at_infinity] * len(at_infinity)
+    if tag in ("ZpAdd", "ZpMul"):
+        closure = [list(range(first_near, first_inf))] * first_near + [[]] * (size - first_near)
+    else:
+        escape = at_infinity if tag == "Ga" else near_zero + at_infinity
+        closure = [escape] * first_inf + [[]] * width
+        if tag == "Gm":
+            closure[first_near : first_near + width] = [[]] * width
+    return action, closure
 
 
-def _action_adjacency(group_tag, states, p: int, n: int) -> dict:
-    """Exact symbolic action edges keeping every base inside the space."""
-    tag = normalize_group_tag(group_tag)
-    classes = build_group(p, n).elements
-    realized_bases = [s.base for s in states if s.kind == REALIZED]
-    adjacency: dict[TruncType1, set[TruncType1]] = {}
-    for s in states:
-        if tag in ("Ga", "ZpAdd"):
-            if s.kind == AT_INFINITY:
-                adjacency[s] = {s}
-            else:
-                adjacency[s] = {act_add(a - s.base, s) for a in realized_bases}
-        elif tag == "Gm" and (s.kind == AT_INFINITY or s.base == 0):
-            # the near-zero and at-infinity families: scalings move only the class
-            adjacency[s] = {TruncType1(s.kind, s.base, c * s.klass) for c in classes}
-        else:  # scaling by the ratios of the realized bases
-            adjacency[s] = {act_mul(a / s.base, s) for a in realized_bases}
-    return adjacency
-
-
-def _sorted_family(states) -> tuple[TruncType1, ...]:
-    return tuple(sorted(states, key=TruncType1.sort_key))
+def _sorted_families(states, components) -> tuple[tuple[TruncType1, ...], ...]:
+    """Index components decoded to states, each and all in sort-key order."""
+    families = (tuple(sorted((states[s] for s in c), key=TruncType1.sort_key)) for c in components)
+    return tuple(sorted(families, key=lambda f: f[0].sort_key()))
 
 
 @dataclass(frozen=True)
@@ -173,27 +164,23 @@ def minimal_subflows(group_tag: str, p: int, n: int, w: int) -> AffineFlowReport
     """Terminal components of action plus closure, with orbit partition."""
     tag = normalize_group_tag(group_tag)
     states = state_space(tag, p, n, w)
-    action = _action_adjacency(tag, states, p, n)
-    combined = {s: action[s] | closure_transitions(s, tag, p, n, w) for s in states}
+    size = len(states)
+    action, closure = _successors(tag, p, n, w)
     _require(
-        set().union(*combined.values()) <= set(states),
+        len(action) == len(closure) == size
+        and all(not s or 0 <= min(s) <= max(s) < size for s in action + closure),
         f"{tag} flow: a successor left the state space",
     )
-    minimal = terminal_components(states, combined.__getitem__)
-    union = {s for component in minimal for s in component}
+    combined = [a + c if c else a for a, c in zip(action, closure)]
+    minimal = terminal_components(range(size), combined.__getitem__)
+    union = sorted(s for component in minimal for s in component)
     # action edges come in inverse pairs and stay in the union: its SCCs are the orbits
-    orbit_parts = strongly_connected_components(_sorted_family(union), action.__getitem__)
-    families = tuple(
-        sorted((_sorted_family(c) for c in minimal), key=lambda f: f[0].sort_key())
-    )
-    orbits = tuple(
-        sorted((_sorted_family(c) for c in orbit_parts), key=lambda f: f[0].sort_key())
-    )
-    flags = {s: s in union for s in states}
+    orbit_parts = strongly_connected_components(union, action.__getitem__)
+    members = set(union)
     return AffineFlowReport(
         group_tag=tag,
-        states=_sorted_family(states),
-        minimal_subflows=families,
-        orbits=orbits,
-        fgeneric_flags=flags,
+        states=tuple(sorted(states, key=TruncType1.sort_key)),
+        minimal_subflows=_sorted_families(states, minimal),
+        orbits=_sorted_families(states, orbit_parts),
+        fgeneric_flags={t: s in members for s, t in enumerate(states)},
     )

@@ -31,11 +31,12 @@ anywhere in this module.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from bisect import bisect_left
 from heapq import heapify, heappop, heappush
 from math import gcd
+from operator import itemgetter
 from typing import Union
 
 
@@ -143,6 +144,7 @@ def _strip(num: int, den: int, p: int) -> tuple[int, int, int]:
 # merges only after p had been stripped from the thousands of digits
 # they share.
 _SPARSE_BITS = 256
+_SPARSE_BOUND = 1 << _SPARSE_BITS
 
 
 class PadicRational:
@@ -212,10 +214,10 @@ class PadicRational:
 
     def _sparse(self) -> bool:
         """No coefficient is a formed value (see `_SPARSE_BITS`)."""
-        if (abs(self.num) | self.den).bit_length() > _SPARSE_BITS:
+        if not (-_SPARSE_BOUND < self.num < _SPARSE_BOUND and self.den < _SPARSE_BOUND):
             return False
         for n, d, _ in self.rest:
-            if (abs(n) | d).bit_length() > _SPARSE_BITS:
+            if not (-_SPARSE_BOUND < n < _SPARSE_BOUND and d < _SPARSE_BOUND):
                 return False
         return True
 
@@ -302,6 +304,10 @@ class PadicRational:
         if not self.num:
             return other
         if self._sparse() and other._sparse():
+            if not other.rest:
+                return _plus_term(self, other.num, other.den, other.e)
+            if not self.rest:
+                return _plus_term(other, self.num, self.den, self.e)
             return _normal_form(self.terms() + other.terms(), self.p)
         x, y = self.collapsed(), other.collapsed()
         return _sum(x.num, x.den, x.e, y.num, y.den, y.e, self.p)
@@ -319,6 +325,8 @@ class PadicRational:
                 return NotImplemented
         if not (self.rest or other.rest):
             return _sum(self.num, self.den, self.e, -other.num, other.den, other.e, self.p)
+        if not other.rest and other.num and self._sparse() and other._sparse():
+            return _plus_term(self, -other.num, other.den, other.e)
         return self + -other
 
     def __rsub__(self, other) -> "PadicRational":
@@ -337,6 +345,10 @@ class PadicRational:
             return _padic(num, den, self.e + other.e, p)
         if not (self._sparse() and other._sparse()):
             return self.collapsed() * other.collapsed()
+        if not (self.rest and other.rest):  # scale the sparse side term by term
+            x, y = (other, self) if self.rest else (self, other)
+            rest = tuple((*_mul_reduced(x.num, x.den, n, d), x.e + e) for n, d, e in y.rest)
+            return _padic(*_mul_reduced(x.num, x.den, y.num, y.den), x.e + y.e, p, rest)
         return _normal_form(
             [
                 (*_mul_reduced(n1, d1, n2, d2), e1 + e2)
@@ -393,6 +405,8 @@ class PadicRational:
         if self.e != other.e:  # nonzero normal forms have valuation e
             return False
         if self.rest or other.rest:
+            if self.rest == other.rest and self.num == other.num and self.den == other.den:
+                return True
             if self._sparse() and other._sparse():
                 return not self - other
             # the one-term form is unique, and collapsing strips nothing
@@ -428,7 +442,11 @@ _HASH_MODULUS = sys.hash_info.modulus
 def _padic(num: int, den: int, e: int, p: int, rest: tuple = ()) -> PadicRational:
     """A PadicRational from fields that already meet its invariants."""
     x = object.__new__(PadicRational)
-    x.num, x.den, x.e, x.p, x.rest = num, den, e, p, rest
+    x.num = num  # one store per field: faster than a tuple assignment
+    x.den = den
+    x.e = e
+    x.p = p
+    x.rest = rest
     return x
 
 
@@ -506,19 +524,42 @@ def _normal_form(terms, p: int) -> PadicRational:
     return _padic(num, den, e, p, tuple(rest))
 
 
+def _plus_term(x: PadicRational, num: int, den: int, e: int) -> PadicRational:
+    """x + num/den * p**e for a sparse multi-term x and a nonzero sparse
+    term.  The term cancels or merges p-free into x's term at e, or is
+    kept a full fold gap from every term of x, with no `_normal_form`;
+    anything else goes through it."""
+    terms, p = ((x.num, x.den, x.e), *x.rest), x.p
+    reach = len(_near_powers(p)) - 1
+    i = bisect_left(terms, e, key=itemgetter(2))
+    if i < len(terms) and terms[i][2] == e:
+        n, d = _add_reduced(terms[i][0], terms[i][1], num, den)
+        if not n or n % p:
+            out = terms[:i] + ((n, d, e),) * bool(n) + terms[i + 1 :]
+            return _padic(*out[0], p, out[1:]) if out else _padic(0, 1, 0, p)
+    elif (i == len(terms) or terms[i][2] - e > reach) and (not i or e - terms[i - 1][2] > reach):
+        out = (*terms[:i], (num, den, e), *terms[i:])
+        return _padic(*out[0], p, out[1:])
+    return _normal_form((*terms, (num, den, e)), p)
+
+
 def _dot(
-    x: PadicRational, y: PadicRational, z: PadicRational, w: PadicRational, p: int
+    x: PadicRational, y: PadicRational, z: PadicRational, w: PadicRational, p: int, sign: int = 1
 ) -> PadicRational:
-    """x*y + z*w for one-term values of prime p, formed from int triples;
-    a zero product is the triple (0, 1, 0)."""
+    """x*y + sign * z*w for one-term values of prime p, formed from int
+    triples; a zero product is the triple (0, 1, 0)."""
     n1, d1, e1 = n2, d2, e2 = 0, 1, 0
-    if x.num and y.num:
-        n1, d1 = _mul_reduced(x.num, x.den, y.num, y.den)
+    if x.num and y.num:  # products of integer entries need no gcd
+        n1, d1 = (
+            (x.num * y.num, 1) if x.den == 1 == y.den else _mul_reduced(x.num, x.den, y.num, y.den)
+        )
         e1 = x.e + y.e
     if z.num and w.num:
-        n2, d2 = _mul_reduced(z.num, z.den, w.num, w.den)
+        n2, d2 = (
+            (z.num * w.num, 1) if z.den == 1 == w.den else _mul_reduced(z.num, z.den, w.num, w.den)
+        )
         e2 = z.e + w.e
-    return _sum(n1, d1, e1, n2, d2, e2, p)
+    return _sum(n1, d1, e1, sign * n2, d2, e2, p)
 
 
 def _tail_residue(terms, p: int, shift: int, modulus: int) -> int:
@@ -571,7 +612,6 @@ class SingularMatrixError(ValueError):
     """Raised when a matrix that must be invertible has determinant zero."""
 
 
-@dataclass(frozen=True)
 class PadicMatrix2:
     """Exact 2x2 matrix over Q_p with p-adic helper predicates.
 
@@ -582,14 +622,22 @@ class PadicMatrix2:
     Ladder witnesses (`borel.witness` gives an element of the triangular
     group B as one) and everything `sl2.borel_past_integral` returns are
     such matrices; their products keep the huge and the small scales as
-    separate sparse terms.
+    separate sparse terms.  Matrices are never mutated after construction,
+    and compare and hash by their entries and prime.
     """
 
-    a: PadicRational
-    b: PadicRational
-    c: PadicRational
-    d: PadicRational
-    prime: int
+    __slots__ = ("a", "b", "c", "d", "prime")
+
+    def __init__(self, a, b, c, d, prime: int) -> None:
+        self.a, self.b, self.c, self.d, self.prime = a, b, c, d, prime
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not PadicMatrix2:
+            return NotImplemented
+        return self.prime == other.prime and self.entries() == other.entries()
+
+    def __hash__(self) -> int:
+        return hash((*self.entries(), self.prime))
 
     @classmethod
     def of(cls, rows, p: int) -> "PadicMatrix2":
@@ -599,9 +647,10 @@ class PadicMatrix2:
         of = PadicRational.of
         return cls(of(a, p), of(b, p), of(c, p), of(d, p), p)
 
-    @classmethod
-    def identity(cls, p: int) -> "PadicMatrix2":
-        return cls.of(((1, 0), (0, 1)), p)
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def identity(p: int) -> "PadicMatrix2":
+        return PadicMatrix2.of(((1, 0), (0, 1)), p)
 
     def to_json(self) -> list[list[str]]:
         return [[str(x.to_fraction()) for x in row] for row in self.rows()]
@@ -610,17 +659,17 @@ class PadicMatrix2:
         return ((self.a, self.b), (self.c, self.d))
 
     def det(self) -> PadicRational:
-        a, b, c, d = self.entries()
+        a, b, c, d = self.a, self.b, self.c, self.d
         if a.rest or b.rest or c.rest or d.rest:
             return a * d - b * c
-        return _dot(a, d, -b, c, self.prime)
+        return _dot(a, d, b, c, self.prime, -1)
 
     def __matmul__(self, other: "PadicMatrix2") -> "PadicMatrix2":
         p = self.prime
         if p != other.prime:
             raise ValueError("mixed primes in matrix arithmetic")
-        a, b, c, d = self.entries()
-        e, f, g, h = other.entries()
+        a, b, c, d = self.a, self.b, self.c, self.d
+        e, f, g, h = other.a, other.b, other.c, other.d
         if a.rest or b.rest or c.rest or d.rest or e.rest or f.rest or g.rest or h.rest:
             (a, b), (c, d) = mat_mul(self.rows(), other.rows())
             return PadicMatrix2(a, b, c, d, p)

@@ -32,41 +32,39 @@ RESIDUE_LEVEL_MAX = 12  # largest residue level n accepted anywhere
 @lru_cache(maxsize=None)
 def hensel_modulus(p: int, n: int) -> int:
     """Modulus p**(2*v_p(n)+1) at which unit nth powers are decided."""
+    if p < 2:
+        raise ValueError(f"p-adic normalisation needs a prime, got {p}")
     e, _ = int_valuation(n, p)
     return p ** (2 * e + 1)
 
 
-def _signature(x: RationalLike, n: int, p: int, zero_message: str) -> tuple[int, int]:
-    """(v(x), unit part of x mod `hensel_modulus(p, n)`) for a nonzero
-    rational.  An int or Fraction is read from its numerator and
-    denominator, with no `PadicRational` built; anything else (bool and
-    subclasses included) goes through `PadicRational.of`."""
-    if (type(x) is int or type(x) is Fraction) and p >= 2:
+def _signature(x: RationalLike, p: int, modulus: int, zero_message: str) -> tuple[int, int]:
+    """(v(x), unit part of x mod `modulus`) for a nonzero rational.  An
+    int or Fraction is read from its numerator and denominator, with no
+    `PadicRational` built; anything else (bool and subclasses included)
+    goes through `PadicRational.of`."""
+    if type(x) is int or type(x) is Fraction:
         num, den = x.as_integer_ratio()
         if not num:
             raise ValueError(zero_message)
         e = 0
         if not (num % p and den % p):
             num, den, e = _strip(num, den, p)
-        modulus = hensel_modulus(p, n)
         if den != 1:
             num *= pow(den, -1, modulus)
         return e, num % modulus
     value = PadicRational.of(x, p)
     if not value:
         raise ValueError(zero_message)
-    return value.e, value.unit_residue(hensel_modulus(p, n))
+    return value.e, value.unit_residue(modulus)
 
 
 @lru_cache(maxsize=None)
-def _unit_power_residues(p: int, n: int, modulus: int) -> frozenset[int]:
-    """All residues a**n mod `modulus` for units a; exhaustive enumeration."""
-    out = set()
-    for a in range(1, modulus):
-        if a % p == 0:
-            continue
-        out.add(pow(a, n, modulus))
-    return frozenset(out)
+def _unit_powers(p: int, n: int) -> tuple[int, frozenset[int]]:
+    """The Hensel modulus and all residues a**n mod it for units a;
+    exhaustive enumeration."""
+    modulus = hensel_modulus(p, n)
+    return modulus, frozenset(pow(a, n, modulus) for a in range(1, modulus) if a % p)
 
 
 def is_nth_power(x: RationalLike, n: int, p: int) -> bool:
@@ -77,10 +75,9 @@ def is_nth_power(x: RationalLike, n: int, p: int) -> bool:
     """
     if n < 1:
         raise ValueError("power level must be >= 1")
-    e, residue = _signature(x, n, p, "zero is not in the multiplicative group")
-    if e % n != 0:
-        return False
-    return residue in _unit_power_residues(p, n, hensel_modulus(p, n))
+    modulus, powers = _unit_powers(p, n)
+    e, residue = _signature(x, p, modulus, "zero is not in the multiplicative group")
+    return e % n == 0 and residue in powers
 
 
 @dataclass(frozen=True)
@@ -108,28 +105,26 @@ class ResidueClass:
         return str(self.representative)
 
 
-@lru_cache(maxsize=None)
-def _canonical_unit_rep(p: int, n: int, residue: int) -> int:
-    """Smallest positive integer unit whose class matches `residue`.
-
-    `residue` is a unit residue at the Hensel modulus; w matches iff
-    w/residue is an nth power there.
-    """
-    modulus = hensel_modulus(p, n)
-    powers = _unit_power_residues(p, n, modulus)
-    inv = pow(residue, -1, modulus)
-    for w in range(1, modulus + 1):
-        if w % p == 0:
-            continue
-        if (w * inv) % modulus in powers:
-            return w
-    raise AssertionError("unit residue search exhausted; unreachable")
-
-
 def class_of(x: RationalLike, n: int, p: int) -> ResidueClass:
     """Canonical power-residue class of a nonzero rational."""
-    e, residue = _signature(x, n, p, "zero has no residue class")
-    return ResidueClass(p, n, _canonical_unit_rep(p, n, residue) * p ** (e % n))
+    e, residue = _signature(x, p, hensel_modulus(p, n), "zero has no residue class")
+    return _canonical_class(p, n, residue, e % n)
+
+
+@lru_cache(maxsize=None)
+def _canonical_class(p: int, n: int, residue: int, shift: int) -> ResidueClass:
+    """The class of u * p**shift for a unit u of residue `residue` at the
+    Hensel modulus, built once: its representative is w * p**shift for
+    the smallest positive integer unit w with w/residue an nth power
+    there."""
+    if shift:  # the unit search is shared by every shift
+        return ResidueClass(p, n, _canonical_class(p, n, residue, 0).representative * p**shift)
+    modulus, powers = _unit_powers(p, n)
+    inv = pow(residue, -1, modulus)
+    for w in range(1, modulus + 1):
+        if w % p and (w * inv) % modulus in powers:
+            return ResidueClass(p, n, w)
+    raise AssertionError("unit residue search exhausted; unreachable")
 
 
 @lru_cache(maxsize=None)
@@ -157,13 +152,12 @@ class ResidueGroup:
         # a representative is u * p**e with 0 <= e < n, so the class of a
         # product has valuation (e + e') mod n and unit residue u * u'
         modulus = hensel_modulus(p, n)
-        powers = [p**e for e in range(n)]
         parts = [(e, u % modulus) for e, u in (int_valuation(r, p) for r in reps)]
         self.table: dict[tuple[int, int], int] = {}
         for r, (e, u) in zip(reps, parts):
             for s, (f, w) in zip(reps, parts):
-                unit = _canonical_unit_rep(p, n, u * w % modulus)
-                self.table[(r, s)] = unit * powers[(e + f) % n]
+                klass = _canonical_class(p, n, u * w % modulus, (e + f) % n)
+                self.table[(r, s)] = klass.representative
         self._verify_axioms()
 
     @property
@@ -275,16 +269,16 @@ def brute_force_order(p: int, n: int) -> int:
     nth power.  No group structure is used: just the membership test.
     """
     modulus = hensel_modulus(p, n)
-    values: list[Fraction] = []
+    values: list[int] = []
     for e in range(n):
         for u in range(1, modulus):
             if u % p == 0:
                 continue
-            values.append(Fraction(u * p**e))
-    values.extend(Fraction(k) for k in range(1, min(p**3, 200)) if k % p != 0)
-    buckets: list[Fraction] = []
+            values.append(u * p**e)
+    values.extend(k for k in range(1, min(p**3, 200)) if k % p != 0)
+    buckets: list[int] = []
     for x in values:
-        if not any(is_nth_power(x / b, n, p) for b in buckets):
+        if not any(is_nth_power(Fraction(x, b), n, p) for b in buckets):
             buckets.append(x)
     return len(buckets)
 

@@ -35,7 +35,7 @@ from math import gcd, lcm
 
 from ._graph import skew_components, strongly_connected_components
 from .borel import leading_class, witness as borel_witness
-from .padic import PadicMatrix2, PadicRational, _require, int_valuation, mat_mul
+from .padic import PadicMatrix2, PadicRational, _padic, _require, int_valuation, mat_mul
 from .residues import (
     ResidueClass,
     build_group,
@@ -68,12 +68,14 @@ def iwasawa(g: PadicMatrix2) -> tuple[PadicMatrix2, PadicMatrix2]:
     pivot_top = bool(g.a) and g.a.e <= g.c.e  # g.c != 0 here; a zero g.a pivots on it
     e = g.a.e if pivot_top else g.c.e
     u0, u1 = g.a.shifted(-e), g.c.shifted(-e)
-    zero, scale = PadicRational.of(0, p), PadicRational.of(1, p).shifted(e)
+    zero = _padic(0, 1, 0, p)
     if pivot_top:
-        t, corner = PadicMatrix2(u0, zero, u1, u0.inverse(), p), g.b / u0
+        inverse = u0.inverse()
+        t, corner = PadicMatrix2(u0, zero, u1, inverse, p), g.b * inverse
     else:
-        t, corner = PadicMatrix2(u0, -u1.inverse(), u1, zero, p), g.d / u1
-    h = PadicMatrix2(scale, corner, zero, scale.inverse(), p)
+        inverse = u1.inverse()
+        t, corner = PadicMatrix2(u0, -inverse, u1, zero, p), g.d * inverse
+    h = PadicMatrix2(_padic(1, 1, e, p), corner, zero, _padic(1, 1, -e, p), p)
     _require(t.is_unimodular_integral(), "iwasawa: integral factor is not unimodular")
     _require(h.is_upper_triangular(), "iwasawa: remainder is not upper triangular")
     return t, h

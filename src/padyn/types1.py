@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from padyn.padic import PadicRational, RationalLike, _coerce_fraction
 from padyn.residues import ResidueClass, build_group, class_of
@@ -121,9 +122,10 @@ class TruncType1:
         return (self.kind, base, rep)
 
 
+@lru_cache(maxsize=None)
 def _witness_scale(klass: ResidueClass, magnitude: int, toward_infinity: bool) -> PadicRational:
     """rep(C) * p**(+-nk), the least level-multiple putting the witness
-    at distance at least `magnitude` on the requested side."""
+    at distance at least `magnitude` on the requested side; built once."""
     n = klass.level_n
     rep = PadicRational.of(klass.representative, klass.prime)
     if toward_infinity:

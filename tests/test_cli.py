@@ -171,6 +171,17 @@ def test_one_parser_serves_every_call_in_a_process(capsys):
     assert cli.build_parser.cache_info().misses == 1
 
 
+def test_python_dash_m_padyn_runs_the_cli(capsys):
+    src = str(Path(padyn.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    argv = [sys.executable, "-m", "padyn", "residues"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    code, out, err = run_cli(capsys, "residues")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    assert out
+
+
 def test_flows_reports_two_multiplicative_subflows(capsys):
     code, out, err = run_cli(capsys, "flows", "--group", "gm")
     assert code == 0
@@ -452,6 +463,17 @@ STDOUT_SHA256 = {
     "minimal-flow --p 7 --n 6": "753db039445c58c4750bd6f74b34ebcb3e17fd50dc7b289fa7eae97f7447d134",
     "minimal-flow --p 3 --m 2": "61243b6209281ec89cf6bb41c0c0cff34b51d0e74e9499faf9972f48597c0a6b",
     "ellis --p 3 --n 6 --m 2": "c6330af60f054e1e75dad78d57e1f858997bbbe77b213ece1d3972e9fe015fd3",
+    "verify --check residue-oracle --seed 20260814": (
+        "12b586e4a3ce0c3e4cec837ecef9d049240fa3db00f2d025c7aea6e9d9d333a4"
+    ),
+    "verify --check type-roundtrip --seed 20260814": (
+        "a85c1310e682c023dd6c959573ff363e247b7c2d41c80109d876496078474dc5"
+    ),
+    "verify --check affine-flows --seed 20260814": (
+        "b0682083ae32d80c0fe89819519e2d920f0d473921807b16dcfb00f562cd9bdf"
+    ),
+    # the int-coded affine flow at a scaled level: 628 states
+    "flows --group Gm --w 3": "9128e483771d2c22ff83e76a1a5849b29d4d7708b31b37880f24cd6bfc6aaeb3",
     "verify --check iwasawa-rewrite --seed 20260814": (
         "5a0fa78ff1398c15b12a0ef88b2f0a52885315e8d2c12b4b3b8bdeba54feba03"
     ),

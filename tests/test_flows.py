@@ -9,18 +9,83 @@ import pytest
 from padyn import cli, flows
 from padyn.flows import (
     GROUP_TAGS,
-    _action_adjacency,
+    _domain,
+    _successors,
     act_add,
-    act_mul,
-    closure_transitions,
     default_base_points,
     minimal_subflows,
     normalize_group_tag,
     state_space,
 )
-from padyn.padic import PadicRational
+from padyn.padic import PadicRational, RationalLike
 from padyn.residues import build_group, class_of
-from padyn.types1 import ScaleLadder, TruncType1, classify, enumerate_types, realize
+from padyn.types1 import (
+    AT_INFINITY,
+    NEAR,
+    REALIZED,
+    ScaleLadder,
+    TruncType1,
+    classify,
+    enumerate_types,
+    realize,
+)
+
+# ---- the symbolic flow on TruncType1s: the oracle of `flows._successors`
+
+
+def act_mul(g: RationalLike, t: TruncType1) -> TruncType1:
+    """Scale a truncated type by a nonzero exact rational."""
+    if g == 0:
+        raise ValueError("zero multiplier")
+    if t.kind == REALIZED:
+        return TruncType1.realized(t.base * g)
+    twist = class_of(g, t.klass.level_n, t.klass.prime)
+    if t.kind == NEAR:
+        return TruncType1.near(t.base * g, twist * t.klass)
+    return TruncType1.at_infinity(twist * t.klass)
+
+
+def closure_transitions(
+    t: TruncType1, group_tag: str, p: int, n: int, w: int
+) -> frozenset[TruncType1]:
+    """Limit states adjoined when group elements escape every scale (the
+    rules `flows._successors` states), validated against extreme-valuation
+    sampling below."""
+    tag = normalize_group_tag(group_tag)
+    if t.kind == AT_INFINITY or (tag in ("Gm", "ZpMul") and t.base == 0):
+        return frozenset()
+    classes = build_group(p, n).elements
+    if tag == "Ga":
+        return frozenset(TruncType1.at_infinity(c) for c in classes)
+    if tag == "Gm":
+        return frozenset(
+            s for c in classes for s in (TruncType1.near(0, c), TruncType1.at_infinity(c))
+        )
+    if t.kind == NEAR:
+        return frozenset()
+    _, near_bases = _domain(tag, p, w)
+    return frozenset(TruncType1.near(a, c) for a in near_bases for c in classes)
+
+
+def _action_adjacency(group_tag, states, p: int, n: int) -> dict:
+    """Exact symbolic action edges keeping every base inside the space."""
+    tag = normalize_group_tag(group_tag)
+    classes = build_group(p, n).elements
+    realized_bases = [s.base for s in states if s.kind == REALIZED]
+    adjacency: dict[TruncType1, set[TruncType1]] = {}
+    for s in states:
+        if tag in ("Ga", "ZpAdd"):
+            if s.kind == AT_INFINITY:
+                adjacency[s] = {s}
+            else:
+                adjacency[s] = {act_add(a - s.base, s) for a in realized_bases}
+        elif tag == "Gm" and (s.kind == AT_INFINITY or s.base == 0):
+            # the near-zero and at-infinity families: scalings move only the class
+            adjacency[s] = {TruncType1(s.kind, s.base, c * s.klass) for c in classes}
+        else:  # scaling by the ratios of the realized bases
+            adjacency[s] = {act_mul(a / s.base, s) for a in realized_bases}
+    return adjacency
+
 
 CFG = (5, 2, 2)  # p, n, w
 GROUP = build_group(5, 2)
@@ -239,6 +304,20 @@ def test_flow_report_json_shape():
 
 
 ORBIT_LEVELS = [(5, 2, 2), (3, 2, 2), (7, 2, 1), (2, 2, 2)]
+# the levels the int flow is checked at against the symbolic oracle
+FLOW_LEVELS = [(5, 1, 2), (5, 2, 2), (5, 3, 2), (3, 2, 2), (7, 2, 1), (3, 3, 3), (2, 2, 1)]
+
+
+@pytest.mark.parametrize("tag", GROUP_TAGS)
+@pytest.mark.parametrize("p, n, w", FLOW_LEVELS)
+def test_int_successors_decode_to_the_symbolic_action_and_closure(p, n, w, tag):
+    states = state_space(tag, p, n, w)
+    action, closure = _successors(tag, p, n, w)
+    assert len(action) == len(closure) == len(states) == len(set(states))
+    oracle = _action_adjacency(tag, states, p, n)
+    for s, moved, escaped in zip(states, action, closure):
+        assert {states[t] for t in moved} == oracle[s], str(s)
+        assert {states[t] for t in escaped} == closure_transitions(s, tag, p, n, w), str(s)
 
 
 @pytest.mark.parametrize("tag", GROUP_TAGS)
@@ -262,10 +341,12 @@ def test_orbits_are_the_weak_components_of_the_action_on_the_union(p, n, w, tag)
 
 
 def test_a_successor_outside_the_state_space_is_an_error(monkeypatch, capsys):
-    def escaping(t, group_tag, p, n, w):
-        return frozenset({TruncType1.realized(Fraction(1, 7))})
+    def escaping(tag, p, n, w):
+        action, closure = _successors(tag, p, n, w)
+        closure[0] = [*closure[0], len(closure)]  # one past the last state
+        return action, closure
 
-    monkeypatch.setattr(flows, "closure_transitions", escaping)
+    monkeypatch.setattr(flows, "_successors", escaping)
     with pytest.raises(ArithmeticError, match="left the state space"):
         minimal_subflows("Gm", *CFG)
     assert cli.run(["flows", "--group", "gm"]) == 3
@@ -273,7 +354,7 @@ def test_a_successor_outside_the_state_space_is_an_error(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("tag", GROUP_TAGS)
-@pytest.mark.parametrize("p, n, w", ORBIT_LEVELS)
+@pytest.mark.parametrize("p, n, w", [*FLOW_LEVELS, (2, 2, 2)])
 def test_minimal_subflows_are_the_attracting_components_of_action_and_closure(p, n, w, tag):
     report = minimal_subflows(tag, p, n, w)
     states = state_space(tag, p, n, w)

@@ -16,14 +16,24 @@ and coefficients above `_SPARSE_BITS`; `@` and `det` also against the
 generic 2x2 product.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padyn.padic import PadicMatrix2, PadicRational, _coerce_fraction, _padic, mat_mul
+from padyn.padic import (
+    PadicMatrix2,
+    PadicRational,
+    _coerce_fraction,
+    _mul_reduced,
+    _normal_form,
+    _padic,
+    mat_mul,
+)
 from padyn.residues import build_group, class_of, is_nth_power
 from padyn.types1 import DEFAULT_LADDER, TruncType1, realize
 
@@ -611,3 +621,130 @@ def test_ladder_witnesses_above_the_first_rung_keep_two_terms(p):
                     assert low == PadicRational.of(base, p).terms()[0]
                     assert high[2] >= ladder.rungs[rung]
                     assert (witness - base).terms() == (high,)
+
+
+# --- one-term values against sparse ones -------------------------------
+
+
+@st.composite
+def sparse_and_coefficients(draw):
+    """A normal-form sparse value of 2-4 terms a ladder-scale gap apart
+    (now and then with a coefficient above `_SPARSE_BITS`), its terms'
+    coefficients and exponents, and three more nonzero coefficients."""
+    p = draw(st.sampled_from(PRIMES))
+    reach = fold_reach(p)
+    small = st.integers(-10**6, 10**6).filter(lambda k: k % p)
+    big = st.integers(2**260, 2**300).filter(lambda k: k % p)
+    den = st.integers(1, 10**4).filter(lambda k: k % p)
+    nonzero = st.builds(Fraction, st.one_of(small, small, small, small, small, big), den)
+    exps = [draw(st.integers(-60, 60))]
+    for _ in range(draw(st.integers(1, 3))):
+        exps.append(exps[-1] + draw(st.sampled_from([reach + 1, reach + 2, 2 * reach + 3, 96, 784])))
+    coeffs = [draw(nonzero) for _ in exps]
+    terms = tuple((c.numerator, c.denominator, e) for c, e in zip(coeffs, exps))
+    return p, _padic(*terms[0], p, terms[1:]), coeffs, exps, [draw(nonzero) for _ in range(3)]
+
+
+def placed_terms(p: int, coeffs, exps, extra) -> list[tuple[Fraction, int]]:
+    """(c, e) for a one-term value c * p**e that cancels each term, merges
+    into it p-free or with a numerator p divides (the `_normal_form`
+    path), sits 1, 2, reach - 1 or reach digits above or below it (inside
+    its fold gap), or sits a full fold gap from every term."""
+    reach = fold_reach(p)
+    out = []
+    for c, e in zip(coeffs, exps):
+        carry = Fraction(p * extra[1].numerator - c.numerator, c.denominator)
+        out += [(-c, e), (extra[0], e), (carry, e)]
+        out += [(extra[2], e + g * s) for g in (1, 2, reach - 1, reach) for s in (1, -1)]
+    apart = [f + s * (reach + 1) for f in exps for s in (1, -1)]
+    apart += [(f + g) // 2 for f, g in zip(exps, exps[1:])]
+    out += [(extra[0], a) for a in apart if all(abs(a - f) > reach for f in exps)]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_and_coefficients())
+def test_one_term_and_sparse_arithmetic_match_fraction_and_the_normal_form(case):
+    p, x, coeffs, exps, extra = case
+    xf = sum(c * Fraction(p) ** e for c, e in zip(coeffs, exps))
+    assert_same(x, xf)
+    for c, e in placed_terms(p, coeffs, exps, extra):
+        t, tf = PadicRational.of(c, p).shifted(e), c * Fraction(p) ** e
+        assert not t.rest and t
+        sparse = x._sparse() and t._sparse()
+        for got, want, terms in (
+            (x + t, xf + tf, x.terms() + t.terms()),
+            (t + x, xf + tf, x.terms() + t.terms()),
+            (x - t, xf - tf, x.terms() + (-t).terms()),
+            (t - x, tf - xf, t.terms() + (-x).terms()),
+        ):
+            assert_same(got, want)
+            if sparse:  # the terms the heap normal form gives
+                assert got.terms() == _normal_form(terms, p).terms()
+        products = [
+            (*_mul_reduced(n1, d1, n2, d2), e1 + e2)
+            for n1, d1, e1 in x.terms()
+            for n2, d2, e2 in t.terms()
+        ]
+        for got in (x * t, t * x):
+            assert_same(got, xf * tf)
+            if sparse:
+                assert got.terms() == _normal_form(products, p).terms()
+        assert (x == x + t) is False and (x + t) - t == x
+    twin = _padic(x.num, x.den, x.e, p, tuple(x.rest))
+    assert twin is not x and twin == x and x == twin and hash(twin) == hash(x)
+    den = next(d for d in range(x.den + 1, x.den + 10**3) if d % p and gcd(x.num, d) == 1)
+    assert x != _padic(x.num, den, x.e, p, x.rest) != x
+
+
+@dataclass(frozen=True)
+class FrozenMatrix:
+    """The frozen dataclass layout `PadicMatrix2` had: equality and hash
+    by the tuple of its fields."""
+
+    a: PadicRational
+    b: PadicRational
+    c: PadicRational
+    d: PadicRational
+    prime: int
+
+
+@SETTINGS
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([5, 7]), *[st.integers(-1, 1)] * 3), min_size=1, max_size=12
+    )
+)
+def test_matrix_equality_and_hash_match_the_dataclass_as_keys(draws):
+    # entries and primes drawn from a few values, so equal matrices built
+    # apart, and equal entries under two primes, are common
+    def entry(k: int, p: int) -> PadicRational:
+        return PadicRational.of(Fraction(k, 3), p)
+
+    mats, twins = [], []
+    for p, k, m, s in draws:
+        entries = (entry(k, p), entry(m, p), entry(s, p), entry(k + m, p))
+        mats.append(PadicMatrix2(*entries, p))
+        twins.append(FrozenMatrix(*entries, p))
+    for g, f in zip(mats, twins):
+        assert hash(g) == hash(f)
+        for h, e in zip(mats, twins):
+            assert (g == h) == (f == e) and (g != h) == (f != e)
+    assert g != f and g != None and not g == (g.a, g.b, g.c, g.d, g.prime)  # noqa: E711
+    keys = {}
+    for i, (g, f) in enumerate(zip(mats, twins)):
+        keys.setdefault(g, i)
+        keys.setdefault(f, i)
+    assert [keys[g] for g in mats] == [keys[f] for f in twins]
+
+    @lru_cache(maxsize=None)
+    def cached(g):
+        return g
+
+    @lru_cache(maxsize=None)
+    def cached_twin(f):
+        return f
+
+    for g, f in zip(mats, twins):
+        assert cached(g) == g and cached_twin(f) == f
+    assert cached.cache_info() == cached_twin.cache_info()

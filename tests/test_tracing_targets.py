@@ -23,6 +23,7 @@ ABSENT = [
     "proj.act_proj",
     "proj.snap_type",
     "proj.classify_value",
+    "flows.act_mul",
 ]
 
 
