@@ -70,66 +70,84 @@ def skew_components(columns, products, root: int, identity: int) -> int | None:
     """Strongly connected components of a skew product, counted on its base.
 
     The product's states are pairs (u, j) of a base node u and a fibre
-    element j of a finite abelian group J.  Each move is a column:
-    column[u] = (v, twist) sends (u, j) to (v, twist·j), where
-    products[r][s] is the index of r·s and `identity` that of J's unit.
-    Returns None unless the base graph on the nodes 0 .. len(column) - 1
-    is strongly connected.  Otherwise a forward BFS from `root` sets a
-    potential φ with φ(v) = twist·φ(u) along its tree; the defects
-    φ(v)⁻¹·twist·φ(u) of all edges generate a subgroup H, and the count is
-    the index [J : H] (the voltage-graph criterion, Gross and Tucker,
+    element j of a finite abelian group J.  Each move is a flat column
+    (targets, twists): it sends (u, j) to (targets[u], twists[u]·j), where
+    twists is a sequence, or one int when the move twists every node
+    alike; products[r][s] is the index of r·s and `identity` that of J's
+    unit.  Returns None unless the base graph on the nodes
+    0 .. len(targets) - 1 is strongly connected.
+
+    One depth-first search from `root` decides that with Tarjan's low
+    links: any node other than the root whose low link is its own index
+    closes a component without the root, so the search stops there, and
+    since no component is ever closed before the root's, every visited
+    node is still on Tarjan's stack and needs no flag.  The search's tree
+    sets a potential φ with φ(v) = twist·φ(u); the defects
+    φ(v)⁻¹·twist·φ(u) of all edges generate a subgroup H, and the count
+    is the index [J : H] (the voltage-graph criterion, Gross and Tucker,
     *Topological Graph Theory*, ch. 2: every move translates J, so a
-    component is a coset of H in each fibre).
+    component is a coset of H in each fibre).  The defects are read a
+    column at a time, and the rest are skipped once H is all of J.
     """
-    size = len(columns[0])
+    size, moves = len(columns[0][0]), len(columns)
+    order = array("i", [-1]) * size  # discovery index
+    low = array("i", [0]) * size
     phi = array("i", [-1]) * size
-    phi[root] = identity
-    queue = [root]
-    for u in queue:
-        here = phi[u]
-        for column in columns:
-            v, twist = column[u]
-            if phi[v] < 0:
-                phi[v] = products[twist][here]
-                queue.append(v)
-    if len(queue) < size:
+    order[root], phi[root] = 0, identity
+    found = 1
+    # the search path, with the next column to try at each of its nodes
+    path, nexts = array("i", [root]), array("i", [0])
+    while path:
+        u = path[-1]
+        c = nexts[-1]
+        least = low[u]
+        while c < moves:
+            targets, twists = columns[c]
+            c += 1
+            v = targets[u]
+            seen = order[v]
+            if seen < 0:
+                break
+            if seen < least:
+                least = seen
+        else:
+            path.pop()
+            nexts.pop()
+            if least == order[u]:
+                if u != root:
+                    return None
+            elif least < low[path[-1]]:
+                low[path[-1]] = least
+            continue
+        low[u] = least
+        nexts[-1] = c
+        order[v] = low[v] = found
+        found += 1
+        phi[v] = products[twists if type(twists) is int else twists[u]][phi[u]]
+        path.append(v)
+        nexts.append(0)
+    if found < size:
         return None
-    # the reverse index: the sources of the edges into v are
-    # sources[start[v]:start[v + 1]]
-    start = array("q", [0]) * (size + 1)
-    for column in columns:
-        for v, _ in column:
-            start[v + 1] += 1
-    for v in range(size):
-        start[v + 1] += start[v]
-    fill = start[:-1]
-    sources = array("i", [0]) * start[-1]
-    for column in columns:
-        for u, (v, _) in enumerate(column):
-            sources[fill[v]] = u
-            fill[v] += 1
-    seen = bytearray(size)
-    seen[root] = True
-    queue = [root]
-    for v in queue:
-        for u in sources[start[v] : start[v + 1]]:
-            if not seen[u]:
-                seen[u] = True
-                queue.append(u)
-    if len(queue) < size:
-        return None
+    del order, low
     inverse = [row.index(identity) for row in products]
-    defects = {
-        products[inverse[phi[v]]][products[twist][phi[u]]]
-        for column in columns
-        for u, (v, twist) in enumerate(column)
-    }
     subgroup = {identity}
-    queue = [identity]
-    for x in queue:
-        for d in defects:
-            y = products[d][x]
-            if y not in subgroup:
-                subgroup.add(y)
-                queue.append(y)
+    for targets, twists in columns:
+        # the column's distinct (φ(v), twist, φ(u)), gathered in C
+        heads = map(phi.__getitem__, targets)
+        if type(twists) is int:
+            row = products[twists]
+            defects = {products[inverse[h]][row[t]] for h, t in set(zip(heads, phi))}
+        else:
+            defects = {
+                products[inverse[h]][products[s][t]] for h, s, t in set(zip(heads, twists, phi))
+            }
+        queue = list(subgroup)
+        for x in queue:
+            for d in defects:
+                y = products[d][x]
+                if y not in subgroup:
+                    subgroup.add(y)
+                    queue.append(y)
+        if len(subgroup) == len(products):
+            break
     return len(products) // len(subgroup)

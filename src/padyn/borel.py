@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .padic import PadicMatrix2
+from .padic import PadicMatrix2, _dot
 from .residues import ResidueClass, build_group, class_of
 from .types1 import DEFAULT_LADDER, ScaleLadder, TruncType1, realize
 
@@ -48,8 +48,13 @@ def witness(t: ResidueClass, ladder: ScaleLadder, rung_index: int = 0) -> PadicM
 
 
 def leading_class(left: PadicMatrix2, right: PadicMatrix2, level_n: int) -> ResidueClass:
-    """The level-n class of (left @ right).a, formed alone exactly as `@` forms it."""
-    return class_of(left.a * right.a + left.b * right.c, level_n, left.prime)
+    """The level-n class of (left @ right).a, formed alone exactly as `@`
+    forms it: from int triples when the four entries are one-term, as a
+    sparse sum otherwise."""
+    x, y, z, w = left.a, right.a, left.b, right.c
+    if x.rest or y.rest or z.rest or w.rest:
+        return class_of(x * y + z * w, level_n, left.prime)
+    return class_of(_dot(x, y, z, w, left.prime), level_n, left.prime)
 
 
 def star(s: ResidueClass, t: ResidueClass, ladder: ScaleLadder) -> ResidueClass:

@@ -548,18 +548,16 @@ def _dot(
 ) -> PadicRational:
     """x*y + sign * z*w for one-term values of prime p, formed from int
     triples; a zero product is the triple (0, 1, 0)."""
-    n1, d1, e1 = n2, d2, e2 = 0, 1, 0
+    n1, d1, e1 = 0, 1, 0
     if x.num and y.num:  # products of integer entries need no gcd
         n1, d1 = (
             (x.num * y.num, 1) if x.den == 1 == y.den else _mul_reduced(x.num, x.den, y.num, y.den)
         )
         e1 = x.e + y.e
-    if z.num and w.num:
-        n2, d2 = (
-            (z.num * w.num, 1) if z.den == 1 == w.den else _mul_reduced(z.num, z.den, w.num, w.den)
-        )
-        e2 = z.e + w.e
-    return _sum(n1, d1, e1, sign * n2, d2, e2, p)
+    if not (z.num and w.num):  # x*y alone, as `_sum` would return it
+        return _padic(n1, d1, e1, p)
+    n2, d2 = (z.num * w.num, 1) if z.den == 1 == w.den else _mul_reduced(z.num, z.den, w.num, w.den)
+    return _sum(n1, d1, e1, sign * n2, d2, z.e + w.e, p)
 
 
 def _tail_residue(terms, p: int, shift: int, modulus: int) -> int:

@@ -80,18 +80,40 @@ def is_nth_power(x: RationalLike, n: int, p: int) -> bool:
     return e % n == 0 and residue in powers
 
 
-@dataclass(frozen=True)
 class ResidueClass:
     """A power-residue class, keyed by its canonical representative.
 
     The canonical representative is the smallest positive integer of the
     form u * p**e with 0 <= e < n, u the smallest positive integer unit
-    in the class of the unit part.
+    in the class of the unit part.  Never mutated after construction;
+    equal and hashed by (prime, level_n, representative), as a frozen
+    dataclass of those fields would be, with the hash formed once (a
+    class is an `lru_cache` key of the witness layers).
     """
 
-    prime: int
-    level_n: int
-    representative: int
+    __slots__ = ("prime", "level_n", "representative", "_hash")
+
+    def __init__(self, prime: int, level_n: int, representative: int) -> None:
+        self.prime, self.level_n, self.representative = prime, level_n, representative
+        self._hash = hash((prime, level_n, representative))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not ResidueClass:
+            return NotImplemented
+        return (
+            self.representative == other.representative
+            and self.prime == other.prime
+            and self.level_n == other.level_n
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return (
+            f"ResidueClass(prime={self.prime!r}, level_n={self.level_n!r}, "
+            f"representative={self.representative!r})"
+        )
 
     def __mul__(self, other: "ResidueClass") -> "ResidueClass":
         if (self.prime, self.level_n) != (other.prime, other.level_n):
@@ -106,8 +128,12 @@ class ResidueClass:
 
 
 def class_of(x: RationalLike, n: int, p: int) -> ResidueClass:
-    """Canonical power-residue class of a nonzero rational."""
-    e, residue = _signature(x, p, hensel_modulus(p, n), "zero has no residue class")
+    """Canonical power-residue class of a nonzero rational; a one-term
+    `PadicRational` of p is read from its int triple."""
+    modulus = hensel_modulus(p, n)
+    if type(x) is PadicRational and x.p == p and x.num and not x.rest:
+        return _canonical_class(p, n, x.num * pow(x.den, -1, modulus) % modulus, x.e % n)
+    e, residue = _signature(x, p, modulus, "zero has no residue class")
     return _canonical_class(p, n, residue, e % n)
 
 
@@ -158,13 +184,14 @@ class ResidueGroup:
             for s, (f, w) in zip(reps, parts):
                 klass = _canonical_class(p, n, u * w % modulus, (e + f) % n)
                 self.table[(r, s)] = klass.representative
-        self._verify_axioms()
+        # products[i][j] is the index of elements[i]·elements[j]
+        self.products = self._verify_axioms()
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    def _verify_axioms(self) -> None:
+    def _verify_axioms(self) -> tuple[tuple[int, ...], ...]:
         """Closure, identity and inverses cell by cell; associativity
         decided exactly by Light's test over a generating set the table is
         shown to generate (Clifford and Preston, *The Algebraic Theory of
@@ -184,20 +211,27 @@ class ResidueGroup:
         (x*(a*b))*y = ((x*a)*b)*y = (x*a)*(b*y) = x*(a*(b*y))
         = x*((a*b)*y).  1 is in A by the identity laws, checked above.  So
         once every generator passes, A is the whole group.
+
+        Returns the verified table on element indices, the group's
+        `products`.
         """
         table = self.table
         reps = list(self._index)
-        for key, val in table.items():
-            _require(val in self._index, f"residue group: product {key} left the element set")
-        for r in reps:
-            _require(table[(1, r)] == r, f"residue group: 1 is not a left identity at {r}")
-            _require(table[(r, 1)] == r, f"residue group: 1 is not a right identity at {r}")
-        for c in self.elements:
-            inv = c.inverse().representative
-            _require(table.get((c.representative, inv)) == 1, f"residue group: {c} has no inverse")
-        reached = {1}
+        # the first failing cell of each check, so each message is formatted once
+        key = next((key for key, val in table.items() if val not in self._index), None)
+        _require(key is None, f"residue group: product {key} left the element set")
+        r = next((r for r in reps if table[(1, r)] != r), None)
+        _require(r is None, f"residue group: 1 is not a left identity at {r}")
+        r = next((r for r in reps if table[(r, 1)] != r), None)
+        _require(r is None, f"residue group: 1 is not a right identity at {r}")
+        inverses = ((c, c.inverse().representative) for c in self.elements)
+        c = next((c for c, inv in inverses if table.get((c.representative, inv)) != 1), None)
+        _require(c is None, f"residue group: {c} has no inverse")
+        # the table on element indices: rows[i][j] is the index of i·j
+        rows = [[self._index[table[(r, s)]] for s in reps] for r in reps]
+        reached = {self._index[1]}
         gens: list[int] = []
-        for r in reps:
+        for r in range(len(reps)):
             if r in reached:
                 continue
             gens.append(r)
@@ -205,21 +239,19 @@ class ResidueGroup:
             while frontier:
                 x = frontier.pop()
                 for s in gens:
-                    xs = table[(x, s)]
+                    xs = rows[x][s]
                     if xs not in reached:
                         reached.add(xs)
                         frontier.append(xs)
         for a in gens:
-            times_a = [table[(x, a)] for x in reps]
-            a_times = [table[(a, y)] for y in reps]
-            _require(
-                all(
-                    table[(xa, y)] == table[(x, ay)]
-                    for x, xa in zip(reps, times_a)
-                    for y, ay in zip(reps, a_times)
-                ),
-                f"residue group: associativity failed at generator {a}",
-            )
+            # row by row: (x·a)·y against x·(a·y) for every y
+            a_times = rows[a]
+            for row in rows:
+                if rows[row[a]] != list(map(row.__getitem__, a_times)):
+                    raise ArithmeticError(
+                        f"residue group: associativity failed at generator {reps[a]}"
+                    )
+        return tuple(map(tuple, rows))
 
     def rows(self, table: dict[tuple[int, int], int]) -> list[list[str]]:
         """A product table on this group's representatives as rows of

@@ -9,8 +9,11 @@ Four layers, all exact:
   through compact factors.  Like every `PadicMatrix2`, a witness matrix
   holds `PadicRational` entries, so it stays p-normalised throughout.
 - K, the finite group of det-1 matrices mod p^m, is int-coded: an
-  element is its entry tuple, numbered by its index in `k_level_group`,
-  with `k_mul`, `k_reduce` and the cached exact det-1 lift `k_lift`.
+  element is its entry tuple, numbered by its lexicographic index,
+  which `_k_rank` computes in closed form, with `k_mul`, `k_reduce` and
+  the cached exact det-1 lift `k_lift`.  The flow reads K from four
+  `array('i')` entry columns (`_k_entries`); `k_level_group`, the tuple
+  of entry tuples, serves small levels.
 - `GFlowPoint` pairs a K element with a residue class: a triangular
   truncated type is the power-residue class of its diagonal, so the
   class is the type.  `star` multiplies two points by realizing
@@ -18,16 +21,18 @@ Four layers, all exact:
   blocks, refactoring the middle, and forming only the leading entry of
   the triangular parts' product, the one entry its class reads
   (`borel.leading_class`).  `ellis_group` tabulates the identity fiber
-  under it.  `minimal_flow` builds the finite flow K x J on ints:
-  `skew_product` tabulates iwasawa(g·lift(k)) in closed form for every
-  (generator, K element), and `act` is table lookups.  Holonomy on K
-  decides strong connectivity (`_graph.skew_components`); up to
-  `CROSS_CHECK_STATES` states Tarjan on the per-state successor lists
-  cross-checks it.
+  under it.  `minimal_flow` builds the finite flow K x J on flat int
+  columns: `skew_product` tabulates iwasawa(g·lift(k)) in closed form
+  for every (generator, K element), with no lift for the integral
+  generators unless g·lift(k) is exactly upper triangular, and `act` is
+  array lookups.  Holonomy on K decides strong connectivity
+  (`_graph.skew_components`); up to `CROSS_CHECK_STATES` states Tarjan
+  on the per-state successor lists cross-checks it.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -35,7 +40,7 @@ from math import gcd, lcm
 
 from ._graph import skew_components, strongly_connected_components
 from .borel import leading_class, witness as borel_witness
-from .padic import PadicMatrix2, PadicRational, _padic, _require, int_valuation, mat_mul
+from .padic import PadicMatrix2, PadicRational, _padic, _require, int_valuation
 from .residues import (
     ResidueClass,
     build_group,
@@ -101,8 +106,8 @@ def borel_past_integral(
     p = h.prime
     a, c = h.a, h.b
     u1, u2, u3, u4 = t.entries()
-    if u3 == 0:
-        t2, h2 = t, t.inverse() @ h @ t
+    if u3 == 0:  # det t = 1, so t^-1 is t's adjugate
+        t2, h2 = t, PadicMatrix2(u4, -u2, u3, u1, p) @ h @ t
     else:
         lead = a * u1 + c * u3
         if lead == 0:
@@ -163,17 +168,18 @@ def k_mul(x: tuple, y: tuple, mod: int) -> tuple[int, int, int, int]:
     )
 
 
-@lru_cache(maxsize=None)
-def k_level_group(p: int, level_m: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Entries (a, b, c, d) of every det-1 matrix mod p^m, in
-    lexicographic order; a K element's int code is its index here.
+def _k_entries(p: int, level_m: int) -> tuple[array, array, array, array]:
+    """K's entry columns: the det-1 matrices mod p^m in lexicographic
+    order, entries (a, b, c, d) of element i at a[i], b[i], c[i], d[i],
+    one `array('i')` per entry.
 
     For each (a, b, c) the d with a·d = 1 + b·c are solved directly:
     with g = gcd(a, p^m) they exist iff g divides 1 + b·c, and then form
     one residue class mod p^m / g.
     """
     mod = p**level_m
-    out = []
+    columns = tuple(array("i") for _ in range(4))
+    add_a, add_b, add_c, add_d = (column.append for column in columns)
     for a in range(mod):
         g = gcd(a, mod)
         step = mod // g
@@ -182,33 +188,102 @@ def k_level_group(p: int, level_m: int) -> tuple[tuple[int, int, int, int], ...]
             for c in range(mod):
                 rhs = (1 + b * c) % mod
                 if rhs % g == 0:
-                    out.extend((a, b, c, d) for d in range(rhs // g * inv % step, mod, step))
-    expected = (p**3 - p) * p ** (3 * (level_m - 1))
-    _require(len(out) == expected, "K enumeration missed elements")
-    return tuple(out)
+                    for d in range(rhs // g * inv % step, mod, step):
+                        add_a(a)
+                        add_b(b)
+                        add_c(c)
+                        add_d(d)
+    _require(
+        len(columns[0]) == (p**3 - p) * p ** (3 * (level_m - 1)), "K enumeration missed elements"
+    )
+    return columns
+
+
+@lru_cache(maxsize=None)
+def _k_rank(p: int, level_m: int):
+    """The K index (position in `_k_entries` order) of entries
+    (a, b, c, d), in closed form, so no index of K (a dict or a sorted
+    code table) is kept.
+
+    With M = p^m and g = gcd(a, M): a unit a has one d for every (b, c),
+    so M² elements, at b·M + c.  Otherwise b must be a unit, the valid c
+    are one class mod g and each has g values of d, one class mod M / g:
+    M elements per unit b, the c-th valid c at (c // g)·g and the d-th
+    d at d // (M / g).
+    """
+    mod = p**level_m
+    units_below = [b - (b + p - 1) // p for b in range(mod + 1)]
+    offsets, gcds, steps = [], [], []
+    total = 0
+    for a in range(mod):
+        g = gcd(a, mod)
+        offsets.append(total)
+        gcds.append(g)
+        steps.append(mod // g)
+        total += mod * (mod if g == 1 else units_below[mod])
+    _require(total == (p**3 - p) * p ** (3 * (level_m - 1)), "K rank: the offsets miss elements")
+
+    def rank(a: int, b: int, c: int, d: int) -> int:
+        g = gcds[a]
+        if g == 1:
+            return offsets[a] + b * mod + c
+        return offsets[a] + units_below[b] * mod + c // g * g + d // steps[a]
+
+    return rank
+
+
+@lru_cache(maxsize=None)
+def k_level_group(p: int, level_m: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Entries (a, b, c, d) of every det-1 matrix mod p^m, in
+    lexicographic order; a K element's int code is its index here.
+    The flow never builds this tuple (it reads `_k_entries` and finds
+    indices by `_k_rank`); `star`'s callers and the tests read it at
+    small levels."""
+    return tuple(zip(*_k_entries(p, level_m)))
 
 
 # ------------------------------------------------------------ flow points
 
 
-@dataclass(frozen=True)
 class GFlowPoint:
     """A K element's entry tuple, reduced mod p^m, paired with a
-    triangular type's class."""
+    triangular type's class.  Never mutated after construction; equal
+    and hashed by (k, j, level_m), as a frozen dataclass of those fields
+    would be."""
 
-    k: tuple[int, int, int, int]
-    j: ResidueClass
-    level_m: int
+    __slots__ = ("k", "j", "level_m")
 
-    def __post_init__(self) -> None:
-        mod = self.j.prime**self.level_m
-        a, b, c, d = self.k
-        if any(not 0 <= e < mod for e in self.k) or (a * d - b * c) % mod != 1 % mod:
+    def __init__(self, k: tuple[int, int, int, int], j: ResidueClass, level_m: int) -> None:
+        mod = j.prime**level_m
+        a, b, c, d = k
+        if not (
+            0 <= a < mod and 0 <= b < mod and 0 <= c < mod and 0 <= d < mod
+        ) or (a * d - b * c) % mod != 1 % mod:
             raise ValueError("k must be det-1 entries reduced mod p^m")
+        self.k, self.j, self.level_m = k, j, level_m
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not GFlowPoint:
+            return NotImplemented
+        return self.k == other.k and self.j == other.j and self.level_m == other.level_m
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.j, self.level_m))
+
+    def __repr__(self) -> str:
+        return f"GFlowPoint(k={self.k!r}, j={self.j!r}, level_m={self.level_m!r})"
 
     @classmethod
     def identity(cls, p: int, level_n: int, level_m: int) -> "GFlowPoint":
         return cls((1, 0, 0, 1), class_of(1, level_n, p), level_m)
+
+
+def _flow_point(k: tuple[int, int, int, int], j: ResidueClass, level_m: int) -> GFlowPoint:
+    """A GFlowPoint from parts that already meet its invariants (a product
+    of det-1 entry tuples reduced mod p^m), with no re-check."""
+    out = object.__new__(GFlowPoint)
+    out.k, out.j, out.level_m = k, j, level_m
+    return out
 
 
 def _lower_perturbation(p: int, exponent: int) -> PadicMatrix2:
@@ -248,18 +323,19 @@ def star(
     wash out of both coordinates, so this path is the expensive
     self-check of the plain one.
     """
-    p, level_n, level_m = s.j.prime, s.j.level_n, s.level_m
-    if (p, level_n, level_m) != (t.j.prime, t.j.level_n, t.level_m):
+    j, level_m = s.j, s.level_m
+    p, level_n = j.prime, j.level_n
+    if t.level_m != level_m or t.j.prime != p or t.j.level_n != level_n:
         raise ValueError("mixed truncation levels")
     mod = p**level_m
-    compact, h1 = _left_slide(s.j, t.k, level_m, ladder)
+    compact, h1 = _left_slide(j, t.k, level_m, ladder)
     h2 = borel_witness(t.j, ladder, 2)
     if perturbed:
         tau1 = _lower_perturbation(p, level_m + ladder.window_w)
         tau2 = _lower_perturbation(p, ladder.gap * (ladder.rungs[1] + ladder.window_w))
         deep, h1 = borel_past_integral(h1, tau2)
         compact = k_mul(k_mul(k_reduce(tau1, level_m), compact, mod), k_reduce(deep, level_m), mod)
-    return GFlowPoint(k_mul(s.k, compact, mod), leading_class(h1, h2, level_n), level_m)
+    return _flow_point(k_mul(s.k, compact, mod), leading_class(h1, h2, level_n), level_m)
 
 
 # ------------------------------------------------------------- the flow
@@ -321,13 +397,16 @@ def _scaled(g: PadicMatrix2) -> tuple[int, int, tuple]:
 
 @dataclass(frozen=True)
 class SkewProduct:
-    """The finite flow K x J on ints: state k·width + j is the pair
-    (`k_level_group(p, m)[k]`, `build_group(p, n).elements[j]`).
+    """The finite flow K x J on flat int columns: state k·width + j is
+    the pair (K element k, `build_group(p, n).elements[j]`), K numbered
+    in `k_level_group` order.
 
-    cocycle[g][k] = (k_out, twist) is the base cocycle of flow generator
-    g at K element k, slides[i][k] the same pair for identification move
-    i, and products[r][s] the index of class r times class s.  identity
-    is the K index of I and trivial the class index of 1.
+    cocycle[g] = (targets, twists) holds two `array('i')` columns: flow
+    generator g sends K element k to targets[k] and multiplies the
+    class by class twists[k].  slides[i] = (targets, twist) is the same
+    for identification move i, whose twist is one class for every k.
+    products[r][s] is the index of class r times class s, identity the
+    K index of I and trivial the class index of 1.
     """
 
     width: int
@@ -338,81 +417,127 @@ class SkewProduct:
     trivial: int
 
 
-def skew_product(p: int, level_n: int, level_m: int, unit_level: int) -> SkewProduct:
-    """Tabulate the flow on ints, the base cocycle in closed form.
-
-    The cocycle reads iwasawa(g·lift(k)) = (t, h) as (t mod p^m,
-    class(h.a)).  Write G = g·lift(k) = p^e·Q/D with Q an integer matrix
-    and D p-free.  Upper-triangular G gives (I, class(G.a)); integral G
-    gives (G mod p^m, trivial).  Otherwise, with w = min(v(Q.a), v(Q.c)),
-    t is G's first column scaled by p^-(e+w), (A, C)/D, completed on the
-    more unit-like of A and C exactly as `iwasawa` does (ties keep the
-    diagonal shape), and h.a = p^(e+w).
-    """
-    mod = p**level_m
-    ks = k_level_group(p, level_m)
-    k_index = {k: i for i, k in enumerate(ks)}
-    group = build_group(p, level_n)
-    reps = [c.representative for c in group.elements]
-    j_index = {r: i for i, r in enumerate(reps)}
-    products = tuple(tuple(j_index[group.table[(r, s)]] for s in reps) for r in reps)
+@lru_cache(maxsize=None)
+def _twist_classes(p: int, level_n: int) -> dict[tuple[int, int], int]:
+    """The class index of unit·p^v, keyed by (v mod n, unit mod the
+    Hensel modulus)."""
+    j_index = {c.representative: i for i, c in enumerate(build_group(p, level_n).elements)}
     hensel = hensel_modulus(p, level_n)
-    # the class of unit·p^v, keyed by (v mod n, unit mod the Hensel modulus)
-    twist = {
+    return {
         (v, u): j_index[class_of(u * p**v, level_n, p).representative]
         for v in range(level_n)
         for u in range(1, hensel)
         if u % p
     }
-    trivial, identity = j_index[1], k_index[(1, 0, 0, 1)]
 
-    def index(entries) -> int:
-        out = k_index.get(tuple(x % mod for x in entries))
-        _require(out is not None, "skew product: a compact part is not in K")
-        return out
 
-    cocycle = []
-    for g in flow_generators(p, unit_level):
-        e, g_den, g_rows = _scaled(g)
-        shift = p ** abs(e)
-        row = []
-        for k in ks:
-            den, lift_rows = _lift_scaled(k, p)
-            (qa, qb), (qc, qd) = mat_mul(g_rows, lift_rows)
-            den *= g_den
-            if qc == 0:  # upper triangular: t = I
-                v, unit = int_valuation(qa, p)
-                unit = unit * pow(den, -1, hensel) % hensel
-                row.append((identity, twist[(e + v) % level_n, unit]))
+def _cocycle_column(
+    g: PadicMatrix2, p: int, level_n: int, level_m: int, entries, *, lift_free: bool = True
+) -> tuple[array, array]:
+    """The column (targets, twists) of flow generator g: iwasawa(g·lift(k))
+    = (t, h) read as (t mod p^m, class(h.a)) for every K element k, read
+    from K's entry columns (`_k_entries`).
+
+    Write G = g·lift(k) = p^e·Q/D with Q an integer matrix and D p-free.
+    Upper-triangular G gives (I, class(G.a)); integral G gives
+    (G mod p^m, trivial).  Otherwise, with w = min(v(Q.a), v(Q.c)), t is
+    G's first column scaled by p^-(e+w), (A, C)/D, completed on the more
+    unit-like of A and C exactly as `iwasawa` does (ties keep the
+    diagonal shape), and h.a = p^(e+w).
+
+    For integral g (and `lift_free`), G is integral, so it is I's or
+    g·k mod p^m with a trivial twist, by whether its lower-left entry
+    vanishes; that entry is g's lower row against lift(k)'s first
+    column, which `_lift_scaled` gives as a nonzero multiple of (a, c),
+    or of (1 + b·c, c·d) when only d is a unit.  Only those k take the
+    general path.
+    """
+    mod = p**level_m
+    rank = _k_rank(p, level_m)
+    twist = _twist_classes(p, level_n)
+    hensel = hensel_modulus(p, level_n)
+    trivial, identity = twist[0, 1], rank(1, 0, 0, 1)
+    e, g_den, ((g00, g01), (g10, g11)) = _scaled(g)
+    shift = p ** abs(e)
+    lift_free = lift_free and g.is_integral()
+    if lift_free:
+        ga, gb, gc, gd = k_reduce(g, level_m)
+    targets, twists = array("i"), array("i", [trivial]) * len(entries[0])
+    for i, k in enumerate(zip(*entries)):
+        a, b, c, d = k
+        if lift_free:
+            x, y = (1 + b * c, c * d) if a % p == 0 and d % p else (a, c)
+            if g10 * x + g11 * y:
+                targets.append(
+                    rank((ga * a + gb * c) % mod, (ga * b + gb * d) % mod,
+                         (gc * a + gd * c) % mod, (gc * b + gd * d) % mod)
+                )
                 continue
-            inv = pow(den, -1, mod)
-            q = (qa, qb, qc, qd)
-            if e >= 0 or not any(x % shift for x in q):  # integral: h = I
-                row.append((index((x * shift if e >= 0 else x // shift) * inv for x in q), trivial))
-                continue
+        den, ((l00, l01), (l10, l11)) = _lift_scaled(k, p)
+        qa, qb = g00 * l00 + g01 * l10, g00 * l01 + g01 * l11
+        qc, qd = g10 * l00 + g11 * l10, g10 * l01 + g11 * l11
+        den *= g_den
+        if qc == 0:  # upper triangular: t = I
+            v, unit = int_valuation(qa, p)
+            targets.append(identity)
+            twists[i] = twist[(e + v) % level_n, unit * pow(den, -1, hensel) % hensel]
+            continue
+        inv = pow(den, -1, mod)
+        if e >= 0:  # integral: h = I
+            t = (qa * shift * inv, qb * shift * inv, qc * shift * inv, qd * shift * inv)
+        elif not (qa % shift or qb % shift or qc % shift or qd % shift):
+            t = (qa // shift * inv, qb // shift * inv, qc // shift * inv, qd // shift * inv)
+        else:
             vc, c_unit = int_valuation(qc, p)
             va, a_unit = int_valuation(qa, p) if qa else (vc + 1, 0)
+            w = min(va, vc)
             if va <= vc:
-                w = va
                 t = (a_unit * inv, 0, qc // p**w * inv, den * pow(a_unit, -1, mod))
             else:
-                w = vc
                 t = (qa // p**w * inv, -den * pow(c_unit, -1, mod), c_unit * inv, 0)
-            row.append((index(t), twist[(e + w) % level_n, 1]))
-        cocycle.append(tuple(row))
+            twists[i] = twist[(e + w) % level_n, 1]
+        t0, t1, t2, t3 = t[0] % mod, t[1] % mod, t[2] % mod, t[3] % mod
+        _require((t0 * t3 - t1 * t2) % mod == 1, "skew product: a compact part is not in K")
+        targets.append(rank(t0, t1, t2, t3))
+    return targets, twists
+
+
+def skew_product(p: int, level_n: int, level_m: int, unit_level: int) -> SkewProduct:
+    """Tabulate the flow on flat int columns: one `_cocycle_column` per
+    flow generator, and each identification move's column k ↦ k·b mod
+    p^m with its one class multiplier.  K is read from its entry columns,
+    never stored as tuples; an entry tuple's index is `_k_rank`'s closed form."""
+    mod = p**level_m
+    rank = _k_rank(p, level_m)
+    entries = _k_entries(p, level_m)
+    group = build_group(p, level_n)
+    j_index = {c.representative: i for i, c in enumerate(group.elements)}
+    cocycle = tuple(
+        _cocycle_column(g, p, level_n, level_m, entries) for g in flow_generators(p, unit_level)
+    )
     slides = []
     for bmat, mult in identification_moves(p, level_n, unit_level):
-        kb = k_reduce(bmat, level_m)
-        slides.append(tuple((index(k_mul(k, kb, mod)), j_index[mult.representative]) for k in ks))
-    return SkewProduct(len(reps), products, tuple(cocycle), tuple(slides), identity, trivial)
+        e, f, g, h = k_reduce(bmat, level_m)
+        targets = array(
+            "i",
+            (
+                rank((a * e + b * g) % mod, (a * f + b * h) % mod,
+                     (c * e + d * g) % mod, (c * f + d * h) % mod)
+                for a, b, c, d in zip(*entries)
+            ),
+        )
+        slides.append((targets, j_index[mult.representative]))
+    return SkewProduct(
+        group.order, group.products, cocycle, tuple(slides), rank(1, 0, 0, 1), j_index[1]
+    )
 
 
 def act(flow: SkewProduct, g: int, state: int) -> int:
     """Left translation by the flow's generator g: the compact part moves
     by the base cocycle and its twist σ(g, k) multiplies into the class."""
     k, j = divmod(state, flow.width)
-    k_out, twist = flow.cocycle[g][k]
-    return k_out * flow.width + flow.products[twist][j]
+    targets, twists = flow.cocycle[g]
+    return targets[k] * flow.width + flow.products[twists[k]][j]
 
 
 @dataclass(frozen=True)
@@ -481,7 +606,8 @@ def ellis_group(
         for a in points:
             for b in points:
                 out = star(a, b, ladder)
-                _require(out.k == ident_k, "identity fiber not closed")
+                if out.k != ident_k:
+                    raise ArithmeticError("identity fiber not closed")
                 table[(a.j.representative, b.j.representative)] = out.j.representative
         tables[lev] = table
         iso[lev] = table == group.table
@@ -494,8 +620,9 @@ def ellis_group(
                     c.representative: class_of(c.representative, small, p).representative
                     for c in build_group(p, big).elements
                 }
+                below = tables[small]
                 ok = all(
-                    down[value] == tables[small][(down[r1], down[r2])]
+                    down[value] == below[down[r1], down[r2]]
                     for (r1, r2), value in tables[big].items()
                 )
                 tower.append((big, small, ok))
@@ -553,17 +680,17 @@ def minimal_flow(
     flow = skew_product(p, level_n, level_m, level_m + ladder.window_w)
     width, products = flow.width, flow.products
     columns = flow.cocycle + flow.slides
-    size = len(columns[0]) * width
+    size = len(columns[0][0]) * width
     count = skew_components(columns, products, flow.identity, flow.trivial)
     if size <= CROSS_CHECK_STATES:
         gens = range(len(flow.cocycle))
         successors: list[list[int]] = []
-        for k, slid in enumerate(zip(*flow.slides)):
+        for k in range(len(columns[0][0])):
             for j in range(width):
                 state = k * width + j
                 successors.append(
                     [act(flow, g, state) for g in gens]
-                    + [k_out * width + products[twist][j] for k_out, twist in slid]
+                    + [targets[k] * width + products[twist][j] for targets, twist in flow.slides]
                 )
         components = strongly_connected_components(range(size), successors.__getitem__)
         agree = len(components) > 1 if count is None else len(components) == count

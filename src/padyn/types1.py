@@ -50,6 +50,12 @@ class ScaleLadder:
         for lo, hi in zip(self.rungs, self.rungs[1:]):
             if hi < self.gap * (lo + self.window_w):
                 raise ValueError(f"rung {hi} too close to {lo} at gap {self.gap}")
+        # a ladder is an `lru_cache` key of every witness layer: hash it
+        # once, as the dataclass would hash its fields
+        object.__setattr__(self, "_hash", hash((self.rungs, self.gap, self.window_w)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def build(cls, gap: int, window_w: int, length: int = 6, base: int | None = None) -> "ScaleLadder":

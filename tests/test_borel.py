@@ -358,3 +358,48 @@ def test_flow_group_json_shape(capsys):
     assert report["idempotent_check"] is True
     assert report["iso_to_residue_group"] is True
     assert report["table"][1][2] == "10"
+
+
+@pytest.mark.parametrize(
+    "ladder", [DEFAULT_LADDER, DEFAULT_LADDER.doubled_gap()], ids=["default", "doubled-gap"]
+)
+def test_leading_class_int_path_matches_the_full_product(ladder, monkeypatch):
+    # every ordered pair of witnesses at p = 5 and n <= 6, on every rung a
+    # witness takes: their entries are one-term, so each pair takes the
+    # int-triple path, and its class is that of the full product's entry
+    dots = []
+    dot = borel._dot
+
+    def counted(*args):
+        dots.append(args)
+        return dot(*args)
+
+    monkeypatch.setattr(borel, "_dot", counted)
+    pairs = 0
+    for n in range(1, 7):
+        mats = [
+            borel.witness(j, ladder, rung)
+            for j in build_group(5, n).elements
+            for rung in range(len(ladder.rungs) - 1)
+        ]
+        assert not any(x.rest for g in mats for x in g.entries())
+        for left in mats:
+            for right in mats:
+                assert borel.leading_class(left, right, n) == class_of((left @ right).a, n, 5)
+                pairs += 1
+    assert len(dots) == pairs == 9 * sum(build_group(5, n).order ** 2 for n in range(1, 7))
+
+
+def test_leading_class_sums_a_sparse_entry_without_the_int_path(monkeypatch):
+    # 1 + 5^200 keeps two terms, so the pair takes the sparse sum
+    sparse = PadicRational.of(1, 5) + PadicRational.of(1, 5).shifted(200)
+    assert sparse.rest
+    left = PadicMatrix2.of(((sparse, 3), (0, sparse.inverse())), 5)
+    right = borel.witness(class_of(2, 4, 5), DEFAULT_LADDER, 2)
+
+    def unreachable(*args):
+        raise AssertionError("a sparse entry took the int-triple path")
+
+    monkeypatch.setattr(borel, "_dot", unreachable)
+    for x, y in ((left, right), (right, left)):
+        assert borel.leading_class(x, y, 4) == class_of((x @ y).a, 4, 5)

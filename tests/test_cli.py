@@ -15,6 +15,7 @@ import padyn
 from padyn import acceptance, borel, cli, proj, sl2
 from padyn.flows import GROUP_TAGS
 from padyn.padic import PadicMatrix2, PadicRational
+from padyn.residues import build_group
 
 
 def run_cli(capsys, *argv):
@@ -150,6 +151,38 @@ def test_p_two_sl2_flow_is_a_usage_error(capsys, command):
     assert code == 2
     assert out == ""
     assert "error: no unit generator mod 2^3" in err
+
+
+def test_flows_above_the_state_cap_exit_before_building_anything(capsys, monkeypatch):
+    # the counts are closed forms, checked before K, a column or a state
+    # is built: (p³ - p)·p^(3(m-1))·|J| and (p^w + p^(w-1))·|J|
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built before the state cap was checked")
+
+    for name in ("k_level_group", "_k_entries", "skew_product", "flow_generators"):
+        monkeypatch.setattr(sl2, name, unreachable)
+    monkeypatch.setattr(cli, "minimality_proximality_report", unreachable)
+    monkeypatch.setattr(cli, "flow_generators", unreachable)
+    for argv, count in (
+        (("minimal-flow", "--p", "1009"), (1009**3 - 1009) * 4),
+        (("minimal-flow", "--m", "4"), 120 * 5**9 * 4),
+        (("proj", "minimal", "--w", "12"), (5**12 + 5**11) * 4),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"error: {count} states exceed the cap of {cli.MAX_STATES}" in err
+
+
+def test_the_state_cap_admits_minimal_flow_at_level_three():
+    # minimal-flow --m 3, the largest scaled run, has 7 500 000 states
+    assert (5**3 - 5) * 5**6 * cli._class_count(5, 2) == 7_500_000 <= cli.MAX_STATES
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_class_count_closed_form_is_the_residue_group_order(p):
+    for n in range(1, 13):
+        assert cli._class_count(p, n) == build_group(p, n).order
 
 
 def test_identical_invocations_are_byte_identical(capsys):
@@ -462,6 +495,8 @@ STDOUT_SHA256 = {
     "ellis --p 7 --n 6": "7341327e1c93ddacaa26967a0d0a7468616b762078d6a7ce10b2c8284f88cb86",
     "minimal-flow --p 7 --n 6": "753db039445c58c4750bd6f74b34ebcb3e17fd50dc7b289fa7eae97f7447d134",
     "minimal-flow --p 3 --m 2": "61243b6209281ec89cf6bb41c0c0cff34b51d0e74e9499faf9972f48597c0a6b",
+    # the scaled level-two flow: 60 000 states
+    "minimal-flow --m 2": "164a5f3650b28a5729a4057af3488ad7a305267d129ad9c209c781b512c82eab",
     "ellis --p 3 --n 6 --m 2": "c6330af60f054e1e75dad78d57e1f858997bbbe77b213ece1d3972e9fe015fd3",
     "verify --check residue-oracle --seed 20260814": (
         "12b586e4a3ce0c3e4cec837ecef9d049240fa3db00f2d025c7aea6e9d9d333a4"

@@ -9,6 +9,8 @@ compared as partitions, and random skew products over Z/a × Z/b,
 compared by the component count of the derived graph.
 """
 
+from array import array
+
 import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,17 +67,24 @@ def test_terminal_components_are_the_condensation_sinks(graph):
 
 @st.composite
 def skew_products(draw):
-    """Random moves on a base of up to 12 nodes, each labelled by a
-    translation of J = Z/a × Z/b (element x·b + y).  Column 0 is a
-    Hamiltonian cycle in half the draws, so strongly connected bases are
-    common."""
+    """Random moves on a base of up to 12 nodes, each a flat column
+    (targets, twists) of translations of J = Z/a × Z/b (element x·b + y),
+    the twists one int for the whole column in about half the draws.
+    Column 0 is a Hamiltonian cycle in half the draws, so strongly
+    connected bases are common."""
     n = draw(st.integers(1, 12))
     a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     node, twist = st.integers(0, n - 1), st.integers(0, a * b - 1)
-    move = st.lists(st.tuples(node, twist), min_size=n, max_size=n)
-    columns = draw(st.lists(move, min_size=1, max_size=4))
+    nodes = st.lists(node, min_size=n, max_size=n)
+    twists = st.one_of(twist, st.lists(twist, min_size=n, max_size=n))
+    columns = draw(st.lists(st.tuples(nodes, twists), min_size=1, max_size=4))
     if draw(st.booleans()):
-        columns[0] = [((u + 1) % n, t) for u, (_, t) in enumerate(columns[0])]
+        columns[0] = ([(u + 1) % n for u in range(n)], columns[0][1])
+    if draw(st.booleans()):  # the `array('i')` layout `sl2.skew_product` writes
+        columns = [
+            (array("i", nodes), twists if isinstance(twists, int) else array("i", twists))
+            for nodes, twists in columns
+        ]
     products = [
         [(r // b + s // b) % a * b + (r + s) % b for s in range(a * b)] for r in range(a * b)
     ]
@@ -85,14 +94,17 @@ def skew_products(draw):
 @settings(max_examples=300, deadline=None)
 @given(skew_products())
 def test_skew_components_count_the_derived_graph(skew):
+    # each flat column decoded into its (move, node) edges of the base
+    # and the derived graph, which networkx counts
     n, columns, products, root = skew
     order = len(products)
     base = nx.MultiDiGraph()
     base.add_nodes_from(range(n))
     derived = nx.DiGraph()
     derived.add_nodes_from(range(n * order))
-    for column in columns:
-        for u, (v, twist) in enumerate(column):
+    for targets, twists in columns:
+        for u, v in enumerate(targets):
+            twist = twists if isinstance(twists, int) else twists[u]
             base.add_edge(u, v)
             derived.add_edges_from(
                 (u * order + j, v * order + products[twist][j]) for j in range(order)

@@ -10,12 +10,15 @@ it.  None shares code with the implementation.
 
 import copy
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from padyn.padic import PadicRational
 from padyn.residues import (
+    ResidueClass,
     brute_force_order,
     build_group,
     class_of,
@@ -346,3 +349,50 @@ def test_build_group_level_bounds():
     with pytest.raises(ValueError):
         build_group(5, 13)
     assert build_group(5, 1).order == 1
+
+
+@dataclass(frozen=True)
+class FrozenClass:
+    """The frozen dataclass layout `ResidueClass` had: equality and hash
+    by the tuple of its fields."""
+
+    prime: int
+    level_n: int
+    representative: int
+
+
+def test_class_equality_and_hash_match_the_dataclass():
+    # fresh objects of few values, so equal classes built apart are
+    # common, and equal representatives at other primes and levels too
+    rng = random.Random(47)
+    draws = [(rng.choice((3, 5)), rng.choice((2, 4)), rng.choice((1, 2, 3))) for _ in range(40)]
+    classes = [ResidueClass(*d) for d in draws]
+    twins = [FrozenClass(*d) for d in draws]
+    for s, f in zip(classes, twins):
+        assert hash(s) == hash(f)
+        for t, e in zip(classes, twins):
+            assert (s == t) == (f == e) and (s != t) == (f != e)
+    assert s != f and s != None and not s == draws[-1]  # noqa: E711
+    with pytest.raises(TypeError):
+        sorted(classes)
+    key = lambda c: (c.representative, c.prime, c.level_n)  # noqa: E731
+    assert [key(c) for c in sorted(classes, key=key)] == [key(f) for f in sorted(twins, key=key)]
+    keys, twin_keys = {}, {}
+    for i, (s, f) in enumerate(zip(classes, twins)):
+        keys.setdefault(s, i)
+        twin_keys.setdefault(f, i)
+    assert [keys[s] for s in classes] == [twin_keys[f] for f in twins]
+
+    @lru_cache(maxsize=None)
+    def cached(x):
+        return x
+
+    @lru_cache(maxsize=None)
+    def cached_twin(x):
+        return x
+
+    for s, f in zip(classes, twins):
+        assert cached(s) == s and cached_twin(f) == f
+    assert cached.cache_info() == cached_twin.cache_info()
+    assert repr(classes[0]) == repr(twins[0]).replace("FrozenClass", "ResidueClass")
+    assert copy.deepcopy(classes[0]) == classes[0] and str(classes[0]) == str(draws[0][2])

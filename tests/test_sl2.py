@@ -1,8 +1,11 @@
 """Det-1 factoring, compact level groups, and the paired flow product."""
 
 import random
+from array import array
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -10,7 +13,7 @@ from padyn import acceptance, cli, sl2
 from padyn._graph import skew_components, strongly_connected_components
 from padyn.borel import build_flow_group, witness
 from padyn.padic import PadicMatrix2, PadicRational, mat_mul
-from padyn.residues import build_group, class_of
+from padyn.residues import ResidueClass, build_group, class_of
 from padyn.sl2 import GFlowPoint
 from padyn.types1 import DEFAULT_LADDER, ScaleLadder
 
@@ -281,6 +284,16 @@ def test_level_group_is_every_det_one_matrix_in_order(p, m):
     assert list(sl2.k_level_group(p, m)) == brute
 
 
+@pytest.mark.parametrize("p, m", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)])
+def test_closed_form_rank_is_the_level_group_index(p, m):
+    # the flow finds K elements by `_k_rank`, never by a table
+    rank = sl2._k_rank(p, m)
+    group = sl2.k_level_group(p, m)
+    assert [rank(*k) for k in group] == list(range(len(group)))
+    assert all(type(column) is array for column in sl2._k_entries(p, m))
+    assert list(zip(*sl2._k_entries(p, m))) == list(group)
+
+
 @pytest.mark.parametrize("p, m", K_LAYER_LEVELS)
 def test_lifts_roundtrip(p, m):
     for k in k_sample(p, m):
@@ -304,6 +317,57 @@ def test_level_product_matches_matrix_product(p, m):
         for x, y in ((k1, k2), (k2, k1)):
             product = sl2.k_lift(x, p, m) @ sl2.k_lift(y, p, m)
             assert sl2.k_reduce(product, m) == sl2.k_mul(x, y, p**m)
+
+
+@dataclass(frozen=True)
+class FrozenPoint:
+    """The frozen dataclass layout `GFlowPoint` had: equality and hash by
+    the tuple of its fields."""
+
+    k: tuple
+    j: object
+    level_m: int
+
+
+def test_flow_point_equality_and_hash_match_the_dataclass():
+    rng = random.Random(43)
+    group = sl2.k_level_group(3, 1)
+    classes = build_group(3, 2).elements + build_group(3, 4).elements
+    classes += [ResidueClass(c.prime, c.level_n, c.representative) for c in classes]
+    # few values, so equal points built apart (from equal, not identical,
+    # parts) are common; the classes of the two levels share representatives
+    draws = [(tuple(list(rng.choice(group[:4]))), rng.choice(classes)) for _ in range(40)]
+    points = [GFlowPoint(k, j, 1) for k, j in draws]
+    twins = [FrozenPoint(k, j, 1) for k, j in draws]
+    for s, f in zip(points, twins):
+        assert hash(s) == hash(f)
+        for t, e in zip(points, twins):
+            assert (s == t) == (f == e) and (s != t) == (f != e)
+    assert s != f and s != None and not s == (s.k, s.j, s.level_m)  # noqa: E711
+    with pytest.raises(TypeError):
+        sorted(points)
+    key = lambda x: (x.k, x.j.representative)  # noqa: E731
+    assert [draws.index((s.k, s.j)) for s in sorted(points, key=key)] == [
+        draws.index((f.k, f.j)) for f in sorted(twins, key=key)
+    ]
+    keys, twin_keys = {}, {}
+    for i, (s, f) in enumerate(zip(points, twins)):
+        keys.setdefault(s, i)
+        twin_keys.setdefault(f, i)
+    assert [keys[s] for s in points] == [twin_keys[f] for f in twins]
+
+    @lru_cache(maxsize=None)
+    def cached(x):
+        return x
+
+    @lru_cache(maxsize=None)
+    def cached_twin(x):
+        return x
+
+    for s, f in zip(points, twins):
+        assert cached(s) == s and cached_twin(f) == f
+    assert cached.cache_info() == cached_twin.cache_info()
+    assert repr(points[0]) == repr(twins[0]).replace("FrozenPoint", "GFlowPoint")
 
 
 def test_level_elem_validation():
@@ -604,9 +668,41 @@ COCYCLE_BRANCHES = {
 }
 
 
+def cocycle_entries(flow, ks):
+    # the flat columns decoded: (generator index, K element, K element
+    # out, class index) for every entry
+    for g, (targets, twists) in enumerate(flow.cocycle):
+        for k, k_out, twist in zip(ks, targets, twists, strict=True):
+            yield g, k, ks[k_out], twist
+
+
 def test_every_cocycle_branch_occurs():
+    # each branch of iwasawa(g·lift(k)) shows in the decoded columns in
+    # its own shape: a triangular G sends k to I, an integral one to
+    # g·k mod p^m with the trivial class, a split one elsewhere with
+    # class(p^(e+w)); the branch is read from the exact integer matrix
     for branch in ("triangular", "integral", "split"):
         assert any(counts[branch] for counts in COCYCLE_BRANCHES.values())
+    for p, n, m in [(3, 2, 1), (5, 2, 1)]:
+        unit_level = m + DEFAULT_LADDER.window_w
+        gens = sl2.flow_generators(p, unit_level)
+        ks = sl2.k_level_group(p, m)
+        flow = sl2.skew_product(p, n, m, unit_level)
+        reps = [c.representative for c in build_group(p, n).elements]
+        branches = Counter()
+        for g, k, k_out, twist in cocycle_entries(flow, ks):
+            big = gens[g] @ sl2.k_lift(k, p, m)
+            if big.is_upper_triangular():
+                branches["triangular"] += 1
+                assert k_out == (1, 0, 0, 1)
+            elif big.is_integral():
+                branches["integral"] += 1
+                assert (k_out, twist) == (sl2.k_reduce(big, m), flow.trivial)
+            else:
+                branches["split"] += 1
+                valuation = min(big.a.e, big.c.e) if big.a else big.c.e
+                assert reps[twist] == class_of(Fraction(p) ** valuation, n, p).representative
+        assert branches == COCYCLE_BRANCHES[(p, n, m)]
 
 
 @pytest.mark.parametrize("p, n, m", list(COCYCLE_BRANCHES))
@@ -615,19 +711,19 @@ def test_tabulated_flow_matches_the_per_state_path(p, n, m, monkeypatch):
     gens = sl2.flow_generators(p, unit_level)
     ks = sl2.k_level_group(p, m)
     classes = build_group(p, n).elements
-    # the int cocycle against the Fraction path on every (g, k), no
-    # sampling; k outermost, so each K element is lifted once
+    # the flat int columns, decoded, against the Fraction path on every
+    # (g, k), no sampling; k outermost, so each K element is lifted once
     cocycle = sl2.skew_product(p, n, m, unit_level).cocycle
     assert len(cocycle) == len(gens)
-    assert all(len(row) == len(ks) for row in cocycle)
+    assert all(len(targets) == len(twists) == len(ks) for targets, twists in cocycle)
     branches = Counter()
-    for k, outs in zip(ks, zip(*cocycle)):
+    for i, k in enumerate(ks):
         lifted = sl2.k_lift(k, p, m)
-        for g, (k_out, twist) in zip(gens, outs):
+        for g, (targets, twists) in zip(gens, cocycle):
             big = g @ lifted
             t, h = sl2.iwasawa(big)
-            assert ks[k_out] == sl2.k_reduce(t, m)
-            assert classes[twist] == class_of(h.a, n, p)
+            assert ks[targets[i]] == sl2.k_reduce(t, m)
+            assert classes[twists[i]] == class_of(h.a, n, p)
             if big.is_upper_triangular():
                 branches["triangular"] += 1
             elif big.is_integral():
@@ -670,6 +766,36 @@ def test_tabulated_flow_matches_the_per_state_path(p, n, m, monkeypatch):
     assert len(strongly_connected_components(states, plain.__getitem__)) == 1
 
 
+# the integral flow generators, and integral matrices whose lower row
+# makes g·lift(k) upper triangular at other cells (c = a, or c = 0 with
+# a shear)
+def integral_moves(p, unit):
+    return sl2.flow_generators(p, unit)[:3] + (
+        sl2.flow_generators(p, unit)[4],
+        mat(((1, 0), (-1, 1)), p),
+        mat(((2, 1), (1, 1)), p),
+        mat(((1, 2), (0, 1)), p),
+    )
+
+
+@pytest.mark.parametrize("p, n, m", [(3, 2, 1), (5, 2, 1), (7, 2, 1), (3, 2, 2), (2, 2, 1)])
+def test_lift_free_integral_columns_match_the_general_closed_form(p, n, m):
+    # the lift-free path (g·k mod p^m, or the closed form where g·lift(k)
+    # is exactly upper triangular) on every K element, against the
+    # general path through lift(k); the units mod 2^3 have no generator,
+    # so p = 2 takes one mod 2^2
+    unit = 2 if p == 2 else m + DEFAULT_LADDER.window_w
+    entries = sl2._k_entries(p, m)
+    exceptions = 0
+    for g in integral_moves(p, unit):
+        assert g.is_integral()
+        fast = sl2._cocycle_column(g, p, n, m, entries)
+        general = sl2._cocycle_column(g, p, n, m, entries, lift_free=False)
+        assert fast == general
+        exceptions += sum(k_out == sl2._k_rank(p, m)(1, 0, 0, 1) for k_out in fast[0])
+    assert exceptions > 0
+
+
 def test_minimal_flow_full_graph():
     report = sl2.minimal_flow(5, 2, 1)
     assert report.size == 480
@@ -702,9 +828,13 @@ LOWER, TORUS, DILATION = 1, 2, 3
 def explicit_components(flow, columns):
     # the derived graph on K x J, one edge per (move, state), by Tarjan
     width, products = flow.width, flow.products
+    def edge(column, k):
+        targets, twists = column
+        return targets[k], twists if isinstance(twists, int) else twists[k]
+
     successors = [
-        [v * width + products[twist][j] for v, twist in (column[k] for column in columns)]
-        for k in range(len(columns[0]))
+        [v * width + products[twist][j] for v, twist in (edge(column, k) for column in columns)]
+        for k in range(len(columns[0][0]))
         for j in range(width)
     ]
     return len(strongly_connected_components(range(len(successors)), successors.__getitem__))

@@ -1,6 +1,7 @@
 """Truncated 1-types: ladder, realization witnesses, classifier."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -167,3 +168,25 @@ def test_type_json_shapes():
         "kind": "realized",
         "value": "3/4",
     }
+
+
+def test_ladder_hash_is_formed_once_as_the_dataclass_hashes_its_fields():
+    ladders = [DEFAULT_LADDER, DEFAULT_LADDER.doubled_gap(), ScaleLadder.build(8, 2, 4)]
+    for ladder in ladders:
+        assert hash(ladder) == hash((ladder.rungs, ladder.gap, ladder.window_w))
+        assert ladder._hash == hash(ladder)
+    # equal ladders built apart: one dict key and one cache entry
+    assert ladders[0] == ladders[2] and ladders[0] is not ladders[2]
+    assert ladders[0] != ladders[1]
+    assert len({ladder: None for ladder in ladders}) == 2
+
+    @lru_cache(maxsize=None)
+    def cached(ladder):
+        return ladder.rungs
+
+    for ladder in ladders:
+        cached(ladder)
+    assert cached.cache_info().hits == 1 and cached.cache_info().misses == 2
+    assert "_hash" not in repr(DEFAULT_LADDER)
+    with pytest.raises(AttributeError):
+        DEFAULT_LADDER.gap = 4
