@@ -6,25 +6,25 @@ with class data measured in the reciprocal chart beyond the integral
 window so the family at infinity behaves like any other.
 
 Every matrix acts on a point through one chart step, `_chart_image`,
-from the point's chart (inverted flag, coordinate); `_chart_step` adds
-the derivative and q that the flow table reads.  A witness product
+from the point's chart (inverted flag, coordinate).  A witness product
 steps the input's rung-2 witness y0 + scale (or a realized point); the
 triangular witness is `borel.witness` of the identity class.
 `_chart_type` truncates the product's image, a chart coordinate, to its
 window residue plus the class of the deviation.
 
 The flow report is a skew product over the base points, tabulated on
-int states, one column per move: per base point one `_chart_step` on
-p-adic entries gives the output point and a class map, either the
-derivative twist or a constant certified against the rung the input is
-realized at.  `triangular_star` sends every type not based at infinity
-into the infinity family, and `compact_star` sends that family to one
-type (the input's own witness is absorbed at the compact level).  Their
-composite is constant on all truncated types, which is both the collapse
-check and the proximality witness of the flow report.  The collapse
-check reads the nonalgebraic states' triangular images from the
-certified triangular column and computes only the realized states'
-explicitly; the explicit products stay as the table's oracle.
+int states, one column per move.  Every move's entries are one-term and
+every base point's chart coordinate is an int, so per base point one
+`_int_step` on (num, den, e) int triples gives the output point and a
+class map, either the derivative twist or a constant certified against
+the rung the input is realized at.  `triangular_star` sends every type
+not based at infinity into the infinity family, and `compact_star`
+sends that family to one type (the input's own witness is absorbed at
+the compact level).  Their composite is constant on all truncated types,
+which is both the collapse check and the proximality witness of the
+flow report.  The collapse check reads every state's triangular image
+from the triangular column's pass, the realized states' included; the
+explicit products stay as the table's oracle.
 """
 
 from __future__ import annotations
@@ -40,9 +40,11 @@ from .padic import (
     PadicRational,
     RationalLike,
     _coerce_fraction,
+    _p_power,
     _require,
+    int_valuation,
 )
-from .residues import ResidueClass, build_group, class_of, hensel_modulus
+from .residues import ResidueClass, _canonical_class, build_group, class_of, hensel_modulus
 from .sl2 import flow_generators
 from .types1 import DEFAULT_LADDER, ScaleLadder, TruncType1, realize
 
@@ -120,19 +122,22 @@ class ProjLevel:
     def base_points(self) -> tuple[ProjPoint, ...]:
         """The residues of the integral projective line at resolution w,
         in the order of `_charts`."""
-        return tuple(ProjPoint.of(1, y) if inv else ProjPoint.of(y, 1) for inv, y in _charts(self))
+        return tuple(map(_point, _charts(self)))
 
     def classes(self) -> tuple[ResidueClass, ...]:
         return build_group(self.prime, self.level_n).elements
 
 
 @lru_cache(maxsize=16)
-def _charts(level: ProjLevel) -> tuple[tuple[bool, PadicRational], ...]:
-    """The base points as (inverted, chart coordinate): the window residues,
-    then infinity and the points whose reciprocal p divides."""
+def _charts(level: ProjLevel) -> tuple[tuple[bool, int], ...]:
+    """The base points as (inverted, int chart coordinate): the window
+    residues, then infinity and the points whose reciprocal p divides."""
     p, m = level.prime, level.modulus
-    coords = [(False, a) for a in range(m)] + [(True, p * b) for b in range(m // p)]
-    return tuple((inverted, PadicRational.of(y, p)) for inverted, y in coords)
+    return tuple([(False, a) for a in range(m)] + [(True, p * b) for b in range(m // p)])
+
+
+def _point(chart: tuple[bool, int]) -> ProjPoint:
+    return ProjPoint.of(1, chart[1]) if chart[0] else ProjPoint.of(chart[1], 1)
 
 
 def _chart(pt: ProjPoint, p: int) -> tuple[bool, Fraction]:
@@ -174,24 +179,43 @@ def _det_one(g: PadicMatrix2) -> PadicMatrix2:
 def _chart_image(g: PadicMatrix2, inverted: bool, y: RationalLike) -> tuple:
     """A p-adic det-1 g at chart coordinate y, from the image chart vector
     g·(y, 1), or g·(1, y) in the reciprocal chart: whether the image's chart
-    is inverted, its chart coordinate z, and for `_chart_step` the
-    y-coefficient lo of z's numerator row and the inverse of its
-    denominator."""
+    is inverted, and its chart coordinate z."""
     lo0, hi0, lo1, hi1 = (g.b, g.a, g.d, g.c) if inverted else (g.a, g.b, g.c, g.d)
     w0, w1 = lo0 * y + hi0, lo1 * y + hi1
     flip = not w1 or bool(w0) and w0.e < w1.e
-    lo, num, denom = (lo0, w1, w0) if flip else (lo1, w0, w1)
+    num, denom = (w1, w0) if flip else (w0, w1)
     _require(bool(denom), "chart selection failed to keep the image finite")
-    inv = denom.inverse()
-    return flip, num * inv, lo, inv
+    return flip, num * denom.inverse()
 
 
-def _chart_step(g: PadicMatrix2, inverted: bool, y: RationalLike) -> tuple:
-    """`_chart_image`'s chart flag and z, with the derivative (the charts
-    only permute g's entries, so det is -1 iff one chart flips) and q, so
-    that the input moved by s lands at z + derivative·s/(1 + q·s)."""
-    flip, z, lo, inv = _chart_image(g, inverted, y)
-    return flip, z, (-inv if inverted != flip else inv) * inv, lo * inv
+def _row(lo: tuple, hi: tuple, y: int, p: int) -> tuple[int, int, int]:
+    """lo·y + hi for (num, den, e) triples and an int y, as a triple whose
+    num is p-free; (0, 1, 0) for zero."""
+    n1, d1, e1 = lo
+    n2, d2, e2 = hi
+    if not (n1 and y):
+        return hi
+    e = min(e1, e2)
+    num = n1 * y * d2 * _p_power(p, e1 - e) + n2 * d1 * _p_power(p, e2 - e)
+    if not num:
+        return 0, 1, 0
+    v, num = (0, num) if num % p else int_valuation(num, p)
+    return num, d1 * d2, e + v
+
+
+def _int_step(g: tuple, inverted: bool, y: int, p: int) -> tuple:
+    """`_chart_image` of det-1 g, given as (num, den, e) triples (a, b, c,
+    d), at an int chart coordinate y: the chart flag, then z, the
+    derivative and q as triples with p-free num and den (num 0 for zero),
+    so that the input moved by s lands at z + derivative·s/(1 + q·s); the
+    charts only permute g's entries, so det is -1 iff one chart flips."""
+    lo0, hi0, lo1, hi1 = (g[1], g[0], g[3], g[2]) if inverted else g
+    w0, w1 = _row(lo0, hi0, y, p), _row(lo1, hi1, y, p)
+    flip = not w1[0] or bool(w0[0]) and w0[2] < w1[2]
+    (nn, dn, en), (nd, dd, ed), (nl, dl, el) = (w1, w0, lo0) if flip else (w0, w1, lo1)
+    _require(bool(nd), "chart selection failed to keep the image finite")
+    derivative = (-dd * dd if inverted != flip else dd * dd), nd * nd, -2 * ed
+    return flip, (nn * dd, dn * nd, en - ed), derivative, (nl * dd, dl * nd, el - ed)
 
 
 # a fiber witness depends on the class and the ladder only: built once
@@ -212,7 +236,7 @@ def _apply_witness(
     else:  # the witness is formed, so the rows multiply in one-term form
         inverted, y = _chart_witness(t, ladder)
         y = y.collapsed()
-    inverted, z, _, _ = _chart_image(left, inverted, y)
+    inverted, z = _chart_image(left, inverted, y)
     return _chart_type(z, inverted, level)
 
 
@@ -281,9 +305,9 @@ def boundary_flagged(level: ProjLevel) -> tuple[str, ...]:
     """Base points whose chart coordinate sits within one valuation step
     of the window boundary: the dominance comparison is decided by exact
     arithmetic there, and reports surface them."""
-    w = level.window_w
-    flagged = (y.inverse() if inv else y for inv, y in _charts(level) if y and y.e >= w - 1)
-    return tuple(sorted(str(x.to_fraction()) for x in flagged))
+    step = level.prime ** (level.window_w - 1)
+    flagged = (Fraction(1, y) if inv else y for inv, y in _charts(level) if y and not y % step)
+    return tuple(sorted(map(str, flagged)))
 
 
 @dataclass(frozen=True)
@@ -313,50 +337,63 @@ def collapse_check(
 
 
 def _collapse_report(
-    level: ProjLevel, ladder: ScaleLadder, level_m: int, triangular: list[int]
+    level: ProjLevel, ladder: ScaleLadder, level_m: int, triangular: tuple[list, list]
 ) -> CollapseReport:
-    points, classes = level.base_points(), level.classes()
+    charts, classes = _charts(level), level.classes()
     order = len(classes)
-    images = {ProjTruncType.near(points[c // order], classes[c % order]) for c in set(triangular)}
-    images |= {triangular_star(ProjTruncType.realized(x), level, ladder) for x in points}
+    codes = {*triangular[0], *triangular[1]}  # near codes, and ~point_index if realized
+    images = {
+        ProjTruncType.near(_point(charts[c // order]), classes[c % order]) for c in codes if c >= 0
+    }
+    images |= {ProjTruncType.realized(_point(charts[~c])) for c in codes if c < 0}
     outputs = {compact_star(t, level, ladder, level_m) for t in images}
     value = next(iter(outputs)) if len(outputs) == 1 else None
-    size = len(points) * (order + 1)
+    size = len(charts) * (order + 1)
     return CollapseReport(size, len(outputs) <= 1, value, boundary_flagged(level))
 
 
-def _column(g: PadicMatrix2, rung: int, through: bool, level: ProjLevel) -> list[int]:
+def _column(g: PadicMatrix2, rung: int, through: bool, level: ProjLevel) -> tuple[list, list]:
     """Successor codes (point_index·|J| + class_index) of the nonalgebraic
-    states under one move.  Per base point an input realized at the move's
-    rung lands at z + dev with v(dev) >= depth: the class map is the
-    derivative twist if z is a window residue r, else the constant class
-    of z - r, certified by the depth.  A generator moves the input
-    realized at the deepest rung; a witness moves (`through`) the rung-2
-    realization s of `_apply_witness`, whose twisted class holds while
-    v(q·s) reaches the Hensel exponent."""
-    p, n, m = level.prime, level.level_n, level.modulus
-    classes = level.classes()
-    slot = {c: k for k, c in enumerate(classes)}
-    hensel = PadicRational.of(hensel_modulus(p, n), p).e
-    g = _det_one(g)
-    column = []
+    states under one move, and per base point the code of its realized
+    state's image (~point_index if that is realized).  Per base point an
+    input realized at the move's rung lands at z + dev with v(dev) >=
+    depth: the class map is the derivative twist if z is a window residue
+    r, else the constant class of z - r, certified by the depth.  A
+    generator moves the input realized at the deepest rung; a witness
+    moves (`through`) the rung-2 realization s of `_apply_witness`, whose
+    twisted class holds while v(q·s) reaches the Hensel exponent."""
+    p, n, m, w = level.prime, level.level_n, level.modulus, level.window_w
+    group = build_group(p, n)
+    order, slot = group.order, {c: k for k, c in enumerate(group.elements)}
+    modulus = hensel_modulus(p, n)
+    hensel, _ = int_valuation(modulus, p)
+    entries = _det_one(g).entries()
+    _require(not any(x.rest for x in entries), "projective flow: a move has a sparse entry")
+    triples = tuple((x.num, x.den, x.e) for x in entries)
+    column, realized = [], []
     for inverted, y in _charts(level):
-        inverted, z, derivative, q = _chart_step(g, inverted, y)
-        r = z.residue(m)
-        dev = z - r
-        depth = rung + derivative.e if through else rung
-        exact = not (through and q) or q.e + rung >= hensel
-        bound = dev.e + hensel if dev else level.window_w
+        flip, (zn, zd, ez), (dn, dd, de), q = _int_step(triples, inverted, y, p)
+        r = 0
+        if zn and ez < w:  # dev = z - r, else z itself
+            r = zn * p**ez * pow(zd, -1, m) % m
+            x = zn * p**ez - r * zd
+            ez, zn = int_valuation(x, p) if x else (0, 0)
+        depth = rung + de if through else rung
+        exact = not (through and q[0]) or q[2] + rung >= hensel
+        bound = ez + hensel if zn else w
         _require(exact and depth >= bound, "projective flow: a class map is not certified")
-        _require(not inverted or r % p == 0, "projective flow: a successor left the state space")
-        base = len(classes) * (m + r // p if inverted else r)
+        _require(not flip or r % p == 0, "projective flow: a successor left the state space")
+        index = m + r // p if flip else r
         # the class map: constant at class(z - r), or the derivative's twist
-        k = class_of(dev if dev else derivative, n, p)
-        column += [base + slot[k if dev else k * c] for c in classes]
-    return column
+        unit, e = (zn * pow(zd, -1, modulus), ez) if zn else (dn * pow(dd, -1, modulus), de)
+        k = slot[_canonical_class(p, n, unit % modulus, e % n)]
+        code = index * order + k
+        column += [code] * order if zn else [index * order + j for j in group.products[k]]
+        realized.append(code if zn else ~index)
+    return column, realized
 
 
-def _triangular_column(level: ProjLevel, ladder: ScaleLadder) -> list[int]:
+def _triangular_column(level: ProjLevel, ladder: ScaleLadder) -> tuple[list, list]:
     witness = borel_witness(class_of(1, level.level_n, level.prime), ladder, 0)
     return _column(witness, ladder.rungs[2], True, level)
 
@@ -365,10 +402,10 @@ def _flow_table(level: ProjLevel, level_m: int, ladder: ScaleLadder, triangular:
     """Successor codes of the nonalgebraic states under the generators, the
     triangular (its given column) and each fiber product."""
     gens = flow_generators(level.prime, level_m + level.window_w)
-    columns = [_column(g, ladder.rungs[-1], False, level) for g in gens]
+    columns = [_column(g, ladder.rungs[-1], False, level)[0] for g in gens]
     columns.append(triangular)
     fibers = [_fiber_witness(c, ladder) for c in level.classes()]
-    columns += [_column(w, ladder.rungs[2], True, level) for w in fibers]
+    columns += [_column(w, ladder.rungs[2], True, level)[0] for w in fibers]
     return list(zip(*columns))
 
 
@@ -404,7 +441,7 @@ def minimality_proximality_report(
     only twist classes by squares, so the action alone cannot cross
     between class fibers away from collapsing boundary deviations."""
     triangular = _triangular_column(level, ladder)
-    successors = _flow_table(level, level_m, ladder, triangular)
+    successors = _flow_table(level, level_m, ladder, triangular[0])
     components = strongly_connected_components(range(len(successors)), successors.__getitem__)
     collapse = _collapse_report(level, ladder, level_m, triangular)
     return ProjFlowReport(

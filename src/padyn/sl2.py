@@ -298,7 +298,10 @@ def _left_slide(
     j: ResidueClass, k: tuple[int, int, int, int], level_m: int, ladder: ScaleLadder
 ) -> tuple[tuple[int, int, int, int], PadicMatrix2]:
     """(mid mod p^m, h1) with mid @ h1 = witness(j, rung 0) @ lift(k)."""
-    mid, h1 = borel_past_integral(borel_witness(j, ladder, 0), k_lift(k, j.prime, level_m))
+    left = borel_witness(j, ladder, 0)
+    if k == (1, 0, 0, 1):  # lift(I) = I: the witness rewrites to itself
+        return k, left
+    mid, h1 = borel_past_integral(left, k_lift(k, j.prime, level_m))
     return k_reduce(mid, level_m), h1
 
 

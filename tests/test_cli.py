@@ -487,6 +487,9 @@ STDOUT_SHA256 = {
     "proj minimal --w 3": "a74b5908c744b4844110d87826b34387673fb819403ba13161844b7346eaf2ab",
     "proj minimal --gap 16": "9c07170058f50821d251ea8895351524b4ff56cbd63c796bf2f8c6e9f5ad0115",
     "proj minimal --w 4": "5837ea4b293e3922601dd565e04196139ae86e6bf11b949a7cad56da699f070c",
+    # deeper inverted charts than --w 4: 15 000 and 11 664 states
+    "proj minimal --w 5": "05f163b1acaf94f5b1a21ba66a86a32439ad0ebb46a2f2fe2917f759112b9828",
+    "proj minimal --p 3 --w 7": "e648ec718b839e67e3563b20b62998981accb9946d28e3e758d16717e58a3424",
     "proj minimal --p 3 --n 3 --w 3": "14a4edc0ef262acd63b4cf6a6aa7b05c4627291165e4e5314c095f0e873f5958",
     "proj minimal --p 7 --n 3": "a5fb04b2debe7edd07204a4af48110f9bf21007409b450c271b477e1d566cd92",
     "proj minimal --n 4": "d628f2233ba8b501930b0b2a1767d7b6062ddb0ae7a436b7db07449d6dee108f",

@@ -24,8 +24,8 @@ from padyn.proj import (
 )
 from padyn._graph import strongly_connected_components
 from padyn.borel import witness as borel_witness
-from padyn.padic import PadicMatrix2, PadicRational
-from padyn.residues import build_group, class_of
+from padyn.padic import PadicMatrix2, PadicRational, _require
+from padyn.residues import build_group, class_of, hensel_modulus
 from padyn.sl2 import GFlowPoint, flow_generators, k_level_group, k_lift
 from padyn.types1 import ScaleLadder, TruncType1, realize
 
@@ -85,7 +85,7 @@ def test_oracle_is_rung_independent():
 
 
 def flow_table(level, ladder=LADDER):
-    return proj._flow_table(level, 1, ladder, proj._triangular_column(level, ladder))
+    return proj._flow_table(level, 1, ladder, proj._triangular_column(level, ladder)[0])
 
 
 # ---------------------------------------------------------------- points
@@ -217,6 +217,16 @@ def random_chart_point(rng, p=P):
     return rng.random() < 0.5, PadicRational.of(y * p ** rng.randint(0, 3), p)
 
 
+def triples(g):
+    """g's entries as the (num, den, e) triples `_int_step` reads."""
+    return tuple((x.num, x.den, x.e) for x in g.entries())
+
+
+def triple_value(t, p):
+    num, den, e = t
+    return Fraction(num, den) * Fraction(p) ** e
+
+
 def mobius_chart(g, inverted, y, flip):
     """g applied to the chart vector (y, 1), or (1, y) when inverted, on
     Fractions, read in the flipped chart or not; None at that chart's
@@ -287,22 +297,68 @@ def test_action_group_law_on_random_words():
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_chart_step_matches_the_mobius_map_on_random_matrices(p):
-    # the image of y + s is z + derivative·s/(1 + q·s) in z's chart, with
-    # the derivative's sign set by whether the step changes chart
+    # the int step's image of y + s is z + derivative·s/(1 + q·s) in z's
+    # chart, with the derivative's sign set by whether the step changes
+    # chart; its chart coordinates are ints, as the table's are
     rng = random.Random(20260814 + p)
     checked = 0
     while checked < 150:
         g = random_det_one(rng, p)
-        inverted, y = random_chart_point(rng, p)
-        flip, z, derivative, q = proj._chart_step(g, inverted, y)
-        assert z.to_fraction() == mobius_chart(g, inverted, y.to_fraction(), flip)
+        inverted, y = rng.random() < 0.5, rng.randint(-60, 60) * p ** rng.randint(0, 3)
+        flip, *values = proj._int_step(triples(g), inverted, y, p)
+        z, derivative, q = (triple_value(t, p) for t in values)
+        assert z == mobius_chart(g, inverted, Fraction(y), flip)
+        image_flip, image = proj._chart_image(g, inverted, y)
+        assert (image_flip, image.to_fraction()) == (flip, z)
         s = Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 9)) * p ** rng.randint(0, 4)
-        moved = mobius_chart(g, inverted, y.to_fraction() + s, flip)
-        if moved is None or 1 + q.to_fraction() * s == 0:
+        moved = mobius_chart(g, inverted, y + s, flip)
+        if moved is None or 1 + q * s == 0:
             continue
-        assert moved == z.to_fraction() + derivative.to_fraction() * s / (1 + q.to_fraction() * s)
+        assert moved == z + derivative * s / (1 + q * s)
         checked += 1
 
+
+def padic_chart_step(g, inverted, y):
+    """The chart step on `PadicRational`s, the int step's oracle:
+    `_chart_image`'s chart flag and z, with the derivative and q."""
+    lo0, hi0, lo1, hi1 = (g.b, g.a, g.d, g.c) if inverted else (g.a, g.b, g.c, g.d)
+    w0, w1 = lo0 * y + hi0, lo1 * y + hi1
+    flip = not w1 or bool(w0) and w0.e < w1.e
+    lo, num, denom = (lo0, w1, w0) if flip else (lo1, w0, w1)
+    _require(bool(denom), "chart selection failed to keep the image finite")
+    inv = denom.inverse()
+    return flip, num * inv, (-inv if inverted != flip else inv) * inv, lo * inv
+
+
+def padic_column(g, rung, through, level):
+    """`proj._column`'s successor codes, each chart step and class read on
+    `PadicRational`s, with the same certificates."""
+    p, n, m = level.prime, level.level_n, level.modulus
+    classes = level.classes()
+    slot = {c: k for k, c in enumerate(classes)}
+    hensel = PadicRational.of(hensel_modulus(p, n), p).e
+    column = []
+    for inverted, y in proj._charts(level):
+        inverted, z, derivative, q = padic_chart_step(g, inverted, PadicRational.of(y, p))
+        r = z.residue(m)
+        dev = z - r
+        depth = rung + derivative.e if through else rung
+        exact = not (through and q) or q.e + rung >= hensel
+        bound = dev.e + hensel if dev else level.window_w
+        _require(exact and depth >= bound, "projective flow: a class map is not certified")
+        _require(not inverted or r % p == 0, "projective flow: a successor left the state space")
+        base = len(classes) * (m + r // p if inverted else r)
+        k = class_of(dev if dev else derivative, n, p)
+        column += [base + slot[k if dev else k * c] for c in classes]
+    return column
+
+
+def test_a_move_with_a_sparse_entry_is_refused():
+    # 1 + p^100 keeps two terms; the int step reads one-term entries only
+    sparse = PadicRational.of(1, P) + PadicRational.of(1, P).shifted(100)
+    assert sparse.rest
+    with pytest.raises(ArithmeticError, match="sparse entry"):
+        proj._column(mat(((1, sparse), (0, 1))), LADDER.rungs[-1], False, L22)
 
 
 # -------------------------------------------------------------- products
@@ -434,13 +490,13 @@ def test_fiber_transitions_are_load_bearing():
 
 def test_a_successor_outside_the_state_space_is_an_error(monkeypatch):
     # a unit chart coordinate in the reciprocal chart names no base point
-    chart_step = proj._chart_step
+    int_step = proj._int_step
 
-    def escaping(g, inverted, y):
-        _, _, derivative, q = chart_step(g, inverted, y)
-        return True, PadicRational.of(1, g.prime), derivative, q
+    def escaping(g, inverted, y, p):
+        _, _, derivative, q = int_step(g, inverted, y, p)
+        return True, (1, 1, 0), derivative, q
 
-    monkeypatch.setattr(proj, "_chart_step", escaping)
+    monkeypatch.setattr(proj, "_int_step", escaping)
     with pytest.raises(ArithmeticError, match="left the state space"):
         minimality_proximality_report(L11, level_m=1, ladder=LADDER)
 
@@ -523,7 +579,7 @@ def level_id(level):
 @pytest.mark.parametrize("level", [*TABLE_LEVELS, ProjLevel(7, 2, 2)], ids=level_id)
 def test_flow_table_matches_the_explicit_moves(level, ladder):
     # every (move, base point, class) entry of the table against the
-    # realization oracle, which shares no code with `_chart_step`, and the
+    # realization oracle, which shares no code with `_int_step`, and the
     # two witness products; where the class of -1 is nontrivial, at
     # (3, 2, 3), (5, 4, 2) and (7, 2, 2), a chart change's determinant sign
     # shows in the twist
@@ -532,6 +588,46 @@ def test_flow_table_matches_the_explicit_moves(level, ladder):
     assert len(table) == len(states)
     for s, codes in zip(states, table):
         assert [states[code] for code in codes] == explicit_successors(s, level, ladder), s
+
+
+@pytest.mark.parametrize("ladder", [LADDER, LADDER.doubled_gap()], ids=["default", "doubled-gap"])
+@pytest.mark.parametrize("level", [*TABLE_LEVELS, ProjLevel(7, 2, 2)], ids=level_id)
+def test_int_columns_match_the_padic_chart_step(level, ladder):
+    # every move's int column, entry for entry, against the same column
+    # stepped and classified on `PadicRational`s
+    p = level.prime
+    moves = [(g, ladder.rungs[-1], False) for g in flow_generators(p, 1 + level.window_w)]
+    moves.append((borel_witness(class_of(1, level.level_n, p), ladder, 0), ladder.rungs[2], True))
+    moves += [(proj._fiber_witness(c, ladder), ladder.rungs[2], True) for c in level.classes()]
+    for g, rung, through in moves:
+        assert proj._column(g, rung, through, level)[0] == padic_column(g, rung, through, level), g
+
+
+def test_int_and_padic_columns_certify_the_same_rungs():
+    # the certificates: a constant class map holds only for inputs realized
+    # past v(z - r) plus the Hensel exponent (1 at p = 5, n = 2; 3 at
+    # n = 5), and a witness's twist only while its depth and v(q·s) clear
+    # it; at shallow rungs and on gap-1 ladders both paths refuse the same
+    # entries, with the same message
+    gens = flow_generators(P, 3)
+    levels = (L22, ProjLevel(5, 5, 2))
+    cases = [(g, rung, False, level) for level in levels for g in gens for rung in range(1, 8)]
+    for level, base in ((L22, 7), (ProjLevel(3, 3, 2), 4)):
+        ladder = ScaleLadder.build(gap=1, window_w=2, length=4, base=base)
+        witnesses = [borel_witness(class_of(1, level.level_n, level.prime), ladder, 0)]
+        witnesses += [proj._fiber_witness(c, ladder) for c in level.classes()]
+        cases += [(g, rung, True, level) for g in witnesses for rung in range(0, 40, 3)]
+    outcomes = Counter()
+    for case in cases:
+        pair = []
+        for column in (lambda *args: proj._column(*args)[0], padic_column):
+            try:
+                pair.append(column(*case))
+            except ArithmeticError as error:
+                pair.append(str(error))
+        assert pair[0] == pair[1], case
+        outcomes[type(pair[0])] += 1
+    assert outcomes[str] and outcomes[list]
 
 
 def test_flow_table_class_map_kinds():
@@ -564,11 +660,18 @@ def explicit_collapse_report(level, ladder):
 @pytest.mark.parametrize("ladder", [LADDER, LADDER.doubled_gap()], ids=["default", "doubled-gap"])
 @pytest.mark.parametrize("level", [*TABLE_LEVELS, ProjLevel(2, 2, 2)], ids=level_id)
 def test_collapse_check_reads_the_explicit_triangular_images(level, ladder):
-    # collapse_check reads the nonalgebraic states' triangular images from
-    # the certified column and computes the realized states' explicitly
-    near = nonalgebraic_states(level)
-    read = {near[code] for code in proj._triangular_column(level, ladder)}
-    read |= {triangular_star(ProjTruncType.realized(x), level, ladder) for x in level.base_points()}
+    # collapse_check reads every state's triangular image from the
+    # triangular column's pass: the nonalgebraic states' from the certified
+    # column, each realized state's from its base point's chart step, coded
+    # ~point_index when the image is realized
+    near, points = nonalgebraic_states(level), level.base_points()
+    column, realized = proj._triangular_column(level, ladder)
+    assert len(realized) == len(points)
+    for x, code in zip(points, realized):
+        image = ProjTruncType.realized(points[~code]) if code < 0 else near[code]
+        assert image == triangular_star(ProjTruncType.realized(x), level, ladder), x
+    read = {near[code] for code in column}
+    read |= {triangular_star(ProjTruncType.realized(x), level, ladder) for x in points}
     assert read == {triangular_star(t, level, ladder) for t in all_states(level)}
     assert collapse_check(level, ladder) == explicit_collapse_report(level, ladder)
 
@@ -617,13 +720,13 @@ def test_witness_products_match_the_homogeneous_path(level, ladder):
 
 
 def test_flow_report_work_counts(monkeypatch):
-    # at (5, 2, 3): one chart step per (move, base point) for the 5
+    # at (5, 2, 3): one int step per (move, base point) for the 5
     # generators, the triangular and the 4 fiber moves over 150 base
-    # points (1 500), one determinant check per move, the explicit
-    # triangular product on the 150 realized states only, and the compact
-    # product on the 5 distinct triangular images (Realized(inf) and the
-    # 4 classes at infinity): 155 witness products, one chart step each;
-    # only the table's steps form the derivative and q (`_chart_step`)
+    # points (1 500), one determinant check per move, no explicit
+    # triangular product (the triangular pass reads the realized states'
+    # images too), and the compact product on the 5 distinct triangular
+    # images (Realized(inf) and the 4 classes at infinity): 5 witness
+    # products, one p-adic chart step each
     calls = Counter()
 
     def count(name):
@@ -635,16 +738,18 @@ def test_flow_report_work_counts(monkeypatch):
 
         monkeypatch.setattr(proj, name, counted)
 
-    names = ("_chart_image", "_chart_step", "_det_one", "triangular_star", "compact_star")
+    names = ("_chart_image", "_int_step", "_det_one", "triangular_star", "compact_star")
     for name in (*names, "_apply_witness"):
         count(name)
     report = minimality_proximality_report(ProjLevel(5, 2, 3), level_m=1, ladder=LADDER)
     assert report.strongly_connected and report.proximal
-    assert calls == {
-        "_chart_image": 1500 + 155,
-        "_chart_step": 1500,
-        "_det_one": 10,
-        "triangular_star": 150,
-        "compact_star": 5,
-        "_apply_witness": 150 + 5,
-    }
+    assert calls == Counter(
+        {
+            "_chart_image": 5,
+            "_int_step": 1500,
+            "_det_one": 10,
+            "triangular_star": 0,
+            "compact_star": 5,
+            "_apply_witness": 5,
+        }
+    )

@@ -497,6 +497,8 @@ def test_left_slide_matches_the_uncached_rewrite():
     ladders = (DEFAULT_LADDER, DEFAULT_LADDER.doubled_gap())
     cases = [(j, k, 1) for j in build_group(5, 2).elements for k in sl2.k_level_group(5, 1)]
     cases += [(class_of(1, 2, 3), k, 2) for k in sl2.k_level_group(3, 2)]
+    # the identity's shortcut, on every class ellis_group(7, 6, 1) slides
+    cases += [(j, (1, 0, 0, 1), 1) for d in (1, 2, 3, 6) for j in build_group(7, d).elements]
     sl2._left_slide.cache_clear()
     for j, k, m in cases:
         for ladder in ladders:
@@ -520,9 +522,11 @@ def test_ellis_group_rewrites_once_per_class(monkeypatch):
     sl2._left_slide.cache_clear()
     monkeypatch.setattr(sl2, "borel_past_integral", counted)
     sl2.ellis_group(7, 6, 1)
-    # one rewrite per class over the levels d | 6, 1 + 4 + 9 + 36, where
-    # one per product would be 1 + 16 + 81 + 1 296 = 1 394
-    assert len(calls) == 50
+    # one slide per class over the levels d | 6, 1 + 4 + 9 + 36, where
+    # one per product would be 1 + 16 + 81 + 1 296 = 1 394; every one is
+    # past the identity's lift I, so none needs a rewrite
+    assert sl2._left_slide.cache_info().misses == 50
+    assert calls == []
 
 
 def fraction_lower_perturbation(p, exponent):
@@ -894,10 +898,10 @@ def test_minimal_flow_work_counts(monkeypatch):
 
 
 def test_minimal_flow_matrix_product_count(monkeypatch):
-    # from empty caches, only the rewrites form whole products: 50 of
-    # them (test_ellis_group_rewrites_once_per_class) at 4 each,
-    # t^-1 @ h @ t and the exact check, plus the perturbed basepoint's
-    # check; star itself forms only the leading entry of h1 @ h2
+    # from empty caches, only the rewrites form whole products: the
+    # identity fibre's slides need none (test_ellis_group_rewrites_once_per_class),
+    # so only the perturbed basepoint's exact check forms two; star
+    # itself forms only the leading entry of h1 @ h2
     calls = []
     product = PadicMatrix2.__matmul__
 
@@ -909,7 +913,7 @@ def test_minimal_flow_matrix_product_count(monkeypatch):
     for cached in (witness, sl2.k_lift, sl2._left_slide):
         cached.cache_clear()
     assert sl2.minimal_flow(7, 6, 1).idempotent
-    assert len(calls) == 50 * 4 + 2
+    assert len(calls) == 2
 
 
 def test_minimal_flow_cross_check_disagreement_raises(monkeypatch, capsys):
