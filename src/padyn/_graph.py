@@ -87,7 +87,10 @@ def skew_components(columns, products, root: int, identity: int) -> int | None:
     is the index [J : H] (the voltage-graph criterion, Gross and Tucker,
     *Topological Graph Theory*, ch. 2: every move translates J, so a
     component is a coset of H in each fibre).  The defects are read a
-    column at a time, and the rest are skipped once H is all of J.
+    column at a time, and the rest are skipped once H is all of J.  With
+    a one-element J (products ((0,),)) the nodes are the states, and the
+    result is 1 exactly when the graph the columns draw is strongly
+    connected.
     """
     size, moves = len(columns[0][0]), len(columns)
     order = array("i", [-1]) * size  # discovery index

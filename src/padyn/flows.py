@@ -89,10 +89,7 @@ def _successors(tag: str, p: int, n: int, w: int) -> tuple[list[list[int]], list
     near types only move exactly.
     """
     group = build_group(p, n)
-    reps = [c.representative for c in group.elements]
-    index = {r: i for i, r in enumerate(reps)}
-    products = [[index[group.table[(r, s)]] for s in reps] for r in reps]
-    width = len(reps)
+    products, width = group.products, group.order
     realized, near = _domain(tag, p, w)
     first_near = len(realized)
     first_inf = first_near + len(near) * width
@@ -104,7 +101,7 @@ def _successors(tag: str, p: int, n: int, w: int) -> tuple[list[list[int]], list
         action += [list(range(first_near + j, first_inf, width)) for j in range(width)] * len(near)
         action += [[s] for s in at_infinity]
     else:  # the scalings by a/b over realized bases a and b
-        klass = {a: index[class_of(a, n, p).representative] for a in near if a}
+        klass = {a: group.index[class_of(a, n, p).representative] for a in near if a}
         position = {a: first_near + i * width for i, a in enumerate(near)}
         targets = [(position[a], klass[a]) for a in realized]
         for b in near:

@@ -12,19 +12,22 @@ triangular witness is `borel.witness` of the identity class.
 `_chart_type` truncates the product's image, a chart coordinate, to its
 window residue plus the class of the deviation.
 
-The flow report is a skew product over the base points, tabulated on
-int states, one column per move.  Every move's entries are one-term and
-every base point's chart coordinate is an int, so per base point one
-`_int_step` on (num, den, e) int triples gives the output point and a
-class map, either the derivative twist or a constant certified against
-the rung the input is realized at.  `triangular_star` sends every type
-not based at infinity into the infinity family, and `compact_star`
-sends that family to one type (the input's own witness is absorbed at
-the compact level).  Their composite is constant on all truncated types,
-which is both the collapse check and the proximality witness of the
-flow report.  The collapse check reads every state's triangular image
-from the triangular column's pass, the realized states' included; the
-explicit products stay as the table's oracle.
+The flow report tabulates the nonalgebraic states on int codes, one
+column per move.  Every move's entries are one-term and every base
+point's chart coordinate is an int, so per base point one `_int_step`
+on (num, den, e) int triples gives the output point and a class map,
+either the derivative twist or a constant certified against the rung
+the input is realized at.  A constant class map is no translation, so
+the table is no skew product over the base points: one depth-first
+search over all the states (`_graph.skew_components` with a
+one-element fibre) decides strong connectivity.  `triangular_star`
+sends every type not based at infinity into the infinity family, and
+`compact_star` sends that family to one type (the input's own witness
+is absorbed at the compact level).  Their composite is constant on all
+truncated types, which is both the collapse check and the proximality
+witness of the flow report.  The collapse check reads every state's
+triangular image from the triangular column's pass, the realized
+states' included; the explicit products stay as the table's oracle.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from ._graph import strongly_connected_components
+from ._graph import skew_components
 from .borel import witness as borel_witness
 from .padic import (
     PadicMatrix2,
@@ -44,7 +47,7 @@ from .padic import (
     _require,
     int_valuation,
 )
-from .residues import ResidueClass, _canonical_class, build_group, class_of, hensel_modulus
+from .residues import ResidueClass, build_group, class_of, hensel_modulus
 from .sl2 import flow_generators
 from .types1 import DEFAULT_LADDER, ScaleLadder, TruncType1, realize
 
@@ -364,7 +367,7 @@ def _column(g: PadicMatrix2, rung: int, through: bool, level: ProjLevel) -> tupl
     twisted class holds while v(q·s) reaches the Hensel exponent."""
     p, n, m, w = level.prime, level.level_n, level.modulus, level.window_w
     group = build_group(p, n)
-    order, slot = group.order, {c: k for k, c in enumerate(group.elements)}
+    order = group.order
     modulus = hensel_modulus(p, n)
     hensel, _ = int_valuation(modulus, p)
     entries = _det_one(g).entries()
@@ -386,7 +389,7 @@ def _column(g: PadicMatrix2, rung: int, through: bool, level: ProjLevel) -> tupl
         index = m + r // p if flip else r
         # the class map: constant at class(z - r), or the derivative's twist
         unit, e = (zn * pow(zd, -1, modulus), ez) if zn else (dn * pow(dd, -1, modulus), de)
-        k = slot[_canonical_class(p, n, unit % modulus, e % n)]
+        k = group.slots[e % n, unit % modulus]
         code = index * order + k
         column += [code] * order if zn else [index * order + j for j in group.products[k]]
         realized.append(code if zn else ~index)
@@ -399,14 +402,14 @@ def _triangular_column(level: ProjLevel, ladder: ScaleLadder) -> tuple[list, lis
 
 
 def _flow_table(level: ProjLevel, level_m: int, ladder: ScaleLadder, triangular: list) -> list:
-    """Successor codes of the nonalgebraic states under the generators, the
-    triangular (its given column) and each fiber product."""
+    """The columns of successor codes of the nonalgebraic states under the
+    generators, the triangular (its given column) and each fiber product."""
     gens = flow_generators(level.prime, level_m + level.window_w)
     columns = [_column(g, ladder.rungs[-1], False, level)[0] for g in gens]
     columns.append(triangular)
     fibers = [_fiber_witness(c, ladder) for c in level.classes()]
     columns += [_column(w, ladder.rungs[2], True, level)[0] for w in fibers]
-    return list(zip(*columns))
+    return columns
 
 
 @dataclass(frozen=True)
@@ -439,14 +442,15 @@ def minimality_proximality_report(
 
     The fiber transitions are load-bearing: determinant-one derivatives
     only twist classes by squares, so the action alone cannot cross
-    between class fibers away from collapsing boundary deviations."""
+    between class fibers away from collapsing boundary deviations.  One
+    search on the flat columns, over a one-element fibre, decides it."""
     triangular = _triangular_column(level, ladder)
-    successors = _flow_table(level, level_m, ladder, triangular[0])
-    components = strongly_connected_components(range(len(successors)), successors.__getitem__)
+    columns = _flow_table(level, level_m, ladder, triangular[0])
+    count = skew_components([(column, 0) for column in columns], ((0,),), 0, 0)
     collapse = _collapse_report(level, ladder, level_m, triangular)
     return ProjFlowReport(
-        size=len(successors),
-        strongly_connected=len(components) == 1,
+        size=len(columns[0]),
+        strongly_connected=count == 1,
         proximal=collapse.collapsed,
         collapsed_type=collapse.collapsed_type,
         boundary_flags=collapse.boundary_flags,

@@ -165,25 +165,28 @@ class ResidueGroup:
     The element list and table are built by enumeration; the group
     axioms are verified at construction time, associativity decided
     exactly by Light's test over a generating set the table is shown to
-    generate (see `_verify_axioms`).
+    generate (see `_verify_axioms`).  `index` maps a representative to
+    its element index, and `slots[(e, u)]` is the element index of the
+    class of u * p**e for 0 <= e < n and u a unit mod the Hensel modulus.
     """
 
-    def __init__(self, p: int, n: int, elements: list[ResidueClass]):
+    def __init__(self, p: int, n: int, classes: dict[tuple[int, int], ResidueClass]):
         self.prime = p
         self.level_n = n
-        self.elements = sorted(elements, key=lambda c: c.representative)
+        self.elements = sorted(set(classes.values()), key=lambda c: c.representative)
         self.identity = class_of(1, n, p)
         reps = [c.representative for c in self.elements]
-        self._index = {r: i for i, r in enumerate(reps)}
+        self.index = {r: i for i, r in enumerate(reps)}
+        self.slots = {key: self.index[c.representative] for key, c in classes.items()}
         # a representative is u * p**e with 0 <= e < n, so the class of a
         # product has valuation (e + e') mod n and unit residue u * u'
         modulus = hensel_modulus(p, n)
         parts = [(e, u % modulus) for e, u in (int_valuation(r, p) for r in reps)]
-        self.table: dict[tuple[int, int], int] = {}
-        for r, (e, u) in zip(reps, parts):
-            for s, (f, w) in zip(reps, parts):
-                klass = _canonical_class(p, n, u * w % modulus, (e + f) % n)
-                self.table[(r, s)] = klass.representative
+        self.table: dict[tuple[int, int], int] = {
+            (r, s): reps[self.slots[(e + f) % n, u * w % modulus]]
+            for r, (e, u) in zip(reps, parts)
+            for s, (f, w) in zip(reps, parts)
+        }
         # products[i][j] is the index of elements[i]·elements[j]
         self.products = self._verify_axioms()
 
@@ -216,9 +219,9 @@ class ResidueGroup:
         `products`.
         """
         table = self.table
-        reps = list(self._index)
+        reps = list(self.index)
         # the first failing cell of each check, so each message is formatted once
-        key = next((key for key, val in table.items() if val not in self._index), None)
+        key = next((key for key, val in table.items() if val not in self.index), None)
         _require(key is None, f"residue group: product {key} left the element set")
         r = next((r for r in reps if table[(1, r)] != r), None)
         _require(r is None, f"residue group: 1 is not a left identity at {r}")
@@ -228,8 +231,8 @@ class ResidueGroup:
         c = next((c for c, inv in inverses if table.get((c.representative, inv)) != 1), None)
         _require(c is None, f"residue group: {c} has no inverse")
         # the table on element indices: rows[i][j] is the index of i·j
-        rows = [[self._index[table[(r, s)]] for s in reps] for r in reps]
-        reached = {self._index[1]}
+        rows = [[self.index[table[(r, s)]] for s in reps] for r in reps]
+        reached = {self.index[1]}
         gens: list[int] = []
         for r in range(len(reps)):
             if r in reached:
@@ -256,14 +259,14 @@ class ResidueGroup:
     def rows(self, table: dict[tuple[int, int], int]) -> list[list[str]]:
         """A product table on this group's representatives as rows of
         strings, in element order."""
-        reps = list(self._index)
+        reps = list(self.index)
         return [[str(table[(r, s)]) for s in reps] for r in reps]
 
     def to_json(self) -> dict:
         vmap = induced_valuation_map(self)
         return {
             "order": self.order,
-            "representatives": [str(r) for r in self._index],
+            "representatives": [str(r) for r in self.index],
             "table": self.rows(self.table),
             "v_map": {str(k): v for k, v in vmap.mapping.items()},
             "v_map_injective": vmap.injective,
@@ -276,20 +279,17 @@ def build_group(p: int, n: int) -> ResidueGroup:
 
     Candidates u * p**e with u ranging over unit residues and e over
     [0, n) cover every class; duplicates collapse through the canonical
-    representative.  The resulting order is cross-checked against an
+    representative, and each pair's class is kept as the group's
+    `slots`.  The resulting order is cross-checked against an
     independent merge of a concrete value set in `brute_force_order`.
     """
     if n < 1 or n > RESIDUE_LEVEL_MAX:
         raise ValueError(f"residue level must be in [1, {RESIDUE_LEVEL_MAX}]")
     modulus = hensel_modulus(p, n)
-    seen: dict[int, ResidueClass] = {}
-    for e in range(n):
-        for u in range(1, modulus):
-            if u % p == 0:
-                continue
-            c = class_of(u * p**e, n, p)
-            seen[c.representative] = c
-    return ResidueGroup(p, n, list(seen.values()))
+    classes = {
+        (e, u): _canonical_class(p, n, u, e) for e in range(n) for u in range(1, modulus) if u % p
+    }
+    return ResidueGroup(p, n, classes)
 
 
 def brute_force_order(p: int, n: int) -> int:

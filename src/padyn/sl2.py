@@ -420,22 +420,8 @@ class SkewProduct:
     trivial: int
 
 
-@lru_cache(maxsize=None)
-def _twist_classes(p: int, level_n: int) -> dict[tuple[int, int], int]:
-    """The class index of unit·p^v, keyed by (v mod n, unit mod the
-    Hensel modulus)."""
-    j_index = {c.representative: i for i, c in enumerate(build_group(p, level_n).elements)}
-    hensel = hensel_modulus(p, level_n)
-    return {
-        (v, u): j_index[class_of(u * p**v, level_n, p).representative]
-        for v in range(level_n)
-        for u in range(1, hensel)
-        if u % p
-    }
-
-
 def _cocycle_column(
-    g: PadicMatrix2, p: int, level_n: int, level_m: int, entries, *, lift_free: bool = True
+    g: PadicMatrix2, p: int, level_n: int, level_m: int, entries
 ) -> tuple[array, array]:
     """The column (targets, twists) of flow generator g: iwasawa(g·lift(k))
     = (t, h) read as (t mod p^m, class(h.a)) for every K element k, read
@@ -446,29 +432,29 @@ def _cocycle_column(
     (G mod p^m, trivial).  Otherwise, with w = min(v(Q.a), v(Q.c)), t is
     G's first column scaled by p^-(e+w), (A, C)/D, completed on the more
     unit-like of A and C exactly as `iwasawa` does (ties keep the
-    diagonal shape), and h.a = p^(e+w).
+    diagonal shape), and h.a = p^(e+w).  A twist's class index is read
+    from `build_group(p, level_n).slots`.
 
-    For integral g (and `lift_free`), G is integral, so it is I's or
-    g·k mod p^m with a trivial twist, by whether its lower-left entry
-    vanishes; that entry is g's lower row against lift(k)'s first
-    column, which `_lift_scaled` gives as a nonzero multiple of (a, c),
-    or of (1 + b·c, c·d) when only d is a unit.  Only those k take the
-    general path.
+    For integral g, G is integral, so it is I's or g·k mod p^m with a
+    trivial twist, by whether its lower-left entry vanishes; that entry
+    is g's lower row against lift(k)'s first column, which `_lift_scaled`
+    gives as a nonzero multiple of (a, c), or of (1 + b·c, c·d) when only
+    d is a unit.  Only the k where it vanishes take the general path.
     """
     mod = p**level_m
     rank = _k_rank(p, level_m)
-    twist = _twist_classes(p, level_n)
+    twist = build_group(p, level_n).slots
     hensel = hensel_modulus(p, level_n)
     trivial, identity = twist[0, 1], rank(1, 0, 0, 1)
     e, g_den, ((g00, g01), (g10, g11)) = _scaled(g)
     shift = p ** abs(e)
-    lift_free = lift_free and g.is_integral()
-    if lift_free:
+    integral = g.is_integral()
+    if integral:
         ga, gb, gc, gd = k_reduce(g, level_m)
     targets, twists = array("i"), array("i", [trivial]) * len(entries[0])
     for i, k in enumerate(zip(*entries)):
         a, b, c, d = k
-        if lift_free:
+        if integral:
             x, y = (1 + b * c, c * d) if a % p == 0 and d % p else (a, c)
             if g10 * x + g11 * y:
                 targets.append(
@@ -514,7 +500,6 @@ def skew_product(p: int, level_n: int, level_m: int, unit_level: int) -> SkewPro
     rank = _k_rank(p, level_m)
     entries = _k_entries(p, level_m)
     group = build_group(p, level_n)
-    j_index = {c.representative: i for i, c in enumerate(group.elements)}
     cocycle = tuple(
         _cocycle_column(g, p, level_n, level_m, entries) for g in flow_generators(p, unit_level)
     )
@@ -529,9 +514,9 @@ def skew_product(p: int, level_n: int, level_m: int, unit_level: int) -> SkewPro
                 for a, b, c, d in zip(*entries)
             ),
         )
-        slides.append((targets, j_index[mult.representative]))
+        slides.append((targets, group.index[mult.representative]))
     return SkewProduct(
-        group.order, group.products, cocycle, tuple(slides), rank(1, 0, 0, 1), j_index[1]
+        group.order, group.products, cocycle, tuple(slides), rank(1, 0, 0, 1), group.index[1]
     )
 
 

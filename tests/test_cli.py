@@ -446,6 +446,32 @@ def test_every_package_definition_is_used_in_the_package():
     assert unreferenced_definitions(Path(padyn.__file__).parent) == []
 
 
+def unused_keyword_options(package: Path) -> list[str]:
+    """module.function.option of each keyword-only parameter of a package
+    function that no call in the package, to a name or attribute of that
+    function's name, passes by name."""
+    functions, passed = [], set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                functions.append((path.stem, node))
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                passed.update((name, keyword.arg) for keyword in node.keywords)
+    return [
+        f"{module}.{node.name}.{arg.arg}"
+        for module, node in functions
+        for arg in node.args.kwonlyargs
+        if (node.name, arg.arg) not in passed
+    ]
+
+
+def test_every_keyword_option_is_passed_in_the_package():
+    # an option production never sets is a second path only the tests run
+    assert unused_keyword_options(Path(padyn.__file__).parent) == []
+
+
 def test_borel_flow_group_check_passes_with_asserts_stripped():
     verify_with_asserts_stripped("borel-flow-group")
 

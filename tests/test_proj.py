@@ -22,7 +22,7 @@ from padyn.proj import (
     nonalgebraic_states,
     triangular_star,
 )
-from padyn._graph import strongly_connected_components
+from padyn._graph import skew_components, strongly_connected_components
 from padyn.borel import witness as borel_witness
 from padyn.padic import PadicMatrix2, PadicRational, _require
 from padyn.residues import build_group, class_of, hensel_modulus
@@ -84,8 +84,18 @@ def test_oracle_is_rung_independent():
             assert oracle_act(g, state, L22, LADDER, 1) == oracle_act(g, state, L22, LADDER, 3)
 
 
-def flow_table(level, ladder=LADDER):
+def flow_columns(level, ladder=LADDER):
     return proj._flow_table(level, 1, ladder, proj._triangular_column(level, ladder)[0])
+
+
+def flow_table(level, ladder=LADDER):
+    """The table's columns zipped into per-state successor tuples."""
+    return list(zip(*flow_columns(level, ladder)))
+
+
+def search_count(columns):
+    """The report's search: `skew_components` over a one-element fibre."""
+    return skew_components([(column, 0) for column in columns], ((0,),), 0, 0)
 
 
 # ---------------------------------------------------------------- points
@@ -481,11 +491,15 @@ def test_fiber_transitions_are_load_bearing():
     # determinant-one derivatives twist classes by squares only, so the
     # generator columns (0-4), the triangular column (5) and the compact
     # product (the identity-class fiber column) strand the deep-class
-    # states at the inverted-chart residues: 7 singleton components
+    # states at the inverted-chart residues: 7 singleton components; the
+    # report's search refuses those seven columns and accepts all ten
     moves = (*range(6), 6 + L22.classes().index(cl(1)))
     succ = [[codes[move] for move in moves] for codes in flow_table(L22)]
     components = strongly_connected_components(range(len(succ)), succ.__getitem__)
     assert sorted(map(len, components)) == [1, 1, 1, 1, 1, 1, 1, 113]
+    columns = flow_columns(L22)
+    assert search_count([columns[move] for move in moves]) is None
+    assert len(columns) == 10 and search_count(columns) == 1
 
 
 def test_a_successor_outside_the_state_space_is_an_error(monkeypatch):
@@ -645,6 +659,25 @@ def test_flow_table_class_map_kinds():
     assert kinds[0] == (125, 25)
     assert kinds[5] == (1, 149)
     assert kinds[6:] == [(1, 149)] * order
+
+
+@pytest.mark.parametrize("ladder", [LADDER, LADDER.doubled_gap()], ids=["default", "doubled-gap"])
+@pytest.mark.parametrize("level", TABLE_LEVELS, ids=level_id)
+def test_flow_report_connectivity_matches_tarjan(level, ladder):
+    # the report's one depth-first search on the flat columns against the
+    # generic Tarjan on the same table's per-state successor lists, on all
+    # the columns and on the seven that leave out the nontrivial fibers
+    columns = flow_columns(level, ladder)
+    report = minimality_proximality_report(level, level_m=1, ladder=ladder)
+    moves = (*range(6), 6 + level.classes().index(class_of(1, level.level_n, level.prime)))
+    verdicts = []
+    for chosen in (columns, [columns[move] for move in moves]):
+        succ = list(zip(*chosen))
+        components = strongly_connected_components(range(len(succ)), succ.__getitem__)
+        assert (search_count(chosen) == 1) == (len(components) == 1)
+        verdicts.append(len(components) == 1)
+    assert report.size == len(columns[0])
+    assert report.strongly_connected == verdicts[0]
 
 
 def explicit_collapse_report(level, ladder):

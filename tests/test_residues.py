@@ -244,7 +244,8 @@ TABLE_SWEEP = [(p, n) for p in (2, 3, 5, 7, 13) for n in range(1, 13)]
 @pytest.mark.parametrize("p, n", TABLE_SWEEP, ids=[f"p{p}-n{n}" for p, n in TABLE_SWEEP])
 def test_group_table_is_the_table_of_class_products(p, n):
     # the table is filled from each representative's (valuation, unit
-    # residue); each product's class is read here through a PadicRational
+    # residue) through the class index `slots`; each product's class is
+    # read here through a PadicRational, and every slot through class_of
     group = build_group(p, n)
     reps = [c.representative for c in group.elements]
     assert group.table == {
@@ -252,6 +253,11 @@ def test_group_table_is_the_table_of_class_products(p, n):
         for r in reps
         for s in reps
     }
+    modulus = hensel_modulus(p, n)
+    assert len(group.slots) == n * (modulus - modulus // p)
+    for (e, u), slot in group.slots.items():
+        assert group.elements[slot] == class_of(u * p**e, n, p), (e, u)
+    assert group.index == {r: i for i, r in enumerate(reps)}
 
 
 def swap_an_intercalate(group) -> dict:

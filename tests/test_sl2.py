@@ -785,18 +785,20 @@ def integral_moves(p, unit):
 @pytest.mark.parametrize("p, n, m", [(3, 2, 1), (5, 2, 1), (7, 2, 1), (3, 2, 2), (2, 2, 1)])
 def test_lift_free_integral_columns_match_the_general_closed_form(p, n, m):
     # the lift-free path (g·k mod p^m, or the closed form where g·lift(k)
-    # is exactly upper triangular) on every K element, against the
-    # general path through lift(k); the units mod 2^3 have no generator,
-    # so p = 2 takes one mod 2^2
+    # is exactly upper triangular) on every K element, against
+    # iwasawa(g·lift(k)) on the exact matrix; the units mod 2^3 have no
+    # generator, so p = 2 takes one mod 2^2
     unit = 2 if p == 2 else m + DEFAULT_LADDER.window_w
     entries = sl2._k_entries(p, m)
+    ks, classes = sl2.k_level_group(p, m), build_group(p, n).elements
     exceptions = 0
     for g in integral_moves(p, unit):
         assert g.is_integral()
-        fast = sl2._cocycle_column(g, p, n, m, entries)
-        general = sl2._cocycle_column(g, p, n, m, entries, lift_free=False)
-        assert fast == general
-        exceptions += sum(k_out == sl2._k_rank(p, m)(1, 0, 0, 1) for k_out in fast[0])
+        targets, twists = sl2._cocycle_column(g, p, n, m, entries)
+        for k, k_out, twist in zip(ks, targets, twists):
+            t, h = sl2.iwasawa(g @ sl2.k_lift(k, p, m))
+            assert (ks[k_out], classes[twist]) == (sl2.k_reduce(t, m), class_of(h.a, n, p))
+        exceptions += sum(ks[k_out] == (1, 0, 0, 1) for k_out in targets)
     assert exceptions > 0
 
 
