@@ -341,7 +341,7 @@ def check_ellis_tower() -> dict:
     per_level = {}
     ok = True
     for n in (1, 2, 3, 4):
-        report = ellis_group(5, n, 1)
+        report = ellis_group(5, n)
         iso_ok = all(report.iso_by_level.values())
         tower_ok = all(flag for (_, _, flag) in report.tower)
         if not (iso_ok and tower_ok):
@@ -406,7 +406,7 @@ def _symbolic_snapshot(ladder: ScaleLadder) -> dict:
     return {
         "borel": {n: build_flow_group(5, n, ladder) for n in range(1, 7)},
         "main_flow": minimal_flow(5, 2, 1, ladder).to_json(),
-        "ellis": {n: ellis_group(5, n, 1, ladder).to_json() for n in range(1, 5)},
+        "ellis": {n: ellis_group(5, n, ladder).to_json() for n in range(1, 5)},
         "collapse": collapse_check(level, ladder=ladder).to_json(),
         "triangular_images": [
             str(triangular_star(t, level, ladder)) for t in all_states(level)

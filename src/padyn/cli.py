@@ -229,7 +229,7 @@ def _cmd_minimal_flow(args):
 
 
 def _cmd_ellis(args):
-    report = ellis_group(args.p, args.n, args.m, _ladder(args))
+    report = ellis_group(args.p, args.n, _ladder(args))
     iso_ok = all(report.iso_by_level.values())
     tower_ok = all(flag for (_, _, flag) in report.tower)
     lines = [

@@ -16,16 +16,17 @@ Four layers, all exact:
   of entry tuples, serves small levels.
 - `GFlowPoint` pairs a K element with a residue class: a triangular
   truncated type is the power-residue class of its diagonal, so the
-  class is the type.  `star` multiplies two points by realizing
-  concrete witnesses (`borel.witness` matrices) on separated ladder
-  blocks, refactoring the middle, and forming only the leading entry of
-  the triangular parts' product, the one entry its class reads
-  (`borel.leading_class`).  `ellis_group` tabulates the identity fiber
-  under it.  `minimal_flow` builds the finite flow K x J on flat int
-  columns: `skew_product` tabulates iwasawa(g·lift(k)) in closed form
-  for every (generator, K element), with no lift for the integral
-  generators unless g·lift(k) is exactly upper triangular, and `act` is
-  array lookups.  Holonomy on K decides strong connectivity
+  class is the type.  `star` multiplies two points by realizing concrete
+  witnesses (`borel.witness` matrices) on separated ladder blocks,
+  refactoring the middle, and forming only the leading entry of the
+  triangular parts' product, the one entry its class reads
+  (`borel.leading_class`).  On the identity fiber {(I, j)} it is
+  `borel.star`, so `ellis_group` reads that fiber's tables from
+  `borel.build_flow_group`.  `minimal_flow` builds the finite flow K x J
+  on flat int columns: `skew_product` tabulates iwasawa(g·lift(k)) in
+  closed form for every (generator, K element), with no lift for the
+  integral generators unless g·lift(k) is exactly upper triangular, and
+  `act` is array lookups.  Holonomy on K decides strong connectivity
   (`_graph.skew_components`); up to `CROSS_CHECK_STATES` states Tarjan
   on the per-state successor lists cross-checks it.
 """
@@ -39,7 +40,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from ._graph import skew_components, strongly_connected_components
-from .borel import leading_class, witness as borel_witness
+from .borel import build_flow_group, leading_class, witness as borel_witness
 from .padic import PadicMatrix2, PadicRational, _padic, _require, int_valuation
 from .residues import (
     ResidueClass,
@@ -245,64 +246,28 @@ def k_level_group(p: int, level_m: int) -> tuple[tuple[int, int, int, int], ...]
 # ------------------------------------------------------------ flow points
 
 
+@dataclass(frozen=True)
 class GFlowPoint:
     """A K element's entry tuple, reduced mod p^m, paired with a
-    triangular type's class.  Never mutated after construction; equal
-    and hashed by (k, j, level_m), as a frozen dataclass of those fields
-    would be."""
+    triangular type's class."""
 
-    __slots__ = ("k", "j", "level_m")
+    k: tuple[int, int, int, int]
+    j: ResidueClass
+    level_m: int
 
-    def __init__(self, k: tuple[int, int, int, int], j: ResidueClass, level_m: int) -> None:
-        mod = j.prime**level_m
-        a, b, c, d = k
-        if not (
-            0 <= a < mod and 0 <= b < mod and 0 <= c < mod and 0 <= d < mod
-        ) or (a * d - b * c) % mod != 1 % mod:
+    def __post_init__(self) -> None:
+        mod = self.j.prime**self.level_m
+        a, b, c, d = self.k
+        if any(not 0 <= e < mod for e in self.k) or (a * d - b * c) % mod != 1 % mod:
             raise ValueError("k must be det-1 entries reduced mod p^m")
-        self.k, self.j, self.level_m = k, j, level_m
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not GFlowPoint:
-            return NotImplemented
-        return self.k == other.k and self.j == other.j and self.level_m == other.level_m
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.j, self.level_m))
-
-    def __repr__(self) -> str:
-        return f"GFlowPoint(k={self.k!r}, j={self.j!r}, level_m={self.level_m!r})"
 
     @classmethod
     def identity(cls, p: int, level_n: int, level_m: int) -> "GFlowPoint":
         return cls((1, 0, 0, 1), class_of(1, level_n, p), level_m)
 
 
-def _flow_point(k: tuple[int, int, int, int], j: ResidueClass, level_m: int) -> GFlowPoint:
-    """A GFlowPoint from parts that already meet its invariants (a product
-    of det-1 entry tuples reduced mod p^m), with no re-check."""
-    out = object.__new__(GFlowPoint)
-    out.k, out.j, out.level_m = k, j, level_m
-    return out
-
-
 def _lower_perturbation(p: int, exponent: int) -> PadicMatrix2:
     return PadicMatrix2.of(((1, 0), (PadicRational.of(1, p).shifted(exponent), 1)), p)
-
-
-# `ellis_group` multiplies every class by every class, so the rewrite of
-# a left witness past a right compact part is built, and checked, once
-# per (class, compact part, m, ladder)
-@lru_cache(maxsize=1024)
-def _left_slide(
-    j: ResidueClass, k: tuple[int, int, int, int], level_m: int, ladder: ScaleLadder
-) -> tuple[tuple[int, int, int, int], PadicMatrix2]:
-    """(mid mod p^m, h1) with mid @ h1 = witness(j, rung 0) @ lift(k)."""
-    left = borel_witness(j, ladder, 0)
-    if k == (1, 0, 0, 1):  # lift(I) = I: the witness rewrites to itself
-        return k, left
-    mid, h1 = borel_past_integral(left, k_lift(k, j.prime, level_m))
-    return k_reduce(mid, level_m), h1
 
 
 def star(
@@ -314,12 +279,10 @@ def star(
     block, the right one on the block above everything derivable from
     it; the middle factors are refactored with `borel_past_integral` so
     the product splits back into a compact part (reduced mod p^m) and a
-    triangular part h1 @ h2, classified at level n by its leading entry.
-
-    The left rewrite depends only on (s.j, t.k, m, ladder), so
-    `_left_slide` caches it, checked once when built; the right
-    witness, the compact product and `borel.leading_class`, which forms
-    (h1 @ h2).a alone, run on every call.
+    triangular part h1 @ h2, classified at level n by its leading entry
+    (`borel.leading_class` forms (h1 @ h2).a alone).  On the identity
+    fiber, where t.k = I and lift(I) = I, the left witness rewrites to
+    itself and the product is `borel.star(s.j, t.j)`.
 
     With `perturbed=True` the compact parts carry explicit deep
     identity perturbations the way generic realizations would; they must
@@ -331,14 +294,17 @@ def star(
     if t.level_m != level_m or t.j.prime != p or t.j.level_n != level_n:
         raise ValueError("mixed truncation levels")
     mod = p**level_m
-    compact, h1 = _left_slide(j, t.k, level_m, ladder)
+    compact, h1 = t.k, borel_witness(j, ladder, 0)
+    if compact != (1, 0, 0, 1):  # lift(I) = I: the witness rewrites to itself
+        mid, h1 = borel_past_integral(h1, k_lift(compact, p, level_m))
+        compact = k_reduce(mid, level_m)
     h2 = borel_witness(t.j, ladder, 2)
     if perturbed:
         tau1 = _lower_perturbation(p, level_m + ladder.window_w)
         tau2 = _lower_perturbation(p, ladder.gap * (ladder.rungs[1] + ladder.window_w))
         deep, h1 = borel_past_integral(h1, tau2)
         compact = k_mul(k_mul(k_reduce(tau1, level_m), compact, mod), k_reduce(deep, level_m), mod)
-    return _flow_point(k_mul(s.k, compact, mod), leading_class(h1, h2, level_n), level_m)
+    return GFlowPoint(k_mul(s.k, compact, mod), leading_class(h1, h2, level_n), level_m)
 
 
 # ------------------------------------------------------------- the flow
@@ -560,9 +526,7 @@ class EllisReport:
         }
 
 
-def ellis_group(
-    p: int, level_n: int, level_m: int, ladder: ScaleLadder = DEFAULT_LADDER
-) -> EllisReport:
+def ellis_group(p: int, level_n: int, ladder: ScaleLadder = DEFAULT_LADDER) -> EllisReport:
     """The identity-fiber points {(I, j)} under `star`, tabulated level
     by level down the divisor tower of level_n.
 
@@ -574,32 +538,21 @@ def ellis_group(
     separate the classes (at p = 5, n = 4 they do not), and the report
     keeps saying so.
 
-    Every product is computed through the witness path (`star`).  The
-    report records whether the fiber's table equals the residue group's
-    at each level (that group is the triangular flow group, which the
-    `borel` report and check verify, hence the JSON key
+    On the fiber `star` is `borel.star` (its compact part is I, whose
+    lift I the left witness passes through whole), and neither depends
+    on the compact level m, so each level's table is
+    `borel.build_flow_group`'s cached dict, which callers compare and
+    never mutate.  The report records whether the fiber's table equals
+    the residue group's at each level (that group is the triangular flow
+    group, which the `borel` report and check verify, hence the JSON key
     `iso_to_flow_group`), whether the reductions between levels commute
     with the products, and (reported, never asserted) whether valuations
     alone separate the classes.
     """
     levels = tuple(d for d in range(1, level_n + 1) if level_n % d == 0)
-    ident_k = GFlowPoint.identity(p, level_n, level_m).k
-    tables: dict[int, dict] = {}
-    iso: dict[int, bool] = {}
-    vinj: dict[int, bool] = {}
-    for lev in levels:
-        group = build_group(p, lev)
-        points = [GFlowPoint(ident_k, j, level_m) for j in group.elements]
-        table = {}
-        for a in points:
-            for b in points:
-                out = star(a, b, ladder)
-                if out.k != ident_k:
-                    raise ArithmeticError("identity fiber not closed")
-                table[(a.j.representative, b.j.representative)] = out.j.representative
-        tables[lev] = table
-        iso[lev] = table == group.table
-        vinj[lev] = induced_valuation_map(group).injective
+    tables = {lev: build_flow_group(p, lev, ladder) for lev in levels}
+    iso = {lev: tables[lev] == build_group(p, lev).table for lev in levels}
+    vinj = {lev: induced_valuation_map(build_group(p, lev)).injective for lev in levels}
     tower = []
     for big in levels:
         for small in levels:
@@ -692,5 +645,5 @@ def minimal_flow(
         size=size,
         strongly_connected=count == 1,
         idempotent=idempotent,
-        ellis=ellis_group(p, level_n, level_m, ladder),
+        ellis=ellis_group(p, level_n, ladder),
     )

@@ -173,9 +173,16 @@ def test_leading_class_matches_the_full_product_on_every_flow_group_star(doubled
 
 @pytest.mark.parametrize("p, n", [(7, 6), (5, 4)])
 def test_leading_class_matches_the_full_product_on_every_ellis_pair(p, n, monkeypatch):
+    # sl2.star on every pair of identity-fibre points (I, j), at each
+    # level of the divisor tower `ellis_group` reports
+    levels = sl2.ellis_group(p, n).levels
     pairs = cross_check_leading_class(monkeypatch, sl2)
-    report = sl2.ellis_group(p, n, 1)
-    products = sum(build_group(p, lev).order ** 2 for lev in report.levels)
+    for lev in levels:
+        points = [sl2.GFlowPoint((1, 0, 0, 1), j, 1) for j in build_group(p, lev).elements]
+        for s in points:
+            for t in points:
+                sl2.star(s, t, DEFAULT_LADDER)
+    products = sum(build_group(p, lev).order ** 2 for lev in levels)
     assert len(pairs) == products
     base = sl2.GFlowPoint.identity(p, n, 1)
     assert sl2.star(base, base, DEFAULT_LADDER, perturbed=True) == base
@@ -184,8 +191,9 @@ def test_leading_class_matches_the_full_product_on_every_ellis_pair(p, n, monkey
 
 def test_leading_class_reads_the_right_factors_lower_left_entry(monkeypatch):
     # the stars' operands are upper triangular, so there right.c is 0; a
-    # witness times a K element's lift (the product `sl2._left_slide`
-    # rewrites) has a lower-left entry on the right
+    # witness times a K element's lift (the product `sl2.star` rewrites
+    # when the right compact part is not I) has a lower-left entry on
+    # the right
     pairs = cross_check_leading_class(monkeypatch, borel)
     for j in build_group(5, 2).elements:
         h = borel.witness(j, DEFAULT_LADDER, 0)

@@ -321,7 +321,7 @@ def test_level_product_matches_matrix_product(p, m):
 
 @dataclass(frozen=True)
 class FrozenPoint:
-    """The frozen dataclass layout `GFlowPoint` had: equality and hash by
+    """The frozen dataclass layout `GFlowPoint` has: equality and hash by
     the tuple of its fields."""
 
     k: tuple
@@ -491,41 +491,15 @@ def test_star_perturbed_path_matches_plain():
         assert sl2.star(s, t, LADDER, perturbed=True) == sl2.star(s, t, LADDER)
 
 
-def test_left_slide_matches_the_uncached_rewrite():
-    # both ladders back to back on each key, so a cache key without the
-    # ladder would hand the second ladder the first one's rewrite
-    ladders = (DEFAULT_LADDER, DEFAULT_LADDER.doubled_gap())
-    cases = [(j, k, 1) for j in build_group(5, 2).elements for k in sl2.k_level_group(5, 1)]
-    cases += [(class_of(1, 2, 3), k, 2) for k in sl2.k_level_group(3, 2)]
-    # the identity's shortcut, on every class ellis_group(7, 6, 1) slides
-    cases += [(j, (1, 0, 0, 1), 1) for d in (1, 2, 3, 6) for j in build_group(7, d).elements]
-    sl2._left_slide.cache_clear()
-    for j, k, m in cases:
-        for ladder in ladders:
-            mid, h1 = sl2.borel_past_integral(witness(j, ladder, 0), sl2.k_lift(k, j.prime, m))
-            assert sl2._left_slide(j, k, m, ladder) == (sl2.k_reduce(mid, m), h1)
-    # (1, 1, 0, 1) is a K element at m = 1 and at m = 2: two keys, not one
-    sl2._left_slide.cache_clear()
-    for m in (2, 1, 2):
-        sl2._left_slide(class_of(1, 2, 3), (1, 1, 0, 1), m, DEFAULT_LADDER)
-    assert sl2._left_slide.cache_info()[:2] == (1, 2)  # (hits, misses)
-
-
-def test_ellis_group_rewrites_once_per_class(monkeypatch):
+def test_ellis_group_makes_no_star_and_no_rewrite(monkeypatch):
+    # the identity fibre's tables are the flow group's, read from
+    # `build_flow_group`, so no flow point is multiplied and no witness
+    # slides past a compact part
     calls = []
-    rewrite = sl2.borel_past_integral
-
-    def counted(h, t):
-        calls.append(t)
-        return rewrite(h, t)
-
-    sl2._left_slide.cache_clear()
-    monkeypatch.setattr(sl2, "borel_past_integral", counted)
-    sl2.ellis_group(7, 6, 1)
-    # one slide per class over the levels d | 6, 1 + 4 + 9 + 36, where
-    # one per product would be 1 + 16 + 81 + 1 296 = 1 394; every one is
-    # past the identity's lift I, so none needs a rewrite
-    assert sl2._left_slide.cache_info().misses == 50
+    for name in ("star", "borel_past_integral"):
+        monkeypatch.setattr(sl2, name, lambda *args, name=name, **kwargs: calls.append(name))
+    build_flow_group.cache_clear()
+    assert all(sl2.ellis_group(7, 6).iso_by_level.values())
     assert calls == []
 
 
@@ -588,32 +562,38 @@ def test_rewrite_keeps_padic_witness_entries():
             assert (t2, h2) == sl2.borel_past_integral(mat(fraction_rows(h)), lifted)
 
 
+def identity_fibre(p, n, m):
+    """The points (I, j) for every class j at level n."""
+    return [GFlowPoint((1, 0, 0, 1), j, m) for j in build_group(p, n).elements]
+
+
 @pytest.mark.parametrize("p, n", [(5, 1), (5, 2), (5, 3), (5, 4), (7, 6)])
-def test_star_matches_the_fraction_oracle_on_every_ellis_product(p, n, monkeypatch):
-    checked = []
-    padic_star = sl2.star
-
-    def both(s, t, ladder, **kwargs):
-        out = padic_star(s, t, ladder, **kwargs)
-        assert out == fraction_star(s, t, ladder, **kwargs)
-        checked.append((s, t))
-        return out
-
-    monkeypatch.setattr(sl2, "star", both)
-    report = sl2.ellis_group(p, n, 1)
-    assert len(checked) == sum(build_group(p, lev).order ** 2 for lev in report.levels)
+def test_star_matches_the_fraction_oracle_on_every_ellis_product(p, n):
+    # every product of the identity fibre at each level of the divisor
+    # tower `ellis_group` reports
+    checked = 0
+    for lev in sl2.ellis_group(p, n).levels:
+        points = identity_fibre(p, lev, 1)
+        for s in points:
+            for t in points:
+                assert sl2.star(s, t, DEFAULT_LADDER) == fraction_star(s, t, DEFAULT_LADDER)
+                checked += 1
+    assert checked == sum(build_group(p, d).order ** 2 for d in range(1, n + 1) if n % d == 0)
 
 
+@pytest.mark.parametrize(
+    "ladder", [LADDER, DEFAULT_LADDER.doubled_gap()], ids=["gap-8", "doubled-gap"]
+)
 @pytest.mark.parametrize("perturbed", [False, True])
-def test_star_matches_the_fraction_oracle_on_random_pairs(perturbed):
+def test_star_matches_the_fraction_oracle_on_random_pairs(perturbed, ladder):
     rng = random.Random(71)
     group = sl2.k_level_group(P, M)
     classes = build_group(P, N).elements
     for _ in range(60):
         s = GFlowPoint(rng.choice(group), rng.choice(classes), M)
         t = GFlowPoint(rng.choice(group), rng.choice(classes), M)
-        out = sl2.star(s, t, LADDER, perturbed=perturbed)
-        assert out == fraction_star(s, t, LADDER, perturbed=perturbed)
+        out = sl2.star(s, t, ladder, perturbed=perturbed)
+        assert out == fraction_star(s, t, ladder, perturbed=perturbed)
 
 
 # -------------------------------------------------------------- the flow
@@ -901,9 +881,11 @@ def test_minimal_flow_work_counts(monkeypatch):
 
 def test_minimal_flow_matrix_product_count(monkeypatch):
     # from empty caches, only the rewrites form whole products: the
-    # identity fibre's slides need none (test_ellis_group_rewrites_once_per_class),
-    # so only the perturbed basepoint's exact check forms two; star
-    # itself forms only the leading entry of h1 @ h2
+    # identity fibre's tables are the flow group's, which form none
+    # (test_ellis_group_makes_no_star_and_no_rewrite), and the plain
+    # basepoint's witness needs no rewrite past lift(I) = I, so only the
+    # perturbed basepoint's exact check forms two; star itself forms only
+    # the leading entry of h1 @ h2
     calls = []
     product = PadicMatrix2.__matmul__
 
@@ -912,7 +894,7 @@ def test_minimal_flow_matrix_product_count(monkeypatch):
         return product(left, right)
 
     monkeypatch.setattr(PadicMatrix2, "__matmul__", counted)
-    for cached in (witness, sl2.k_lift, sl2._left_slide):
+    for cached in (witness, sl2.k_lift, build_flow_group):
         cached.cache_clear()
     assert sl2.minimal_flow(7, 6, 1).idempotent
     assert len(calls) == 2
@@ -928,7 +910,7 @@ def test_minimal_flow_cross_check_disagreement_raises(monkeypatch, capsys):
 
 
 def test_ellis_group_level_four():
-    report = sl2.ellis_group(5, 4, 1)
+    report = sl2.ellis_group(5, 4)
     assert report.order == 16
     assert report.levels == (1, 2, 4)
     assert report.iso_by_level == {1: True, 2: True, 4: True}
@@ -937,16 +919,34 @@ def test_ellis_group_level_four():
 
 
 def test_ellis_group_level_six():
-    report = sl2.ellis_group(5, 6, 1)
+    report = sl2.ellis_group(5, 6)
     assert report.order == 12
     assert report.levels == (1, 2, 3, 6)
     assert all(report.iso_by_level.values())
     assert all(ok for _, _, ok in report.tower)
 
 
-def test_ellis_table_matches_flow_group():
-    report = sl2.ellis_group(5, 2, 1)
-    assert report.tables[2] == build_flow_group(5, 2, LADDER)
+@pytest.mark.parametrize(
+    "p, n, m, ladder",
+    [
+        (5, 2, 1, DEFAULT_LADDER),
+        (5, 4, 2, DEFAULT_LADDER),
+        (3, 6, 2, DEFAULT_LADDER.doubled_gap()),
+        (7, 6, 1, DEFAULT_LADDER.doubled_gap()),
+    ],
+)
+def test_star_on_the_identity_fibre_is_the_flow_group(p, n, m, ladder):
+    # the SL(2) product on the points (I, j) stays on the fibre and is
+    # the triangular flow group's, which `ellis_group` reports
+    points = identity_fibre(p, n, m)
+    table = {}
+    for s in points:
+        for t in points:
+            out = sl2.star(s, t, ladder)
+            assert out.k == (1, 0, 0, 1)
+            table[s.j.representative, t.j.representative] = out.j.representative
+    assert table == build_flow_group(p, n, ladder)
+    assert table == sl2.ellis_group(p, n, ladder).tables[n]
 
 
 def test_report_json_shapes():
